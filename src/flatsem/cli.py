@@ -26,8 +26,8 @@ from . import decoder, fuzz, oracle
 # the coverage() function shadows its submodule on the package, so pull the
 # names straight from the module
 from .coverage import coverage, coverage_curve, shuffle_experiment
-from .lexicon import Lexicon, default_lexicon, load_lexicon
-from .logical_form import SplitReport, score_split
+from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
+from .logical_form import ScoredRow, score_row, tally
 
 Row = tuple[str, str, str]  # sentence, logical form, category
 
@@ -99,29 +99,36 @@ def _limit_rows(rows: list[Row], max_len: Optional[int]) -> list[Row]:
     return kept
 
 
-def _report_lines(report: SplitReport) -> list[str]:
-    return [report.format()]
-
-
 def cmd_run(args) -> int:
     lexicon = _get_lexicon(args)
     lines: list[str] = []
+    unknown_rows = 0
     for name, path in _split_paths(args):
         rows = _limit_rows(load_tsv(path, drop_augmented=args.drop_augmented), args.max_len)
-        predict = (lambda s: decoder.decode(s, lexicon, ablate=args.ablate_no_pp_rule))
-        report = score_split(rows, predict, name=name)
-        lines += _report_lines(report)
+        scored: list[ScoredRow] = []
+        unknown = 0
+        for sentence, gold, _cat in rows:
+            try:
+                pred = decoder.decode(sentence, lexicon, ablate=args.ablate_no_pp_rule)
+            except LexiconError:
+                pred = None
+                unknown += 1
+            scored.append(score_row(sentence, gold, pred))
+        if unknown:
+            print(f"# split={name}: {unknown} rows hold words not in the lexicon, "
+                  f"scored as misses", file=sys.stderr)
+            unknown_rows += unknown
+        lines.append(tally(scored, name).format())
         if name == "gen":
-            by_cat: dict[str, list[Row]] = {}
-            for row in rows:
-                by_cat.setdefault(row[2] or "uncategorized", []).append(row)
+            by_cat: dict[str, list[ScoredRow]] = {}
+            for (_s, _g, cat), row in zip(rows, scored):
+                by_cat.setdefault(cat or "uncategorized", []).append(row)
             for cat in sorted(by_cat):
-                sub = score_split(by_cat[cat], predict, name=f"gen/{cat}")
-                lines += _report_lines(sub)
+                lines.append(tally(by_cat[cat], f"gen/{cat}").format())
     print("\n".join(lines))
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")
-    return 0
+    return 1 if unknown_rows else 0
 
 
 def cmd_coverage(args) -> int:

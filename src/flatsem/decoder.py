@@ -1,12 +1,18 @@
-"""Autoregressive decoding: one token per call, counters over the output.
+"""Decoding: the logical form emitted from a plan, and the per-token rule.
 
-``next_token`` never carries state between calls beyond the emitted prefix.
-Each call re-derives where it is from scratch: the number of ";" tokens says
-which noun introduction is in flight, the number of "AND" tokens says which
-body conjunct, and the distance to the last separator says how far into the
-current conjunct we are.  Everything else is a pure function of the input
-sentence (cached analysis + the decode plan built from it), so replaying any
-prefix reproduces the same continuation.
+``build_plan`` resolves one sentence's flat analysis into the exact layout of
+its logical form: the noun introductions in sentence order, then the body
+conjuncts sorted by head position.  ``decode`` emits that layout in one pass:
+the introduction groups separated by ";", a ";" before the body, and the body
+conjuncts joined by "AND".
+
+``next_token`` is the autoregressive reference rule for the same layout.  It
+carries no state between calls beyond the emitted prefix: the number of ";"
+tokens says which noun introduction is in flight, the number of "AND" tokens
+says which body conjunct, and the distance to the last separator says how far
+into the current conjunct we are.  Replaying any prefix of ``decode``'s output
+through it reproduces the same continuation.  Nothing is cached between
+sentences; each call analyses its sentence afresh.
 
 Role binding is positional: a template's subject argument resolves to the
 nearest surviving noun left of the verb inside the clause, its k-th object
@@ -49,14 +55,6 @@ TEMPLATE_RELATIONS: dict[str, list[tuple[str, str]]] = {
     "v_dat_pp_p2": [("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2")],
     "v_dat_pp_p3": [("recipient", "SUBJ"), ("theme", "OBJ1")],
     "v_dat_pp_p4": [("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2")],
-}
-
-# Body conjuncts a frame contributes (verb introduction + roles); the
-# infinitive-taking frame spawns a second verb group.
-TEMPLATE_SIZES: dict[str, int] = {
-    name: 1 + len(rels) + (2 if name == "v_inf_taking" else 0)
-    for name, rels in TEMPLATE_RELATIONS.items()
-    if name != "v_inf"
 }
 
 
@@ -170,16 +168,18 @@ def intro_phase_token(plan: DecodePlan, out: list[str]) -> Optional[str]:
     return toks[off] if off < len(toks) else None
 
 
+def _conjunct_tokens(plan: DecodePlan, c: int) -> tuple[str, ...]:
+    toks = plan.body[c].tokens
+    return toks + ("AND",) if c < len(plan.body) - 1 else toks
+
+
 def _body_token(plan: DecodePlan, out: list[str], want_kind: str) -> Optional[str]:
     c = out.count("AND")
     if c >= len(plan.body):
         return None
-    conj = plan.body[c]
-    if (conj.kind == "nmod") != (want_kind == "nmod"):
+    if (plan.body[c].kind == "nmod") != (want_kind == "nmod"):
         return None
-    toks = conj.tokens
-    if c < len(plan.body) - 1:
-        toks = toks + ("AND",)
+    toks = _conjunct_tokens(plan, c)
     off = _offset(out)
     return toks[off] if off < len(toks) else None
 
@@ -206,45 +206,31 @@ def next_token(state: DecoderState) -> Optional[str]:
     return relation_phase_token(state.plan, state.out)
 
 
-# The plan is a pure function of (sentence, lexicon, ablate); cache it so the
-# per-token calls during decoding stay cheap.  Values hold the lexicon too,
-# which keeps id() keys honest.
-_plan_cache: dict[tuple, tuple[lx.Lexicon, DecodePlan]] = {}
-
-
 def start_state(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
                 ablate: bool = False) -> DecoderState:
     tokens = sentence.split() if isinstance(sentence, str) else list(sentence)
     tokens = [t.lower() for t in tokens]
     if lexicon is None:
         lexicon = lx.default_lexicon()
-    key = (tuple(tokens), id(lexicon), ablate)
-    hit = _plan_cache.get(key)
-    if hit is None or hit[0] is not lexicon:
-        if len(_plan_cache) > 4096:
-            _plan_cache.clear()
-        plan = build_plan(analyze(tokens, lexicon), lexicon, ablate)
-        _plan_cache[key] = (lexicon, plan)
-    else:
-        plan = hit[1]
-    return DecoderState(tokens, plan)
+    return DecoderState(tokens, build_plan(analyze(tokens, lexicon), lexicon, ablate))
+
+
+def plan_tokens(plan: DecodePlan) -> list[str]:
+    """The whole logical form of ``plan``, token by token."""
+    out: list[str] = []
+    for i in range(len(plan.noun_groups)):
+        out += _group_tokens(plan, i)
+    for c in range(len(plan.body)):
+        out += _conjunct_tokens(plan, c)
+    return out
 
 
 def decode(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
-           ablate: bool = False, max_steps: int = 400) -> str:
-    """Greedy-decode the logical form of one sentence."""
-    state = start_state(sentence, lexicon, ablate)
-    for _ in range(max_steps):
-        tok = next_token(state)
-        if tok is None:
-            break
-        state.out.append(tok)
-    else:
-        raise RuntimeError(f"decode exceeded {max_steps} steps")
-    return " ".join(state.out)
+           ablate: bool = False) -> str:
+    """Decode the logical form of one sentence."""
+    return " ".join(plan_tokens(start_state(sentence, lexicon, ablate).plan))
 
 
-def decode_ablated(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
-                   max_steps: int = 400) -> str:
+def decode_ablated(sentence: str | list[str], lexicon: lx.Lexicon | None = None) -> str:
     """decode() with the pp-prefix filter disabled during role binding."""
-    return decode(sentence, lexicon, ablate=True, max_steps=max_steps)
+    return decode(sentence, lexicon, ablate=True)

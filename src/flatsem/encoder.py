@@ -81,12 +81,6 @@ def no_pp_np_mask(emb: lx.Embedded) -> list[int]:
         emb.pos, prev, prev2)
 
 
-def nps_without_pp_prefix_indices(emb: lx.Embedded) -> list[int]:
-    """1-based rank of each pp-free noun among pp-free nouns; 0 elsewhere."""
-    eligible = seq.elementwise(lambda a, b: a * b, noun_mask(emb), no_pp_np_mask(emb))
-    return seq.elementwise(lambda c, e: c * e, seq.running_count(eligible), eligible)
-
-
 def star_mask(emb: lx.Embedded) -> list[int]:
     prev_word = seq.shift_right(emb.tokens, default="")
     return seq.elementwise(

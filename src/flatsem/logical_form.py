@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from scipy.special import betainc
 
@@ -209,7 +209,7 @@ class SplitReport:
     n: int
     sem_hits: int
     em_hits: int
-    failures: list[tuple[str, str, str]] = field(default_factory=list)  # (sentence, gold, pred)
+    failures: list[tuple[str, str, Optional[str]]] = field(default_factory=list)  # (sentence, gold, pred)
 
     @property
     def sem(self) -> float:
@@ -231,22 +231,36 @@ class SplitReport:
                 f"ci_low={lo:.4f} ci_high={hi:.4f}")
 
 
+# (sentence, gold, prediction, semantic hit, string hit)
+ScoredRow = tuple[str, str, Optional[str], bool, bool]
+
+
+def score_row(sentence: str, gold: str, pred: Optional[str]) -> ScoredRow:
+    """Compare one prediction with its gold; ``None`` (no prediction) misses."""
+    if pred is None:
+        return sentence, gold, pred, False, False
+    em = string_exact_match(gold, pred)
+    return sentence, gold, pred, em or semantic_exact_match(gold, pred), em
+
+
+def tally(scored: Iterable[ScoredRow], name: str = "split",
+          keep_failures: int = 20) -> SplitReport:
+    """Sum scored rows into a report."""
+    report = SplitReport(name, 0, 0, 0)
+    for sentence, gold, pred, sem, em in scored:
+        report.n += 1
+        report.sem_hits += sem
+        report.em_hits += em
+        if not sem and len(report.failures) < keep_failures:
+            report.failures.append((sentence, gold, pred))
+    return report
+
+
 def score_split(rows: Iterable[tuple[str, str, str]],
                 predict: Callable[[str], str],
                 name: str = "split",
                 keep_failures: int = 20) -> SplitReport:
     """Run ``predict`` over (sentence, gold_lf, category) rows and tally
     semantic / string exact match."""
-    n = sem = em = 0
-    failures: list[tuple[str, str, str]] = []
-    for sentence, gold, _category in rows:
-        n += 1
-        pred = predict(sentence)
-        if string_exact_match(gold, pred):
-            em += 1
-            sem += 1
-        elif semantic_exact_match(gold, pred):
-            sem += 1
-        elif len(failures) < keep_failures:
-            failures.append((sentence, gold, pred))
-    return SplitReport(name, n, sem, em, failures)
+    return tally((score_row(sentence, gold, predict(sentence)) for sentence, gold, _ in rows),
+                 name, keep_failures)

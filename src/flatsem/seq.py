@@ -9,18 +9,27 @@ terms of a handful of operations over aligned sequences:
 * ``elementwise``   position-wise map over aligned sequences
 * ``combine``       position-wise map over selectors
 
-Sequences are plain Python lists; a selector is a list of boolean rows,
-``sel[q][k]`` meaning query position ``q`` attends to key position ``k``.
-Scalars broadcast to full sequences wherever a sequence is expected.
+As in RASP, a selector *is* an attention matrix: an n x n numpy ``bool``
+array, ``sel[q, k]`` meaning query position ``q`` attends to key position
+``k``.  ``select`` calls its predicate once, on the key row and the query
+column broadcast against each other, and ``combine`` calls its op once, on
+whole matrices.  Predicates and ops must therefore be elementwise --
+``operator.le``, ``lambda k, q: k == q - 1``, ``np.logical_and`` -- and not
+``and`` / ``or``, which need a single truth value.
+
+Sequences, in and out, are plain Python lists.  Scalars broadcast to full
+sequences wherever a sequence is expected.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
 MAX_SEQ_LEN = 512
 
-Selector = list[list[bool]]
+Selector = np.ndarray  # n x n, dtype bool
 
 
 class SequenceTooLongError(ValueError):
@@ -53,8 +62,8 @@ def _common_length(*xs: Any) -> int:
     raise ValueError("at least one argument must be a sequence")
 
 
-def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], bool]) -> Selector:
-    """Boolean selector with ``sel[q][k] = predicate(keys[k], queries[q])``.
+def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Selector:
+    """Boolean selector with ``sel[q, k] = predicate(keys[k], queries[q])``.
 
     The first argument supplies the key (column) values, the second the query
     (row) values; either may be a scalar, which broadcasts.  For example
@@ -63,28 +72,28 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], bool]) -> Se
     """
     n = _common_length(keys, queries)
     check_length(n)
-    ks = _broadcast(keys, n)
-    qs = _broadcast(queries, n)
-    return [[bool(predicate(ks[k], qs[q])) for k in range(n)] for q in range(n)]
+    ks = np.asarray(_broadcast(keys, n))
+    qs = np.asarray(_broadcast(queries, n))
+    sel = np.asarray(predicate(ks[np.newaxis, :], qs[:, np.newaxis]), dtype=bool)
+    if sel.shape != (n, n):  # a predicate that ignores its arguments
+        sel = np.broadcast_to(sel, (n, n)).copy()
+    return sel
 
 
-def combine(op: Callable[..., bool], *selectors: Selector) -> Selector:
+def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
     """Position-wise combination of selectors, e.g. ``combine(and_, a, b)``."""
     if not selectors:
         raise ValueError("combine needs at least one selector")
-    n = len(selectors[0])
-    for s in selectors:
-        if len(s) != n:
+    mats = [np.asarray(s, dtype=bool) for s in selectors]
+    for m in mats:
+        if m.shape != mats[0].shape:
             raise ValueError("selector size mismatch")
-    return [
-        [bool(op(*(s[q][k] for s in selectors))) for k in range(n)]
-        for q in range(n)
-    ]
+    return np.asarray(op(*mats), dtype=bool)
 
 
 def selector_width(selector: Selector) -> list[int]:
     """Number of selected key positions for each query position."""
-    return [sum(row) for row in selector]
+    return np.count_nonzero(selector, axis=1).tolist()
 
 
 def aggregate(selector: Selector, values: Any, default: Any = None) -> list:
@@ -93,26 +102,37 @@ def aggregate(selector: Selector, values: Any, default: Any = None) -> list:
     Numeric values average; a query row that selects nothing yields 0 (or
     ``default`` when given).  Non-numeric values only support the
     unique-selection pattern: every selected value must be identical, and an
-    empty row yields "" (or ``default``).  Averages that come out whole are
-    returned as ints so masks stay integer-typed.
+    empty row yields "" (or ``default``).  A row whose selected values are all
+    equal passes the first of them through unchanged; averages that come out
+    whole are returned as ints so masks stay integer-typed.
     """
     n = len(selector)
+    sel = np.asarray(selector, dtype=bool).reshape(n, n)
     vals = _broadcast(values, n)
     numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)
     if default is None:
         default = 0 if numeric else ""
-    out = []
-    for q in range(n):
-        picked = [vals[k] for k in range(n) if selector[q][k]]
-        if not picked:
-            out.append(default)
-        elif all(v == picked[0] for v in picked):
-            out.append(picked[0])
-        elif numeric:
-            mean = sum(picked) / len(picked)
-            out.append(int(mean) if isinstance(mean, float) and mean.is_integer() else mean)
-        else:
+    # equal values share a code, so a row is mixed when some selected code
+    # differs from the code of its first selected position
+    codes: dict[Any, int] = {}
+    code = np.array([codes.setdefault(v, len(codes)) for v in vals], dtype=np.intp)
+    first = sel.argmax(axis=1)
+    mixed = (sel & (code[np.newaxis, :] != code[first][:, np.newaxis])).any(axis=1)
+    mean: list[float] = []
+    if mixed.any():
+        if not numeric:
             raise ValueError("aggregate over distinct symbolic values is undefined")
+        width = np.count_nonzero(sel, axis=1)
+        mean = ((sel @ np.asarray(vals, dtype=np.float64)) / np.maximum(width, 1)).tolist()
+    out = []
+    for q, (hit, f, mix) in enumerate(zip(sel.any(axis=1).tolist(), first.tolist(),
+                                          mixed.tolist())):
+        if not hit:
+            out.append(default)
+        elif not mix:
+            out.append(vals[f])
+        else:
+            out.append(int(mean[q]) if mean[q].is_integer() else mean[q])
     return out
 
 
@@ -143,4 +163,4 @@ def running_count(mask: list[int]) -> list[int]:
     idx = indices(len(mask))
     hits = select(mask, 1, lambda k, q: k == q)
     upto = select(idx, idx, lambda k, q: k <= q)
-    return selector_width(combine(lambda a, b: a and b, hits, upto))
+    return selector_width(combine(np.logical_and, hits, upto))

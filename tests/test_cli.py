@@ -79,6 +79,18 @@ def test_run_ablation_flag_changes_binding(tmp_path, capsys):
     assert "sem=0.0000" in capsys.readouterr().out
 
 
+def test_run_scores_out_of_lexicon_rows_as_misses(tmp_path, capsys):
+    rows = [
+        ("emma saw zorblax .", "emma ( 0 )", "x"),
+        ("a boy painted the girl", GOLDEN["a boy painted the girl"], "x"),
+    ]
+    write_tsv(tmp_path / "test.tsv", rows)
+    assert main(["run", "--data", str(tmp_path), "--split", "test"]) == 1
+    captured = capsys.readouterr()
+    assert "split=test n=2 sem=0.5000 em=0.5000" in captured.out
+    assert "1 rows hold words not in the lexicon" in captured.err
+
+
 def test_run_without_data_exits(monkeypatch):
     monkeypatch.delenv("RR_DATA", raising=False)
     with pytest.raises(SystemExit):

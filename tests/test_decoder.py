@@ -1,8 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from flatsem import decoder as dec
+from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
+from flatsem.logical_form import parse_lf
 from flatsem.oracle import lf_oracle
 
 from corpora import ATTRACTION_CASES, GOLDEN
@@ -93,14 +96,55 @@ def test_case_and_token_list_inputs(lexicon):
     assert dec.decode(["a", "boy", "painted", "the", "girl"], lexicon) == want
 
 
-def test_max_steps_guard(lexicon):
-    with pytest.raises(RuntimeError):
-        dec.decode("a boy painted the girl", lexicon, max_steps=3)
-
-
 def test_plan_cache_keeps_ablation_variants_apart(lexicon):
     s = ATTRACTION_CASES[0][0]
     clean_1 = dec.decode(s, lexicon)
     ablated = dec.decode_ablated(s, lexicon)
     clean_2 = dec.decode(s, lexicon)
     assert clean_1 == clean_2 != ablated
+
+
+@pytest.mark.parametrize("ablate", [False, True])
+def test_next_token_replays_decode_on_fuzzed_sentences(ablate, lexicon):
+    """Every prefix of decode()'s output continues with its next token."""
+    for tokens, _tree in fuzz_generate(60, lexicon, seed=5, pp_depth=3, cp_depth=3):
+        full = dec.decode(tokens, lexicon, ablate=ablate).split()
+        state = dec.start_state(tokens, lexicon, ablate=ablate)
+        for cut in range(len(full) + 1):
+            state.out = full[:cut]
+            assert dec.next_token(state) == (full[cut] if cut < len(full) else None)
+
+
+@pytest.fixture
+def script_recursion_headroom():
+    """The Earley parser behind the oracle recurses deeper the longer the
+    chain, and its deepest chains need all of the recursion limit that a
+    plain script has.  The test runner's own frames (some 30) sit below the
+    test, so lift the limit by that much while the test runs."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 100)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+# The deepest chains the Earley parser behind the oracle accepts are pp depth
+# 163 and clause depth 89; sample the range up to them.
+@pytest.mark.usefixtures("script_recursion_headroom")
+@pytest.mark.parametrize("chain,depth", [
+    *((pp_chain_sentence, d) for d in [*range(13, 163, 15), 163]),
+    *((cp_chain_sentence, d) for d in [*range(13, 89, 15), 89]),
+])
+def test_decode_matches_oracle_on_deep_chains(chain, depth, lexicon):
+    tokens = chain(depth)
+    assert dec.decode(tokens, lexicon) == lf_oracle(tokens, lexicon)
+
+
+@pytest.mark.parametrize("tokens,length,nouns,verbs", [
+    (pp_chain_sentence(168), 510, [1, 4, *range(7, 4 + 3 * 168 + 1, 3)], [2]),
+    (cp_chain_sentence(169), 511, [*range(0, 3 * 169, 3), 3 * 169 + 1],
+     [*range(1, 3 * 169, 3), 3 * 169 + 2]),
+])
+def test_decode_reaches_max_seq_len(tokens, length, nouns, verbs, lexicon):
+    assert len(tokens) == length
+    lf = parse_lf(dec.decode(tokens, lexicon))
+    assert sorted(u.idx for u in lf.unary) == sorted(nouns + verbs)

@@ -10,7 +10,7 @@ from flatsem import seq
 def test_select_orientation():
     # keys fill columns, queries fill rows
     sel = seq.select([10, 20, 30], [20, 99, 10], operator.eq)
-    assert sel == [
+    assert sel.tolist() == [
         [False, True, False],
         [False, False, False],
         [True, False, False],
@@ -19,14 +19,14 @@ def test_select_orientation():
 
 def test_select_broadcasts_scalars():
     sel = seq.select([1, 0, 1], 1, operator.eq)
-    assert sel == [[True, False, True]] * 3
+    assert sel.tolist() == [[True, False, True]] * 3
 
 
 def test_combine_and():
     a = seq.select(seq.indices(4), seq.indices(4), operator.le)
     b = seq.select(seq.indices(4), seq.indices(4), operator.ge)
-    diag = seq.combine(lambda x, y: x and y, a, b)
-    assert diag == [[q == k for k in range(4)] for q in range(4)]
+    diag = seq.combine(operator.and_, a, b)
+    assert diag.tolist() == [[q == k for k in range(4)] for q in range(4)]
 
 
 def test_selector_width_counts_rows():
@@ -100,3 +100,12 @@ def test_aggregate_matches_plain_mean(values, rng):
         picked = [values[k] for k in range(n) if sel[q][k]]
         expected = sum(picked) / len(picked) if picked else 0
         assert out[q] == pytest.approx(expected)
+
+
+@given(st.lists(st.integers(-3, 3) | st.sampled_from(["the", "boy"]), min_size=1, max_size=64),
+       st.integers(-9, 9) | st.just(""))
+def test_shifts_and_running_count_match_plain_lists(values, default):
+    assert seq.shift_right(values, default=default) == [default] + values[:-1]
+    assert seq.shift_left(values, default=default) == values[1:] + [default]
+    mask = [int(v == "the") for v in values]
+    assert seq.running_count(mask) == [sum(mask[:i + 1]) for i in range(len(mask))]
