@@ -28,6 +28,7 @@ from . import decoder, fuzz, oracle
 from .coverage import coverage, coverage_curve, shuffle_experiment
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
 from .logical_form import ScoredRow, score_row, tally
+from .seq import MAX_SEQ_LEN, SequenceTooLongError
 
 Row = tuple[str, str, str]  # sentence, logical form, category
 
@@ -99,25 +100,46 @@ def _limit_rows(rows: list[Row], max_len: Optional[int]) -> list[Row]:
     return kept
 
 
+# Kinds of rows the decoder cannot read, and how the stderr summary names them.
+UNDECODABLE = {
+    "oov": "hold words not in the lexicon",
+    "too_long": f"are longer than {MAX_SEQ_LEN} tokens",
+}
+
+
+def _decode_row(sentence: str, lexicon: Lexicon, ablate: bool) -> tuple[Optional[str], Optional[str]]:
+    """(prediction, None) for a row that decodes, (None, kind) for one that
+    cannot, with kind a key of UNDECODABLE."""
+    try:
+        return decoder.decode(sentence, lexicon, ablate=ablate), None
+    except LexiconError:
+        return None, "oov"
+    except SequenceTooLongError:
+        return None, "too_long"
+
+
+def _report_undecodable(name: str, kinds: Counter, what: str) -> int:
+    """Note on stderr how many rows of a split could not be decoded; returns that count."""
+    for kind, note in UNDECODABLE.items():
+        if kinds[kind]:
+            print(f"# split={name}: {kinds[kind]} rows {note}, {what}", file=sys.stderr)
+    return sum(kinds[kind] for kind in UNDECODABLE)
+
+
 def cmd_run(args) -> int:
     lexicon = _get_lexicon(args)
     lines: list[str] = []
-    unknown_rows = 0
+    undecodable = 0
     for name, path in _split_paths(args):
         rows = _limit_rows(load_tsv(path, drop_augmented=args.drop_augmented), args.max_len)
         scored: list[ScoredRow] = []
-        unknown = 0
+        failed: Counter = Counter()
         for sentence, gold, _cat in rows:
-            try:
-                pred = decoder.decode(sentence, lexicon, ablate=args.ablate_no_pp_rule)
-            except LexiconError:
-                pred = None
-                unknown += 1
+            pred, failure = _decode_row(sentence, lexicon, args.ablate_no_pp_rule)
+            if failure:
+                failed[failure] += 1
             scored.append(score_row(sentence, gold, pred))
-        if unknown:
-            print(f"# split={name}: {unknown} rows hold words not in the lexicon, "
-                  f"scored as misses", file=sys.stderr)
-            unknown_rows += unknown
+        undecodable += _report_undecodable(name, failed, "scored as misses")
         lines.append(tally(scored, name).format())
         if name == "gen":
             by_cat: dict[str, list[ScoredRow]] = {}
@@ -128,7 +150,7 @@ def cmd_run(args) -> int:
     print("\n".join(lines))
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n")
-    return 1 if unknown_rows else 0
+    return 1 if undecodable else 0
 
 
 def cmd_coverage(args) -> int:
@@ -201,22 +223,24 @@ def cmd_augment(args) -> int:
 
 def cmd_analyze_errors(args) -> int:
     lexicon = _get_lexicon(args)
-    kinds: Counter = Counter()
-    shown = 0
+    shown = undecodable = 0
     for name, path in _split_paths(args):
         rows = _limit_rows(load_tsv(path, drop_augmented=args.drop_augmented), args.max_len)
+        kinds: Counter = Counter()
         for sentence, gold, _cat in rows:
-            pred = decoder.decode(sentence, lexicon, ablate=args.ablate_no_pp_rule)
-            report = oracle.classify_error(gold, pred)
-            kinds[report.kind] += 1
-            if report.kind not in ("exact", "equivalent") and shown < args.show:
+            pred, failure = _decode_row(sentence, lexicon, args.ablate_no_pp_rule)
+            report = oracle.classify_error(gold, pred) if failure is None else None
+            kind = failure or report.kind
+            kinds[kind] += 1
+            if kind not in ("exact", "equivalent") and shown < args.show:
                 shown += 1
-                print(f"[{report.kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
-                      + (f"\n  {report.detail}" if report.detail else ""))
+                print(f"[{kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
+                      + (f"\n  {report.detail}" if report and report.detail else ""))
         total = sum(kinds.values())
         for kind in sorted(kinds):
             print(f"split={name} kind={kind} count={kinds[kind]} frac={kinds[kind] / total:.4f}")
-    return 0
+        undecodable += _report_undecodable(name, kinds, "left undecoded")
+    return 1 if undecodable else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,18 +1,17 @@
-"""Decoding: the logical form emitted from a plan, and the per-token rule.
+"""Decoding: the logical form read off the flat analysis, and the per-token rule.
 
-``build_plan`` resolves one sentence's flat analysis into the exact layout of
-its logical form: the noun introductions in sentence order, then the body
-conjuncts sorted by head position.  ``decode`` emits that layout in one pass:
-the introduction groups separated by ";", a ";" before the body, and the body
-conjuncts joined by "AND".
+``build_plan`` reads one sentence's ``SentenceFacts`` off its flat analysis:
+the noun introductions, the pp attachments as nmod links, and one verb group
+per matched clause template.  These are the same facts the tree oracle
+collects, and ``decode`` serialises them through the same layout
+(``logical_form.conjuncts``).
 
-``next_token`` is the autoregressive reference rule for the same layout.  It
+``next_token`` is the autoregressive reference rule for that layout.  It
 carries no state between calls beyond the emitted prefix: the number of ";"
-tokens says which noun introduction is in flight, the number of "AND" tokens
-says which body conjunct, and the distance to the last separator says how far
-into the current conjunct we are.  Replaying any prefix of ``decode``'s output
-through it reproduces the same continuation.  Nothing is cached between
-sentences; each call analyses its sentence afresh.
+and "AND" separators in the prefix says which conjunct is in flight, and the
+distance to the last separator says which token of it.  Replaying any prefix
+of ``decode``'s output through it reproduces the same continuation.  Nothing
+is cached between sentences; each call analyses its sentence afresh.
 
 Role binding is positional: a template's subject argument resolves to the
 nearest surviving noun left of the verb inside the clause, its k-th object
@@ -28,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lexicon as lx
-from .encoder import ClauseInfo, InputAnalysis, analyze
+from .encoder import InputAnalysis, analyze
+from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, conjuncts, serialize_facts
 
 # Relations per verb frame, in emission order.  SUBJ binds left of the verb,
 # OBJ1/OBJ2 right of it in reading order, V2 is the infinitive two tokens
@@ -58,44 +58,22 @@ TEMPLATE_RELATIONS: dict[str, list[tuple[str, str]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Conjunct:
-    head: int  # sentence position that orders this conjunct
-    kind: str  # "nmod" | "intro" | "relation"
-    tokens: tuple[str, ...]
-
-
-@dataclass
-class DecodePlan:
-    noun_groups: list[tuple[bool, str, int]]  # (star, label, position)
-    body: list[Conjunct]
-
-
 @dataclass
 class DecoderState:
     tokens: list[str]
-    plan: DecodePlan
+    conjuncts: list[tuple[str, ...]]  # the form's layout, see logical_form.conjuncts
     out: list[str] = field(default_factory=list)
 
 
-def _subject(analysis: InputAnalysis, clause: ClauseInfo, mask: list[int]) -> Optional[int]:
-    cands = [i for i in range(clause.start, clause.verb_pos) if mask[i]]
-    return cands[-1] if cands else None
-
-
-def _object(analysis: InputAnalysis, clause: ClauseInfo, k: int, mask: list[int]) -> Optional[int]:
-    cands = [i for i in range(clause.verb_pos + 1, clause.end) if mask[i]]
-    return cands[k - 1] if len(cands) >= k else None
-
-
-def _bind(kind: str, analysis: InputAnalysis, clause: ClauseInfo, clause_idx: int,
-          mask: list[int]) -> Optional[int]:
+def _bind(kind: str, analysis: InputAnalysis, clause_idx: int, mask: list[int]) -> Optional[int]:
+    clause = analysis.clauses[clause_idx]
     if kind == "SUBJ":
-        return _subject(analysis, clause, mask)
-    if kind == "OBJ1":
-        return _object(analysis, clause, 1, mask)
-    if kind == "OBJ2":
-        return _object(analysis, clause, 2, mask)
+        left = [i for i in range(clause.start, clause.verb_pos) if mask[i]]
+        return left[-1] if left else None
+    if kind in ("OBJ1", "OBJ2"):
+        k = int(kind[-1])
+        right = [i for i in range(clause.verb_pos + 1, clause.end) if mask[i]]
+        return right[k - 1] if len(right) >= k else None
     if kind == "V2":
         return clause.second_verb_pos
     if kind == "NEXT_V":
@@ -104,131 +82,62 @@ def _bind(kind: str, analysis: InputAnalysis, clause: ClauseInfo, clause_idx: in
     raise ValueError(kind)
 
 
-def _verb_group(analysis: InputAnalysis, lexicon: lx.Lexicon, clause: ClauseInfo,
-                clause_idx: int, verb_pos: int, template: str, mask: list[int]) -> list[Conjunct]:
-    stem = lexicon.stem(analysis.tokens[verb_pos])
-    out = [Conjunct(verb_pos, "intro", (stem, "(", str(verb_pos), ")"))]
+def _verb_group(analysis: InputAnalysis, lexicon: lx.Lexicon, clause_idx: int,
+                verb_pos: int, template: str, mask: list[int]) -> VerbGroup:
+    group = VerbGroup(lexicon.stem(analysis.tokens[verb_pos]), verb_pos)
     for name, kind in TEMPLATE_RELATIONS[template]:
-        arg = _bind(kind, analysis, clause, clause_idx, mask)
-        if arg is None:
-            continue
-        out.append(Conjunct(verb_pos, "relation",
-                            (name, "(", str(verb_pos), ",", str(arg), ")")))
-    return out
+        arg = _bind(kind, analysis, clause_idx, mask)
+        if arg is not None:
+            group.relations.append((name, verb_pos, arg))
+    return group
 
 
-def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = False) -> DecodePlan:
-    """Resolve the analysis into the exact token layout of the logical form."""
+def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = False) -> SentenceFacts:
+    """Read the facts of the logical form off the flat analysis."""
     mask = analysis.noun_mask if ablate else analysis.eligible
-    noun_groups = [(bool(analysis.star[i]), analysis.tokens[i], i)
-                   for i in analysis.noun_positions]
-
-    body: list[Conjunct] = []
-    for prep_pos, head, obj in analysis.pps:
-        prep = analysis.tokens[prep_pos]
-        body.append(Conjunct(head, "nmod",
-                             ("nmod", ".", prep, "(", str(head), ",", str(obj), ")")))
+    facts = SentenceFacts(
+        [NounIntro(analysis.tokens[i], i, bool(analysis.star[i])) for i in analysis.noun_positions],
+        [Nmod(analysis.tokens[prep], head, obj) for prep, head, obj in analysis.pps])
     for idx, clause in enumerate(analysis.clauses):
         if clause.template is None:
             continue
-        body.extend(_verb_group(analysis, lexicon, clause, idx,
-                                clause.verb_pos, clause.template, mask))
+        facts.groups.append(_verb_group(analysis, lexicon, idx, clause.verb_pos,
+                                        clause.template, mask))
         if clause.template == "v_inf_taking" and clause.second_verb_pos is not None:
-            body.extend(_verb_group(analysis, lexicon, clause, idx,
-                                    clause.second_verb_pos, "v_inf", mask))
-    body.sort(key=lambda c: c.head)
-    return DecodePlan(noun_groups, body)
-
-
-def _group_tokens(plan: DecodePlan, n_done: int) -> tuple[str, ...]:
-    star, label, pos = plan.noun_groups[n_done]
-    toks = ("*",) if star else ()
-    toks += (label, "(", str(pos), ")")
-    if n_done < len(plan.noun_groups) - 1 or plan.body:
-        toks += (";",)
-    return toks
-
-
-def _offset(out: list[str]) -> int:
-    """Number of tokens emitted since the most recent ";" or "AND"."""
-    for i in range(len(out) - 1, -1, -1):
-        if out[i] in (";", "AND"):
-            return len(out) - i - 1
-    return len(out)
-
-
-def intro_phase_token(plan: DecodePlan, out: list[str]) -> Optional[str]:
-    """Next token of the noun-introduction preamble, or None once past it."""
-    n_done = out.count(";")
-    if n_done >= len(plan.noun_groups):
-        return None
-    toks = _group_tokens(plan, n_done)
-    off = _offset(out)
-    # the last group may have no ";"; falling off its end means we are done
-    return toks[off] if off < len(toks) else None
-
-
-def _conjunct_tokens(plan: DecodePlan, c: int) -> tuple[str, ...]:
-    toks = plan.body[c].tokens
-    return toks + ("AND",) if c < len(plan.body) - 1 else toks
-
-
-def _body_token(plan: DecodePlan, out: list[str], want_kind: str) -> Optional[str]:
-    c = out.count("AND")
-    if c >= len(plan.body):
-        return None
-    if (plan.body[c].kind == "nmod") != (want_kind == "nmod"):
-        return None
-    toks = _conjunct_tokens(plan, c)
-    off = _offset(out)
-    return toks[off] if off < len(toks) else None
-
-
-def nmod_phase_token(plan: DecodePlan, out: list[str]) -> Optional[str]:
-    """Next token when the current body conjunct is an nmod link."""
-    return _body_token(plan, out, "nmod")
-
-
-def relation_phase_token(plan: DecodePlan, out: list[str]) -> Optional[str]:
-    """Next token when the current body conjunct belongs to a verb group."""
-    return _body_token(plan, out, "relation")
+            facts.groups.append(_verb_group(analysis, lexicon, idx, clause.second_verb_pos,
+                                            "v_inf", mask))
+    return facts
 
 
 def next_token(state: DecoderState) -> Optional[str]:
     """The next logical-form token, or None when the form is complete."""
-    if state.out.count(";") < len(state.plan.noun_groups):
-        tok = intro_phase_token(state.plan, state.out)
-        if tok is not None:
-            return tok
-    tok = nmod_phase_token(state.plan, state.out)
-    if tok is not None:
-        return tok
-    return relation_phase_token(state.plan, state.out)
+    seps = [i for i, tok in enumerate(state.out) if tok in (";", "AND")]
+    if len(seps) >= len(state.conjuncts):
+        return None
+    toks = state.conjuncts[len(seps)]
+    off = len(state.out) - (seps[-1] + 1 if seps else 0)
+    return toks[off] if off < len(toks) else None
 
 
-def start_state(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
-                ablate: bool = False) -> DecoderState:
+def _read(sentence: str | list[str], lexicon: lx.Lexicon | None,
+          ablate: bool) -> tuple[list[str], SentenceFacts]:
     tokens = sentence.split() if isinstance(sentence, str) else list(sentence)
     tokens = [t.lower() for t in tokens]
     if lexicon is None:
         lexicon = lx.default_lexicon()
-    return DecoderState(tokens, build_plan(analyze(tokens, lexicon), lexicon, ablate))
+    return tokens, build_plan(analyze(tokens, lexicon), lexicon, ablate)
 
 
-def plan_tokens(plan: DecodePlan) -> list[str]:
-    """The whole logical form of ``plan``, token by token."""
-    out: list[str] = []
-    for i in range(len(plan.noun_groups)):
-        out += _group_tokens(plan, i)
-    for c in range(len(plan.body)):
-        out += _conjunct_tokens(plan, c)
-    return out
+def start_state(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
+                ablate: bool = False) -> DecoderState:
+    tokens, facts = _read(sentence, lexicon, ablate)
+    return DecoderState(tokens, conjuncts(facts))
 
 
 def decode(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
            ablate: bool = False) -> str:
     """Decode the logical form of one sentence."""
-    return " ".join(plan_tokens(start_state(sentence, lexicon, ablate).plan))
+    return serialize_facts(_read(sentence, lexicon, ablate)[1])
 
 
 def decode_ablated(sentence: str | list[str], lexicon: lx.Lexicon | None = None) -> str:

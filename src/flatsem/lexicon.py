@@ -142,8 +142,6 @@ class Lexicon:
             raise LexiconError(f"word not in lexicon: {word!r}")
         return entry.stem
 
-    normalize_nv = stem
-
     def is_nv_in_output(self, token: str) -> bool:
         """Does this output token introduce a noun or verb instance?
 

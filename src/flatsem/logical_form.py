@@ -1,4 +1,16 @@
-"""Logical-form parsing, equality notions, and split scoring.
+"""The logical form: its layout, parsing, equality notions, and split scoring.
+
+Logical-form layout.  ``SentenceFacts`` holds what a sentence asserts -- noun
+introductions, nmod links and verb groups -- and ``conjuncts`` lays them out;
+the tree oracle and the flat decoder both serialise through it:
+
+* every noun is introduced in sentence order, ``[*] label ( idx ) ;`` with a
+  star when its determiner is "the";
+* body conjuncts follow, joined by AND, ordered by the sentence position of
+  the conjunct's head word: an ``nmod . prep`` conjunct sits at its modified
+  noun, a verb's introduction and role conjuncts sit at the verb.
+
+Indices are 0-based token positions in the input sentence.
 
 Two ways to compare a prediction with gold:
 
@@ -17,7 +29,57 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from scipy.special import betainc
+from scipy.special import betaincinv
+
+
+@dataclass(frozen=True)
+class NounIntro:
+    label: str
+    pos: int
+    star: bool
+
+
+@dataclass(frozen=True)
+class Nmod:
+    prep: str
+    head_pos: int
+    obj_pos: int
+
+
+@dataclass
+class VerbGroup:
+    stem: str
+    pos: int
+    relations: list[tuple[str, int, int]] = field(default_factory=list)  # (name, verb, argument)
+
+
+@dataclass
+class SentenceFacts:
+    intros: list[NounIntro] = field(default_factory=list)
+    nmods: list[Nmod] = field(default_factory=list)
+    groups: list[VerbGroup] = field(default_factory=list)
+
+
+def conjuncts(facts: SentenceFacts) -> list[tuple[str, ...]]:
+    """The form's conjuncts in order, each but the last closed by the ";" or
+    "AND" that follows it."""
+    intros = [(("*",) if i.star else ()) + (i.label, "(", str(i.pos), ")")
+              for i in sorted(facts.intros, key=lambda i: i.pos)]
+    body = [(m.head_pos, ("nmod", ".", m.prep, "(", str(m.head_pos), ",", str(m.obj_pos), ")"))
+            for m in facts.nmods]
+    for g in facts.groups:
+        body.append((g.pos, (g.stem, "(", str(g.pos), ")")))
+        body += [(g.pos, (name, "(", str(left), ",", str(right), ")"))
+                 for name, left, right in g.relations]
+    body.sort(key=lambda item: item[0])
+    out = [c + (";",) for c in intros] + [c + ("AND",) for _, c in body]
+    if out:
+        out[-1] = out[-1][:-1]
+    return out
+
+
+def serialize_facts(facts: SentenceFacts) -> str:
+    return " ".join(tok for conjunct in conjuncts(facts) for tok in conjunct)
 
 
 class LfParseError(ValueError):
@@ -182,24 +244,12 @@ def to_graph(lf: str | Lf) -> dict[int, list[tuple[str, int]]]:
     return adj
 
 
-def _invert_betainc(a: float, b: float, target: float, tol: float = 1e-10) -> float:
-    """Solve betainc(a, b, p) = target for p by bisection on [0, 1]."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if betainc(a, b, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval for k successes out of n."""
     if not 0 <= k <= n or n <= 0:
         raise ValueError(f"need 0 <= k <= n, n > 0; got k={k} n={n}")
-    lower = 0.0 if k == 0 else _invert_betainc(k, n - k + 1, alpha / 2)
-    upper = 1.0 if k == n else _invert_betainc(k + 1, n - k, 1 - alpha / 2)
+    lower = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    upper = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lower, upper
 
 

@@ -2,250 +2,130 @@
 
 ``lf_oracle`` derives the logical form from a parse tree by ordinary
 compositional walking -- no sequence tricks -- and is the ground truth the
-flat decoder is measured against.  The same tree view powers the
-attraction-error predictor and the dative-argument-order augmentation.
-
-Logical-form layout (shared with the decoder):
-
-* every noun is introduced in sentence order, ``[*] label ( idx ) ;`` with a
-  star when its determiner is "the";
-* body conjuncts follow, joined by AND, ordered by the sentence position of
-  the conjunct's head word: an ``nmod . prep`` conjunct sits at its modified
-  noun, a verb's introduction and role conjuncts sit at the verb.
-
-Indices are 0-based token positions in the input sentence.
+flat decoder is measured against.  The walk collects ``SentenceFacts``, which
+``logical_form.serialize_facts`` lays out exactly as the decoder's own facts.
+The same tree view powers the attraction-error predictor and the
+dative-argument-order augmentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import lexicon as lx
+from .decoder import TEMPLATE_RELATIONS
 from .grammar import Tree, parse_sentence
-from .logical_form import parse_lf, semantic_exact_match
-
-
-@dataclass(frozen=True)
-class NounIntro:
-    label: str
-    pos: int
-    star: bool
-
-
-@dataclass(frozen=True)
-class Nmod:
-    prep: str
-    head_pos: int
-    obj_pos: int
-
-
-@dataclass
-class VerbGroup:
-    stem: str
-    pos: int
-    relations: list[tuple[str, int, int]] = field(default_factory=list)
-
-
-@dataclass
-class SentenceFacts:
-    intros: list[NounIntro] = field(default_factory=list)
-    nmods: list[Nmod] = field(default_factory=list)
-    groups: list[VerbGroup] = field(default_factory=list)
-
-
-# Templates whose agent (when present) binds the subject, i.e. sits left of
-# the verb; passives with a by-phrase carry their agent on the right.
-AGENT_LEFT_TEMPLATES = frozenset({
-    "v_trans_omissible_p1", "v_trans_omissible_p2", "v_trans_not_omissible",
-    "v_cp_taking", "v_inf_taking", "v_unacc_p1", "v_unerg", "v_inf",
-    "v_dat_p1", "v_dat_p2",
-})
-AGENT_RIGHT_TEMPLATES = frozenset({
-    "v_trans_omissible_pp_p2", "v_trans_not_omissible_pp_p2",
-    "v_unacc_pp_p2", "v_dat_pp_p2", "v_dat_pp_p4",
-})
+from .logical_form import (Nmod, NounIntro, SentenceFacts, VerbGroup, parse_lf,
+                           semantic_exact_match, serialize_facts)
 
 
 def get_agent_side(template: str) -> Optional[str]:
-    """'left' / 'right' for where the template's agent argument sits; None
-    when the frame has no agent at all."""
-    if template in AGENT_LEFT_TEMPLATES:
-        return "left"
-    if template in AGENT_RIGHT_TEMPLATES:
-        return "right"
-    return None
+    """'left' when the template's agent binds the subject, 'right' when it
+    sits after the verb (a by-phrase or a later object slot); None when the
+    frame has no agent at all."""
+    slot = dict(TEMPLATE_RELATIONS.get(template, ())).get("agent")
+    return None if slot is None else "left" if slot == "SUBJ" else "right"
 
 
-def _np_part(node: Tree) -> tuple[int, list[NounIntro], list[Nmod]]:
-    """Head position, noun introductions and nmod links of an np subtree."""
+def _np(node: Tree, facts: SentenceFacts) -> int:
+    """Add an np subtree's noun introductions and nmod links to ``facts``;
+    returns the position of its head noun."""
     if node.symbol == "<np>":
-        return _np_part(node.children[0])
+        return _np(node.children[0], facts)
     if node.symbol == "<np_prop>":
         leaf = node.children[0]
-        return leaf.pos, [NounIntro(leaf.word, leaf.pos, False)], []
+        facts.intros.append(NounIntro(leaf.word, leaf.pos, False))
+        return leaf.pos
     if node.symbol == "<np_det>":
         det, noun = node.children
-        return noun.pos, [NounIntro(noun.word, noun.pos, det.word == "the")], []
+        facts.intros.append(NounIntro(noun.word, noun.pos, det.word == "the"))
+        return noun.pos
     if node.symbol == "<np_pp>":
         head_det, prep, inner = node.children
-        head_pos, intros, nmods = _np_part(head_det)
-        inner_head, inner_intros, inner_nmods = _np_part(inner)
-        intros = intros + inner_intros
-        nmods = nmods + [Nmod(prep.word, head_pos, inner_head)] + inner_nmods
-        return head_pos, intros, nmods
+        head = _np(head_det, facts)
+        facts.nmods.append(Nmod(prep.word, head, _np(inner, facts)))
+        return head
     raise ValueError(f"not an np node: {node.symbol}")
 
 
-def _stem(leaf: Tree, lexicon: lx.Lexicon) -> str:
-    return lexicon.stem(leaf.word)
-
-
-def _walk_start(node: Tree, lexicon: lx.Lexicon, facts: SentenceFacts) -> int:
+def _walk_start(node: Tree, facts: SentenceFacts, stem: Callable[[str], str]) -> Tree:
     """Populate facts for one clause (and its embeddings); returns the
-    position of the clause's main verb."""
+    clause's main verb leaf.  Every clause shape starts with its subject np."""
     clause = node.children[0]  # <s1>..<s4> or <vp_internal>
     kind = clause.symbol
+    subj = _np(clause.children[0], facts)
 
     if kind == "<vp_internal>":
-        np, verb = clause.children
-        subj, intros, nmods = _np_part(np)
-        facts.intros += intros
-        facts.nmods += nmods
-        facts.groups.append(VerbGroup(_stem(verb, lexicon), verb.pos, [("theme", verb.pos, subj)]))
-        return verb.pos
-
-    np = clause.children[0]
-    subj, intros, nmods = _np_part(np)
-    facts.intros += intros
-    facts.nmods += nmods
+        verb = clause.children[1]
+        facts.groups.append(VerbGroup(stem(verb.word), verb.pos, [("theme", verb.pos, subj)]))
+        return verb
 
     if kind == "<s4>":
-        vp = clause.children[1]
-        v_main, _to, v_inf = vp.children
-        facts.groups.append(VerbGroup(_stem(v_main, lexicon), v_main.pos, [
+        v_main, _to, v_inf = clause.children[1].children
+        facts.groups.append(VerbGroup(stem(v_main.word), v_main.pos, [
             ("agent", v_main.pos, subj), ("xcomp", v_main.pos, v_inf.pos)]))
-        facts.groups.append(VerbGroup(_stem(v_inf, lexicon), v_inf.pos, [
+        facts.groups.append(VerbGroup(stem(v_inf.word), v_inf.pos, [
             ("agent", v_inf.pos, subj)]))
-        return v_main.pos
+        return v_main
 
     if kind == "<s1>":
         vp = clause.children[1]
         if vp.children[0].is_leaf and len(vp.children) == 1:
             verb = vp.children[0]  # <v_unerg> or <v_trans_omissible_p1>
-            facts.groups.append(VerbGroup(_stem(verb, lexicon), verb.pos, [("agent", verb.pos, subj)]))
-            return verb.pos
+            facts.groups.append(VerbGroup(stem(verb.word), verb.pos, [("agent", verb.pos, subj)]))
+            return verb
         inner = vp.children[0]
         verb = inner.children[0]
         V = verb.pos
-        group = VerbGroup(_stem(verb, lexicon), V)
+        group = VerbGroup(stem(verb.word), V, [("agent", V, subj)])
+        facts.groups.append(group)
         if inner.symbol in ("<vp_external1>", "<vp_external2>", "<vp_external3>"):
-            obj, obj_intros, obj_nmods = _np_part(inner.children[1])
-            facts.intros += obj_intros
-            facts.nmods += obj_nmods
-            group.relations = [("agent", V, subj), ("theme", V, obj)]
+            group.relations.append(("theme", V, _np(inner.children[1], facts)))
         elif inner.symbol == "<vp_external5>":
-            group.relations = [("agent", V, subj)]
-            facts.groups.append(group)
-            embedded_verb = _walk_start(inner.children[2], lexicon, facts)
-            group.relations.append(("ccomp", V, embedded_verb))
-            return V
+            embedded = _walk_start(inner.children[2], facts, stem)
+            group.relations.append(("ccomp", V, embedded.pos))
         elif inner.symbol == "<vp_external6>":
-            obj, obj_intros, obj_nmods = _np_part(inner.children[1])
-            facts.intros += obj_intros
-            facts.nmods += obj_nmods
-            iobj, i_intros, i_nmods = _np_part(inner.children[2].children[1])
-            facts.intros += i_intros
-            facts.nmods += i_nmods
-            group.relations = [("agent", V, subj), ("theme", V, obj), ("recipient", V, iobj)]
+            group.relations.append(("theme", V, _np(inner.children[1], facts)))
+            group.relations.append(("recipient", V, _np(inner.children[2].children[1], facts)))
         elif inner.symbol == "<vp_external7>":
-            rec, r_intros, r_nmods = _np_part(inner.children[1])
-            facts.intros += r_intros
-            facts.nmods += r_nmods
-            theme, t_intros, t_nmods = _np_part(inner.children[2])
-            facts.intros += t_intros
-            facts.nmods += t_nmods
-            group.relations = [("agent", V, subj), ("recipient", V, rec), ("theme", V, theme)]
+            group.relations.append(("recipient", V, _np(inner.children[1], facts)))
+            group.relations.append(("theme", V, _np(inner.children[2], facts)))
         else:
             raise ValueError(f"unexpected vp_external child {inner.symbol}")
-        facts.groups.append(group)
-        return V
+        return verb
 
     if kind == "<s2>":
         vp = clause.children[2].children[0]  # <vp_passiveN>
         verb = vp.children[0]
         V = verb.pos
-        group = VerbGroup(_stem(verb, lexicon), V, [("theme", V, subj)])
+        group = VerbGroup(stem(verb.word), V, [("theme", V, subj)])
         rest = vp.children[1:]
         if vp.symbol in ("<vp_passive7>", "<vp_passive8>"):
-            iobj, i_intros, i_nmods = _np_part(rest[0].children[1])
-            facts.intros += i_intros
-            facts.nmods += i_nmods
-            group.relations.append(("recipient", V, iobj))
+            group.relations.append(("recipient", V, _np(rest[0].children[1], facts)))
             rest = rest[1:]
         if rest:  # remaining shape is <by> <np>
-            agent, a_intros, a_nmods = _np_part(rest[1])
-            facts.intros += a_intros
-            facts.nmods += a_nmods
-            group.relations.append(("agent", V, agent))
+            group.relations.append(("agent", V, _np(rest[1], facts)))
         facts.groups.append(group)
-        return V
+        return verb
 
     if kind == "<s3>":
         vp = clause.children[2].children[0]  # <vp_passive_dat1|2>
         verb = vp.children[0]
         V = verb.pos
-        group = VerbGroup(_stem(verb, lexicon), V, [("recipient", V, subj)])
-        theme, t_intros, t_nmods = _np_part(vp.children[1])
-        facts.intros += t_intros
-        facts.nmods += t_nmods
-        group.relations.append(("theme", V, theme))
+        group = VerbGroup(stem(verb.word), V, [("recipient", V, subj)])
+        group.relations.append(("theme", V, _np(vp.children[1], facts)))
         if vp.symbol == "<vp_passive_dat2>":
-            agent, a_intros, a_nmods = _np_part(vp.children[3])
-            facts.intros += a_intros
-            facts.nmods += a_nmods
-            group.relations.append(("agent", V, agent))
+            group.relations.append(("agent", V, _np(vp.children[3], facts)))
         facts.groups.append(group)
-        return V
+        return verb
 
     raise ValueError(f"unexpected clause {kind}")
 
 
-def rel_tokens(name: str, left: int, right: int) -> list[str]:
-    return name.split() + ["(", str(left), ",", str(right), ")"]
-
-
-def intro_tokens(label: str, pos: int, star: bool = False) -> list[str]:
-    toks = ["*"] if star else []
-    return toks + [label, "(", str(pos), ")"]
-
-
-def serialize_facts(facts: SentenceFacts) -> str:
-    intros = sorted(facts.intros, key=lambda i: i.pos)
-    body: list[tuple[int, list[str]]] = []
-    for m in facts.nmods:
-        body.append((m.head_pos, rel_tokens(f"nmod . {m.prep}", m.head_pos, m.obj_pos)))
-    for g in facts.groups:
-        body.append((g.pos, intro_tokens(g.stem, g.pos)))
-        for name, left, right in g.relations:
-            body.append((g.pos, rel_tokens(name, left, right)))
-    body.sort(key=lambda item: item[0])
-
-    out: list[str] = []
-    for k, intro in enumerate(intros):
-        out += intro_tokens(intro.label, intro.pos, intro.star)
-        if k < len(intros) - 1 or body:
-            out.append(";")
-    for k, (_, toks) in enumerate(body):
-        if k:
-            out.append("AND")
-        out += toks
-    return " ".join(out)
-
-
 def sentence_facts(tree: Tree, lexicon: lx.Lexicon) -> SentenceFacts:
     facts = SentenceFacts()
-    _walk_start(tree, lexicon, facts)
+    _walk_start(tree, facts, lexicon.stem)
     return facts
 
 
@@ -259,36 +139,18 @@ def lf_oracle(sentence: str | list[str] | Tree, lexicon: lx.Lexicon | None = Non
     return serialize_facts(sentence_facts(tree, lexicon))
 
 
-def _matrix_clause(tree: Tree) -> tuple[str, Tree, Optional[Tree]]:
-    """(template, verb leaf, subject np) of the outermost clause."""
-    clause = tree.children[0]
-    kind = clause.symbol
-    if kind == "<vp_internal>":
-        np, verb = clause.children
-        return verb.symbol.strip("<>"), verb, np
-    np = clause.children[0]
-    if kind == "<s4>":
-        verb = clause.children[1].children[0]
-        return verb.symbol.strip("<>"), verb, np
-    if kind == "<s1>":
-        vp = clause.children[1]
-        if len(vp.children) == 1 and vp.children[0].is_leaf:
-            verb = vp.children[0]
-        else:
-            verb = vp.children[0].children[0]
-        return verb.symbol.strip("<>"), verb, np
-    # s2 / s3: participle follows "was"
-    vp = clause.children[2].children[0]
-    verb = vp.children[0]
-    return verb.symbol.strip("<>"), verb, np
-
-
 def matrix_template(tree: Tree) -> str:
-    return _matrix_clause(tree)[0]
+    """Verb frame of the outermost clause; the walk's stems go unused, so
+    words pass through unstemmed."""
+    return _walk_start(tree, SentenceFacts(), str).symbol.strip("<>")
+
+
+def _subject_np(tree: Tree) -> Tree:
+    return tree.children[0].children[0]
 
 
 def subject_is_pp_modified(tree: Tree) -> bool:
-    _, _, np = _matrix_clause(tree)
+    np = _subject_np(tree)
     inner = np.children[0] if np.symbol == "<np>" else np
     return inner.symbol == "<np_pp>"
 
@@ -304,8 +166,7 @@ def predict_attraction_error(tree: Tree | str, lexicon: lx.Lexicon | None = None
         tree = parse_sentence(tree, lexicon or lx.default_lexicon())
         if tree is None:
             return None
-    _, _, np = _matrix_clause(tree)
-    noun_positions = [leaf.pos for leaf in np.leaves()
+    noun_positions = [leaf.pos for leaf in _subject_np(tree).leaves()
                       if leaf.symbol in ("<common_noun>", "<proper_noun>")]
     return max(noun_positions)
 

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from flatsem.cli import load_tsv, main, write_tsv
+from flatsem.fuzz import pp_chain_sentence
 from flatsem.oracle import AUGMENTED_CATEGORY
 
 from corpora import (
@@ -168,3 +169,39 @@ def test_explicit_lexicon_flag(datadir, capsys):
     bundled = Path(__file__).resolve().parents[1] / "src" / "flatsem" / "data" / "lexicon.tsv"
     main(["--lexicon", str(bundled), "run", "--data", str(datadir), "--split", "dev"])
     assert "sem=1.0000" in capsys.readouterr().out
+
+
+def test_analyze_errors_tallies_each_split_apart(tmp_path, capsys):
+    sentence, clean, _ablated, _ = ATTRACTION_CASES[0]
+    for name in ("dev", "test"):
+        write_tsv(tmp_path / f"{name}.tsv", [(sentence, clean, "x")])
+    main(["analyze-errors", "--data", str(tmp_path), "--split", "dev", "--split", "test"])
+    out = capsys.readouterr().out
+    assert "split=dev kind=exact count=1 frac=1.0000" in out
+    assert "split=test kind=exact count=1 frac=1.0000" in out
+
+
+def test_analyze_errors_tallies_out_of_lexicon_rows(tmp_path, capsys):
+    rows = [
+        ("emma saw zorblax .", "emma ( 0 )", "x"),
+        ("a boy painted the girl", GOLDEN["a boy painted the girl"], "x"),
+    ]
+    write_tsv(tmp_path / "dev.tsv", rows)
+    assert main(["analyze-errors", "--data", str(tmp_path), "--split", "dev"]) == 1
+    captured = capsys.readouterr()
+    assert "split=dev kind=oov count=1 frac=0.5000" in captured.out
+    assert "split=dev kind=exact count=1 frac=0.5000" in captured.out
+    assert "1 rows hold words not in the lexicon" in captured.err
+
+
+def test_run_scores_overlong_rows_as_misses(tmp_path, capsys):
+    long_sentence = " ".join(pp_chain_sentence(170))
+    rows = [
+        (long_sentence, "boy ( 1 )", "x"),
+        ("a boy painted the girl", GOLDEN["a boy painted the girl"], "x"),
+    ]
+    write_tsv(tmp_path / "test.tsv", rows)
+    assert main(["run", "--data", str(tmp_path), "--split", "test"]) == 1
+    captured = capsys.readouterr()
+    assert "split=test n=2 sem=0.5000 em=0.5000" in captured.out
+    assert "1 rows are longer than 512 tokens" in captured.err

@@ -4,9 +4,11 @@ import sys
 import pytest
 
 from flatsem import decoder as dec
+from flatsem.encoder import analyze
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
+from flatsem.grammar import parse_sentence
 from flatsem.logical_form import parse_lf
-from flatsem.oracle import lf_oracle
+from flatsem.oracle import lf_oracle, sentence_facts
 
 from corpora import ATTRACTION_CASES, GOLDEN
 
@@ -56,30 +58,6 @@ def test_two_decodes_interleave_without_interference(lexicon):
     assert " ".join(b.out) == GOLDEN["the captain ate ."]
 
 
-def test_phase_functions_take_turns(lexicon):
-    # intro has priority while the preamble is open; afterwards the nmod and
-    # relation helpers are mutually exclusive (they split the body by kind)
-    state = dec.start_state("a boy beside the tree painted the cake", lexicon)
-    saw_phases = []
-    while True:
-        intro = dec.intro_phase_token(state.plan, state.out)
-        nmod = dec.nmod_phase_token(state.plan, state.out)
-        rel = dec.relation_phase_token(state.plan, state.out)
-        in_preamble = state.out.count(";") < len(state.plan.noun_groups)
-        if in_preamble and intro is not None:
-            phase, tok = "intro", intro
-        else:
-            live = [(p, t) for p, t in (("nmod", nmod), ("rel", rel)) if t is not None]
-            if not live:
-                break
-            assert len(live) == 1, "body phases must be mutually exclusive"
-            phase, tok = live[0]
-        saw_phases.append(phase)
-        state.out.append(tok)
-    assert saw_phases == sorted(saw_phases, key=("intro", "nmod", "rel").index)
-    assert " ".join(state.out) == GOLDEN["a boy beside the tree painted the cake"]
-
-
 def test_out_of_grammar_input_degrades_to_intros(lexicon):
     # no template matches, so only the noun preamble comes out
     assert dec.decode("shark .", lexicon) == "shark ( 0 )"
@@ -96,12 +74,25 @@ def test_case_and_token_list_inputs(lexicon):
     assert dec.decode(["a", "boy", "painted", "the", "girl"], lexicon) == want
 
 
-def test_plan_cache_keeps_ablation_variants_apart(lexicon):
+def test_repeated_decodes_keep_ablation_variants_apart(lexicon):
     s = ATTRACTION_CASES[0][0]
     clean_1 = dec.decode(s, lexicon)
     ablated = dec.decode_ablated(s, lexicon)
     clean_2 = dec.decode(s, lexicon)
     assert clean_1 == clean_2 != ablated
+
+
+def test_flat_facts_equal_tree_facts(lexicon):
+    """The flat analysis and the tree walk assert the same facts."""
+    def by_position(facts):
+        return (sorted(facts.intros, key=lambda i: i.pos),
+                sorted(facts.nmods, key=lambda m: m.head_pos),
+                sorted(facts.groups, key=lambda g: g.pos))
+
+    for tokens, _tree in fuzz_generate(300, lexicon, seed=8, pp_depth=3, cp_depth=3):
+        flat = dec.build_plan(analyze(tokens, lexicon), lexicon)
+        tree = sentence_facts(parse_sentence(tokens, lexicon), lexicon)
+        assert by_position(flat) == by_position(tree), tokens
 
 
 @pytest.mark.parametrize("ablate", [False, True])
