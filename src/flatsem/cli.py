@@ -25,7 +25,7 @@ from typing import Optional
 from . import decoder, fuzz, oracle
 # the coverage() function shadows its submodule on the package, so pull the
 # names straight from the module
-from .coverage import coverage, coverage_curve, shuffle_experiment
+from .coverage import CoverageResult, CurveResult, ShuffleResult, row_expansions
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
 from .logical_form import ScoredRow, score_row, tally
 from .seq import MAX_SEQ_LEN, SequenceTooLongError
@@ -162,17 +162,17 @@ def cmd_coverage(args) -> int:
         (name, path), = _split_paths(args)
         sentences = [r[0] for r in load_tsv(path)]
         label = name
-    result = coverage(sentences, lexicon)
+    rows = row_expansions(sentences, lexicon)
+    result = CoverageResult.from_rows(rows)
     print(f"coverage source={label} n={len(sentences)} covered={len(result.covered)} "
           f"universe={len(result.universe)} fraction={result.fraction}")
     for key in sorted(result.missing):
         print(f"missing {key}")
     if args.curve:
-        curve = coverage_curve(sentences, lexicon)
+        curve = CurveResult.from_rows(rows)
         print(f"curve first_full={curve.first_full} final={curve.final}")
     if args.shuffles:
-        res = shuffle_experiment(sentences, lexicon, n_shuffles=args.shuffles,
-                                 seed=args.seed)
+        res = ShuffleResult.from_rows(rows, n_shuffles=args.shuffles, seed=args.seed)
         print(f"shuffles n={args.shuffles} median={res.median} "
               f"p2.5={res.lo} p97.5={res.hi}")
     return 0

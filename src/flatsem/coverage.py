@@ -6,6 +6,14 @@ the fraction of all such keys exercised by the corpus's parse trees.  The
 curve/shuffle machinery asks how quickly a row stream covers everything --
 each consumed row advances the example counter whether or not it parses, so
 "full coverage at example k" has one fixed meaning.
+
+All three reports are folds over one pass, ``row_expansions``, which parses
+each distinct row once and gives every row its set of expansion keys:
+``CoverageResult.from_rows`` unions them, ``CurveResult.from_rows`` counts
+the union row by row, and ``ShuffleResult.from_rows`` repeats that count over
+shuffled row orders.  ``coverage``, ``coverage_curve`` and
+``shuffle_experiment`` run the pass and then their fold; ``flatsem coverage``
+runs the pass once and hands it to every report it prints.
 """
 
 from __future__ import annotations
@@ -25,10 +33,31 @@ def max_expansion_coverage(grammar: dict | None = None) -> frozenset[str]:
     return all_expansion_keys(grammar)
 
 
+def row_expansions(sentences: Iterable[str | list[str]],
+                   lexicon: lx.Lexicon | None = None) -> list[frozenset[str]]:
+    """The expansion keys of each row's parse, empty for a row that does not
+    parse.  Each distinct row is parsed once."""
+    if lexicon is None:
+        lexicon = lx.default_lexicon()
+    by_row: dict[str, frozenset[str]] = {}
+    out = []
+    for s in sentences:
+        key = s if isinstance(s, str) else " ".join(s)
+        if key not in by_row:
+            tree = parse_sentence(s, lexicon)
+            by_row[key] = frozenset(tree_expansions(tree)) if tree is not None else frozenset()
+        out.append(by_row[key])
+    return out
+
+
 @dataclass
 class CoverageResult:
     covered: set[str]
     universe: frozenset[str]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[frozenset[str]]) -> "CoverageResult":
+        return cls(set().union(*rows), max_expansion_coverage())
 
     @property
     def fraction(self) -> float:
@@ -41,20 +70,26 @@ class CoverageResult:
 
 def coverage(sentences: Iterable[str | list[str]],
              lexicon: lx.Lexicon | None = None) -> CoverageResult:
-    if lexicon is None:
-        lexicon = lx.default_lexicon()
-    covered: set[str] = set()
-    for s in sentences:
-        tree = parse_sentence(s, lexicon)
-        if tree is not None:
-            covered |= tree_expansions(tree)
-    return CoverageResult(covered, max_expansion_coverage())
+    return CoverageResult.from_rows(row_expansions(sentences, lexicon))
 
 
 @dataclass
 class CurveResult:
     sizes: list[int]  # covered-key count after each example
     first_full: Optional[int]  # 1-based example index reaching full coverage
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[frozenset[str]]) -> "CurveResult":
+        universe = max_expansion_coverage()
+        covered: set[str] = set()
+        sizes: list[int] = []
+        first_full = None
+        for k, exps in enumerate(rows, start=1):
+            covered |= exps
+            sizes.append(len(covered))
+            if first_full is None and len(covered) == len(universe):
+                first_full = k
+        return cls(sizes, first_full)
 
     @property
     def final(self) -> int:
@@ -63,20 +98,7 @@ class CurveResult:
 
 def coverage_curve(sentences: Iterable[str | list[str]],
                    lexicon: lx.Lexicon | None = None) -> CurveResult:
-    if lexicon is None:
-        lexicon = lx.default_lexicon()
-    universe = max_expansion_coverage()
-    covered: set[str] = set()
-    sizes: list[int] = []
-    first_full = None
-    for k, s in enumerate(sentences, start=1):
-        tree = parse_sentence(s, lexicon)
-        if tree is not None:
-            covered |= tree_expansions(tree)
-        sizes.append(len(covered))
-        if first_full is None and len(covered) == len(universe):
-            first_full = k
-    return CurveResult(sizes, first_full)
+    return CurveResult.from_rows(row_expansions(sentences, lexicon))
 
 
 @dataclass
@@ -85,6 +107,29 @@ class ShuffleResult:
     median: float
     lo: float  # 2.5th percentile
     hi: float  # 97.5th percentile
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[frozenset[str]], n_shuffles: int = 1000,
+                  seed: int = 0) -> "ShuffleResult":
+        """Distribution of the full-coverage index over row-order shuffles;
+        a thousand shuffles of a training-sized corpus cost set unions only."""
+        universe = max_expansion_coverage()
+        rng = random.Random(seed)
+        order = list(range(len(rows)))
+        firsts: list[int] = []
+        for _ in range(n_shuffles):
+            rng.shuffle(order)
+            covered: set[str] = set()
+            for k, idx in enumerate(order, start=1):
+                covered |= rows[idx]
+                if len(covered) == len(universe):
+                    firsts.append(k)
+                    break
+            else:
+                raise ValueError("corpus does not reach full coverage")
+        s = sorted(firsts)
+        return cls(firsts, float(median(s)), float(_percentile(s, 0.025)),
+                   float(_percentile(s, 0.975)))
 
 
 def _percentile(sorted_vals: Sequence[float], q: float) -> float:
@@ -97,36 +142,5 @@ def shuffle_experiment(sentences: Sequence[str],
                        lexicon: lx.Lexicon | None = None,
                        n_shuffles: int = 1000,
                        seed: int = 0) -> ShuffleResult:
-    """Distribution of the full-coverage index over row-order shuffles.
-
-    Parses each distinct sentence once up front; a thousand shuffles of a
-    training-sized corpus then costs set-unions only.
-    """
-    if lexicon is None:
-        lexicon = lx.default_lexicon()
-    universe = max_expansion_coverage()
-    expansions: dict[str, frozenset[str]] = {}
-    per_row = []
-    for s in sentences:
-        key = s if isinstance(s, str) else " ".join(s)
-        if key not in expansions:
-            tree = parse_sentence(s, lexicon)
-            expansions[key] = frozenset(tree_expansions(tree)) if tree else frozenset()
-        per_row.append(expansions[key])
-
-    rng = random.Random(seed)
-    order = list(range(len(per_row)))
-    firsts: list[int] = []
-    for _ in range(n_shuffles):
-        rng.shuffle(order)
-        covered: set[str] = set()
-        for k, idx in enumerate(order, start=1):
-            covered |= per_row[idx]
-            if len(covered) == len(universe):
-                firsts.append(k)
-                break
-        else:
-            raise ValueError("corpus does not reach full coverage")
-    s = sorted(firsts)
-    return ShuffleResult(firsts, float(median(s)), float(_percentile(s, 0.025)),
-                         float(_percentile(s, 0.975)))
+    """Distribution of the full-coverage index over row-order shuffles."""
+    return ShuffleResult.from_rows(row_expansions(sentences, lexicon), n_shuffles, seed)

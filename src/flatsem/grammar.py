@@ -11,11 +11,23 @@ are matched against words through their lexicon codes; an ambiguous verb form
 offers every positional variant its codes allow and the parser settles the
 rest.  Parses are deterministic: ambiguity resolves to the first listed
 expansion.
+
+Parsing is Earley recognition (Earley 1970) followed by tree extraction.
+The grammar is compiled once, at import, into rule tables, and chart items
+are plain ``(rule, dot, origin)`` int tuples.  Each chart column indexes its
+items by the symbol they wait on, so a nonterminal is predicted at most once
+per column and a completed span advances only the items waiting on its
+symbol at its origin.  The chart's product is the map of completed spans
+``(symbol, start) -> {ends}``.  Extraction reads that map top down and
+breadth first: each node takes the first of its rules that fits its span,
+and within the rule each child takes its shortest span that lets the rest
+match.  Nothing recurses per tree level, so every sentence up to
+``MAX_SEQ_LEN`` tokens parses at Python's default recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import lexicon as lx
@@ -182,96 +194,126 @@ def tree_expansions(tree: Tree) -> set[str]:
 
 
 def leaf_classes(word: str, lexicon: lx.Lexicon) -> frozenset[str]:
-    """Leaf categories this word may fill, via its lexicon codes."""
+    """Leaf categories this word may fill, via its lexicon codes.  A "."
+    fills none: the grammar has no place for one inside a sentence."""
+    if word == ".":
+        return frozenset()
     classes: set[str] = set()
     for code in lexicon.codes(word):
         classes.update(CODE_LEAVES[code])
     return frozenset(classes)
 
 
-@dataclass(frozen=True)
-class _State:
-    lhs: str
-    rhs: tuple[str, ...]
-    dot: int
-    origin: int
+# The grammar compiled once into rule tables: rule r rewrites _LHS[r] as
+# _RHS[r]; _RULES_OF lists a nonterminal's rules in their listed order.
+_LHS: tuple[str, ...] = tuple(
+    lhs for lhs, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() for _ in alts)
+_RHS: tuple[tuple[str, ...], ...] = tuple(
+    tuple(rhs) for alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.values() for rhs in alts)
+_RULES_OF: dict[str, tuple[int, ...]] = {
+    sym: tuple(r for r, lhs in enumerate(_LHS) if lhs == sym)
+    for sym, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() if alts
+}
 
 
-def _earley_chart(token_classes: list[frozenset[str]], grammar) -> dict[tuple[str, int], set[int]]:
+def _earley_chart(token_classes: list[frozenset[str]]) -> dict[tuple[str, int], set[int]]:
     """Earley recognition; returns completed spans (symbol, start) -> {ends}.
 
-    Leaves complete by scanning; nonterminals by the usual completer.  The
-    grammar has no epsilon rules, which keeps the loop simple.
+    Items are ``(rule, dot, origin)`` int tuples.  Each column indexes its
+    items by the symbol they wait on: the first waiter on a nonterminal
+    predicts its rules (so each is predicted once per column), the completer
+    advances only the waiters on the completed symbol at its origin, and
+    after a column is closed the scanner advances the waiters on each leaf
+    category its word fills.  The grammar has no epsilon rules, so nothing
+    completes over an empty span and a column's waiters are all known before
+    any completion looks them up.
     """
     n = len(token_classes)
-    chart: list[set[_State]] = [set() for _ in range(n + 1)]
+    waiting: list[dict[str, list[tuple[int, int, int]]]] = []
     completed: dict[tuple[str, int], set[int]] = {}
-
-    def add(i: int, st: _State, agenda: list[_State]) -> None:
-        if st not in chart[i]:
-            chart[i].add(st)
-            agenda.append(st)
-
-    for rhs in grammar[START]:
-        chart[0].add(_State(START, tuple(rhs), 0, 0))
+    agenda = [(r, 0, 0) for r in _RULES_OF[START]]
     for i in range(n + 1):
-        agenda = list(chart[i])
+        wait: dict[str, list[tuple[int, int, int]]] = {}
+        waiting.append(wait)
+        seen = set(agenda)
         while agenda:
-            st = agenda.pop()
-            if st.dot == len(st.rhs):
-                completed.setdefault((st.lhs, st.origin), set()).add(i)
-                # completer: advance everything waiting on st.lhs at st.origin
-                for waiting in list(chart[st.origin]):
-                    if waiting.dot < len(waiting.rhs) and waiting.rhs[waiting.dot] == st.lhs:
-                        add(i, _State(waiting.lhs, waiting.rhs, waiting.dot + 1, waiting.origin), agenda)
+            item = agenda.pop()
+            rule, dot, origin = item
+            rhs = _RHS[rule]
+            if dot < len(rhs):
+                sym = rhs[dot]
+                waiters = wait.get(sym)
+                if waiters is None:
+                    wait[sym] = [item]
+                    # predictor; an item with its dot at 0 is never made
+                    # again by the completer or the scanner, so needs no seen
+                    agenda += [(r, 0, i) for r in _RULES_OF.get(sym, ())]
+                else:
+                    waiters.append(item)
                 continue
-            nxt = st.rhs[st.dot]
-            if grammar[nxt]:
-                # predictor; no epsilon rules, so nothing completes over an
-                # empty span and the completer never has to look backwards
-                for rhs in grammar[nxt]:
-                    add(i, _State(nxt, tuple(rhs), 0, i), agenda)
-            elif i < n and nxt in token_classes[i]:
-                # scanner (leaf category)
-                completed.setdefault((nxt, i), set()).add(i + 1)
-                nxt_state = _State(st.lhs, st.rhs, st.dot + 1, st.origin)
-                if nxt_state not in chart[i + 1]:
-                    chart[i + 1].add(nxt_state)
+            ends = completed.setdefault((_LHS[rule], origin), set())
+            if i in ends:
+                continue  # this span is already completed, its waiters advanced
+            ends.add(i)
+            for r, d, o in waiting[origin].get(_LHS[rule], ()):  # completer
+                nxt = (r, d + 1, o)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    agenda.append(nxt)
+        if i < n:
+            for leaf in token_classes[i]:  # scanner
+                waiters = wait.get(leaf)
+                if waiters:
+                    completed[(leaf, i)] = {i + 1}
+                    agenda.extend((r, d + 1, o) for r, d, o in waiters)
     return completed
 
 
-def _extract(symbol: str, i: int, j: int, token_classes, tokens, positions,
-             completed, grammar) -> Optional[Tree]:
-    """First parse of symbol over [i, j), trying expansions in listed order."""
-    if not grammar[symbol]:
-        if j == i + 1 and symbol in token_classes[i]:
-            return Tree(symbol, word=tokens[i], pos=positions[i])
-        return None
-    for rhs in grammar[symbol]:
-        children = _match_rhs(tuple(rhs), 0, i, j, token_classes, tokens, positions, completed, grammar)
-        if children is not None:
-            return Tree(symbol, children=tuple(children))
-    return None
-
-
-def _match_rhs(rhs, k, i, j, token_classes, tokens, positions, completed, grammar):
-    if k == len(rhs):
-        return [] if i == j else None
+def _bounds(rhs: tuple[str, ...], k: int, i: int, j: int, token_classes,
+            completed) -> Optional[list[int]]:
+    """Boundaries [i, ..., j] of the first split of [i, j) among rhs[k:]:
+    each earlier child takes its shortest span that lets the rest match.
+    None when no split matches.  Recursion depth is at most len(rhs)."""
     sym = rhs[k]
-    if not grammar[sym]:
-        ends = [i + 1] if i < j and sym in token_classes[i] else []
+    if sym in _RULES_OF:
+        ends = completed.get((sym, i), ())
     else:
-        ends = sorted(e for e in completed.get((sym, i), ()) if e <= j)
-    last = k == len(rhs) - 1
-    for end in ends:
-        if last and end != j:
-            continue
-        rest = _match_rhs(rhs, k + 1, end, j, token_classes, tokens, positions, completed, grammar)
+        ends = (i + 1,) if i < j and sym in token_classes[i] else ()
+    if k == len(rhs) - 1:
+        return [i, j] if j in ends else None
+    for end in sorted(e for e in ends if e < j):
+        rest = _bounds(rhs, k + 1, end, j, token_classes, completed)
         if rest is not None:
-            child = _extract(sym, i, end, token_classes, tokens, positions, completed, grammar)
-            if child is not None:
-                return [child] + rest
+            return [i, *rest]
     return None
+
+
+def _extract(tokens: list[str], token_classes, completed) -> Tree:
+    """First parse of the tokens from START, trying expansions in listed order.
+
+    Nodes are expanded breadth first into a flat list, so children always
+    come after their parent, and trees are then built from the end of the
+    list back: Python's stack stays shallow at any sentence length.
+    """
+    nodes = [(START, 0, len(tokens))]
+    kids: list[Optional[range]] = []
+    for sym, i, j in nodes:  # grows while it is walked
+        rules = _RULES_OF.get(sym)
+        if rules is None:
+            kids.append(None)
+            continue
+        for r in rules:
+            bounds = _bounds(_RHS[r], 0, i, j, token_classes, completed)
+            if bounds is not None:
+                break
+        kids.append(range(len(nodes), len(nodes) + len(bounds) - 1))
+        nodes += zip(_RHS[r], bounds, bounds[1:])
+    trees: list[Tree] = [None] * len(nodes)  # type: ignore[list-item]
+    for k in range(len(nodes) - 1, -1, -1):
+        sym, i, _ = nodes[k]
+        trees[k] = (Tree(sym, word=tokens[i], pos=i) if kids[k] is None
+                    else Tree(sym, tuple(map(trees.__getitem__, kids[k]))))
+    return trees[0]
 
 
 def parse_sentence(tokens: list[str], lexicon: lx.Lexicon | None = None) -> Optional[Tree]:
@@ -279,22 +321,20 @@ def parse_sentence(tokens: list[str], lexicon: lx.Lexicon | None = None) -> Opti
 
     A trailing "." is not part of the grammar and is skipped, but positions of
     the remaining tokens are untouched, so leaf positions always equal the
-    0-based index in the original sentence.
+    0-based index in the original sentence.  A "." anywhere else makes the
+    sentence out of grammar; an out-of-lexicon word raises ``LexiconError``.
     """
     if isinstance(tokens, str):
         tokens = tokens.split()
     if lexicon is None:
         lexicon = lx.default_lexicon()
     tokens = [t.lower() for t in tokens]
-    positions = list(range(len(tokens)))
     if tokens and tokens[-1] == ".":
-        tokens, positions = tokens[:-1], positions[:-1]
+        tokens = tokens[:-1]
     if not tokens:
         return None
-    grammar = COGS_INPUT_GRAMMAR_NO_TERMINALS
     token_classes = [leaf_classes(t, lexicon) for t in tokens]
-    completed = _earley_chart(token_classes, grammar)
-    n = len(tokens)
-    if n not in completed.get((START, 0), ()):
+    completed = _earley_chart(token_classes)
+    if len(tokens) not in completed.get((START, 0), ()):
         return None
-    return _extract(START, 0, n, token_classes, tokens, positions, completed, grammar)
+    return _extract(tokens, token_classes, completed)

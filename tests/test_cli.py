@@ -1,8 +1,11 @@
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from flatsem.cli import load_tsv, main, write_tsv
+from flatsem.coverage import coverage, coverage_curve, shuffle_experiment
 from flatsem.fuzz import pp_chain_sentence
 from flatsem.oracle import AUGMENTED_CATEGORY
 
@@ -122,6 +125,40 @@ def test_coverage_curve_and_shuffles(tmp_path, capsys):
     assert "fraction=1.0" in out
     assert "curve first_full=21 final=52" in out
     assert "shuffles n=20 median=" in out
+
+
+def test_coverage_parses_each_distinct_row_once(tmp_path, capsys, monkeypatch, lexicon):
+    """One parse per distinct train row feeds all three coverage reports,
+    which print what the three separate functions compute."""
+    sentences = [*HANDPICKED_19, HANDPICKED_19[2], "shark .", *CLOSING_2, "emma . smiled"]
+    write_tsv(tmp_path / "train.tsv", [(s, "x ( 0 )", "in_distribution") for s in sentences])
+    cov_module = importlib.import_module("flatsem.coverage")
+    parsed = Counter()
+    real_parse = cov_module.parse_sentence
+
+    def counting_parse(tokens, *args, **kwargs):
+        parsed[tokens if isinstance(tokens, str) else " ".join(tokens)] += 1
+        return real_parse(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(cov_module, "parse_sentence", counting_parse)
+    assert main(["coverage", "--data", str(tmp_path), "--split", "train", "--curve",
+                 "--shuffles", "20", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert sum(parsed.values()) == len(set(sentences)) == len(sentences) - 1
+    assert set(parsed.values()) == {1}
+
+    monkeypatch.setattr(cov_module, "parse_sentence", real_parse)
+    result = coverage(sentences, lexicon)
+    curve = coverage_curve(sentences, lexicon)
+    shuffles = shuffle_experiment(sentences, lexicon, n_shuffles=20, seed=1)
+    expected = [
+        f"coverage source=train n={len(sentences)} covered={len(result.covered)} "
+        f"universe={len(result.universe)} fraction={result.fraction}",
+        *(f"missing {key}" for key in sorted(result.missing)),
+        f"curve first_full={curve.first_full} final={curve.final}",
+        f"shuffles n=20 median={shuffles.median} p2.5={shuffles.lo} p97.5={shuffles.hi}",
+    ]
+    assert out.splitlines() == expected
 
 
 def test_fuzz_check_against_oracle(tmp_path, capsys):

@@ -3,11 +3,16 @@ import pytest
 # "coverage" the function shadows the submodule on the package, so import
 # straight from the module
 from flatsem.coverage import (
+    CoverageResult,
+    CurveResult,
+    ShuffleResult,
     coverage,
     coverage_curve,
     max_expansion_coverage,
+    row_expansions,
     shuffle_experiment,
 )
+from flatsem.grammar import parse_sentence, tree_expansions
 
 from corpora import CLOSING_2, HANDPICKED_19, HANDPICKED_MISSING_4, NONSENSE_21
 
@@ -40,6 +45,29 @@ def test_unparseable_sentences_cover_nothing(lexicon):
     result = coverage(["shark .", "the was by ."], lexicon)
     assert result.covered == set()
     assert result.fraction == 0.0
+
+
+def test_rows_with_an_inner_period_cover_nothing(lexicon):
+    result = coverage(["emma . smiled", "emma smiled . ."], lexicon)
+    assert result.covered == set()
+    assert coverage_curve(["emma . smiled"] + HANDPICKED_19 + CLOSING_2, lexicon).sizes[0] == 0
+
+
+def test_row_expansions_follow_the_rows(lexicon):
+    rows = ["shark .", HANDPICKED_19[0], HANDPICKED_19[0].split(), HANDPICKED_19[1]]
+    got = row_expansions(rows, lexicon)
+    assert got[0] == frozenset()
+    assert got[1] == got[2] == frozenset(tree_expansions(parse_sentence(HANDPICKED_19[0], lexicon)))
+    assert got[3] == frozenset(tree_expansions(parse_sentence(HANDPICKED_19[1], lexicon)))
+
+
+def test_reports_are_folds_over_row_expansions(lexicon):
+    corpus = ["shark ."] + HANDPICKED_19 + CLOSING_2
+    rows = row_expansions(corpus, lexicon)
+    assert CoverageResult.from_rows(rows) == coverage(corpus, lexicon)
+    assert CurveResult.from_rows(rows) == coverage_curve(corpus, lexicon)
+    assert (ShuffleResult.from_rows(rows, n_shuffles=30, seed=2)
+            == shuffle_experiment(corpus, lexicon, n_shuffles=30, seed=2))
 
 
 def test_coverage_curve_counts_and_first_full(lexicon):

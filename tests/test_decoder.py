@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -106,24 +105,12 @@ def test_next_token_replays_decode_on_fuzzed_sentences(ablate, lexicon):
             assert dec.next_token(state) == (full[cut] if cut < len(full) else None)
 
 
-@pytest.fixture
-def script_recursion_headroom():
-    """The Earley parser behind the oracle recurses deeper the longer the
-    chain, and its deepest chains need all of the recursion limit that a
-    plain script has.  The test runner's own frames (some 30) sit below the
-    test, so lift the limit by that much while the test runs."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 100)
-    yield
-    sys.setrecursionlimit(limit)
-
-
-# The deepest chains the Earley parser behind the oracle accepts are pp depth
-# 163 and clause depth 89; sample the range up to them.
-@pytest.mark.usefixtures("script_recursion_headroom")
+# Chains up to MAX_SEQ_LEN tokens (pp depth 168, clause depth 169), sampled.
+# pp depths 163/164 and clause depths 89/90 straddle the point where a tree
+# extraction that recurses once per tree level runs out of Python's stack.
 @pytest.mark.parametrize("chain,depth", [
-    *((pp_chain_sentence, d) for d in [*range(13, 163, 15), 163]),
-    *((cp_chain_sentence, d) for d in [*range(13, 89, 15), 89]),
+    *((pp_chain_sentence, d) for d in [*range(13, 163, 15), 163, 164, 168]),
+    *((cp_chain_sentence, d) for d in [*range(13, 89, 15), 89, 90, *range(103, 169, 15), 169]),
 ])
 def test_decode_matches_oracle_on_deep_chains(chain, depth, lexicon):
     tokens = chain(depth)

@@ -1,4 +1,10 @@
+import random
+
+import pytest
+
 from flatsem import grammar as gr
+from flatsem.fuzz import fuzz_generate
+from flatsem.oracle import lf_oracle
 
 
 def test_expansion_universe_size():
@@ -99,3 +105,62 @@ def test_infinitive_frame():
     exp = gr.tree_expansions(tree)
     assert "<s4> -> <np> <vp_external4>" in exp
     assert "<vp_external4> -> <v_inf_taking> <to> <v_inf>" in exp
+
+
+@pytest.mark.parametrize("sentence", ["emma . smiled", "emma smiled . .", ". emma smiled ."])
+def test_period_inside_a_sentence_is_out_of_grammar(sentence, lexicon):
+    assert gr.parse_sentence(sentence, lexicon) is None
+    assert lf_oracle(sentence, lexicon) is None
+
+
+# Seeded fuzz corpora at pp/cp depths 1-12 in both fuzz modes.
+FUZZ_CORPORA = [(depth, mode) for depth in range(1, 13) for mode in ("uniform", "coverage")]
+
+
+def _fuzz_corpus(depth, mode, lexicon):
+    return fuzz_generate(20, lexicon, seed=100 + depth, pp_depth=depth, cp_depth=depth, mode=mode)
+
+
+@pytest.mark.parametrize("depth,mode", FUZZ_CORPORA)
+def test_parse_equals_fuzzer_tree(depth, mode, lexicon):
+    for tokens, tree in _fuzz_corpus(depth, mode, lexicon):
+        assert gr.parse_sentence(tokens, lexicon) == tree
+
+
+def _mutant(tokens, rng, words):
+    """tokens with one token deleted, two swapped, or a lexicon word (or a
+    ".") inserted."""
+    out = list(tokens)
+    k = rng.randrange(len(out))
+    op = rng.choice(["delete", "swap", "insert"])
+    if op == "delete":
+        del out[k]
+    elif op == "swap":
+        j = rng.randrange(len(out))
+        out[k], out[j] = out[j], out[k]
+    else:
+        out.insert(k, rng.choice(words))
+    return out
+
+
+@pytest.mark.parametrize("depth,mode", FUZZ_CORPORA)
+def test_mutant_parses_are_well_formed(depth, mode, lexicon):
+    """Whatever a mutant parses to covers its tokens in order with leaves
+    and uses only productions of the grammar."""
+    rng = random.Random(f"mutants:{depth}:{mode}")
+    words = [*sorted(lexicon.entries), "."]
+    universe = gr.all_expansion_keys()
+    parsed = 0
+    for tokens, _tree in _fuzz_corpus(depth, mode, lexicon):
+        for _ in range(4):
+            mutant = _mutant(tokens, rng, words)
+            tree = gr.parse_sentence(mutant, lexicon)
+            if tree is None:
+                continue
+            parsed += 1
+            n = len(mutant) - (mutant[-1] == ".")
+            leaves = list(tree.leaves())
+            assert [leaf.pos for leaf in leaves] == list(range(n)), mutant
+            assert [leaf.word for leaf in leaves] == mutant[:n], mutant
+            assert gr.tree_expansions(tree) <= universe, mutant
+    assert parsed > 0
