@@ -32,7 +32,7 @@ from .logical_form import (
     semantic_exact_match,
     string_exact_match,
 )
-from .coverage import coverage, coverage_curve, max_expansion_coverage, shuffle_experiment
+from .coverage import coverage, coverage_curve, shuffle_experiment
 from .fuzz import fuzz_generate, pp_chain_sentence, cp_chain_sentence
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "get_agent_side",
     "lf_oracle",
     "load_lexicon",
-    "max_expansion_coverage",
     "next_token",
     "parse_lf",
     "parse_sentence",

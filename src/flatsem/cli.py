@@ -8,8 +8,8 @@ Subcommands:
 * ``augment``         emit pp-moved double-object dative rows
 * ``analyze-errors``  classify decode mistakes, e.g. under the pp ablation
 
-Common flags may also come from the environment: RR_DATA, RR_LEXICON,
-RR_SEED, RR_MAX_LEN, RR_PP_DEPTH, RR_CP_DEPTH, RR_OUT.  Explicit flags win.
+Paths may also come from the environment: RR_DATA (--data), RR_LEXICON
+(--lexicon) and RR_OUT (--out).  Explicit flags win.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ def write_tsv(path: str | Path, rows: list[Row]) -> None:
             w.writerow(row)
 
 
-def _env(name: str, default=None, cast=str):
-    raw = os.environ.get(name)
-    return cast(raw) if raw is not None else default
-
-
 def _get_lexicon(args) -> Lexicon:
     if args.lexicon:
         return load_lexicon(args.lexicon)
@@ -68,22 +63,11 @@ def _get_lexicon(args) -> Lexicon:
 
 
 def _split_paths(args) -> list[tuple[str, Path]]:
-    data = args.data
-    if data is None:
+    if args.data is None:
         sys.exit("no data directory: pass --data or set RR_DATA")
-    data = Path(data)
-    names: list[str] = list(args.split or [])
-    if getattr(args, "use_dev_split", False):
-        names.append("dev")
-    if getattr(args, "use_test_split", False):
-        names.append("test")
-    if getattr(args, "use_gen_split", False):
-        names.append("gen")
-    if not names:
-        names = ["test"]
     out = []
-    for name in names:
-        p = data / f"{name}.tsv"
+    for name in args.split or ["test"]:
+        p = Path(args.data) / f"{name}.tsv"
         if not p.exists():
             sys.exit(f"split file not found: {p}")
         out.append((name, p))
@@ -171,7 +155,11 @@ def cmd_coverage(args) -> int:
     if args.curve:
         curve = CurveResult.from_rows(rows)
         print(f"curve first_full={curve.first_full} final={curve.final}")
-    if args.shuffles:
+    if args.shuffles and result.missing:
+        # the covered set does not depend on row order, so no shuffle fills it
+        print(f"shuffles n={args.shuffles} median=None p2.5=None p97.5=None "
+              "(no row order reaches full coverage)")
+    elif args.shuffles:
         res = ShuffleResult.from_rows(rows, n_shuffles=args.shuffles, seed=args.seed)
         print(f"shuffles n={args.shuffles} median={res.median} "
               f"p2.5={res.lo} p97.5={res.hi}")
@@ -246,51 +234,49 @@ def cmd_analyze_errors(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flatsem", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--lexicon", default=_env("RR_LEXICON"),
+    ap.add_argument("--lexicon", default=os.environ.get("RR_LEXICON"),
                     help="alternative lexicon TSV (default: bundled)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_data_args(p, multi_split=True):
-        p.add_argument("--data", default=_env("RR_DATA"), help="directory with <split>.tsv files")
+    def add_data_args(p, decodes=True):
+        p.add_argument("--data", default=os.environ.get("RR_DATA"),
+                       help="directory with <split>.tsv files")
         p.add_argument("--split", action="append", help="split name (repeatable)")
-        if multi_split:
-            p.add_argument("--use_dev_split", action="store_true")
-            p.add_argument("--use_test_split", action="store_true")
-            p.add_argument("--use_gen_split", action="store_true")
-        p.add_argument("--max-len", type=int, default=_env("RR_MAX_LEN", cast=int),
-                       help="skip sentences longer than this many tokens")
+        if decodes:
+            p.add_argument("--max-len", type=int,
+                           help="skip sentences longer than this many tokens")
 
     p = sub.add_parser("run", help="decode a split and score it")
     add_data_args(p)
     p.add_argument("--ablate-no-pp-rule", action="store_true",
                    help="bind roles without filtering pp-prefixed nouns")
     p.add_argument("--drop-augmented", action="store_true")
-    p.add_argument("--out", default=_env("RR_OUT"), help="also write the report here")
+    p.add_argument("--out", default=os.environ.get("RR_OUT"), help="also write the report here")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("coverage", help="expansion coverage of sentences")
-    add_data_args(p, multi_split=False)
+    add_data_args(p, decodes=False)
     p.add_argument("--sentences", help="plain text file, one sentence per line")
     p.add_argument("--curve", action="store_true", help="cumulative coverage curve")
     p.add_argument("--shuffles", type=int, default=0, help="row-order shuffle experiment")
-    p.add_argument("--seed", type=int, default=_env("RR_SEED", 0, int))
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_coverage)
 
     p = sub.add_parser("fuzz", help="random in-grammar sentences")
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_env("RR_SEED", 0, int))
-    p.add_argument("--pp-depth", type=int, default=_env("RR_PP_DEPTH", 2, int))
-    p.add_argument("--cp-depth", type=int, default=_env("RR_CP_DEPTH", 2, int))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pp-depth", type=int, default=2)
+    p.add_argument("--cp-depth", type=int, default=2)
     p.add_argument("--mode", choices=["uniform", "coverage"], default="uniform")
     p.add_argument("--check", action="store_true",
                    help="verify decode() against the oracle on each sentence")
-    p.add_argument("--out", default=_env("RR_OUT"), help="write sentence\\tlf\\tfuzz rows")
+    p.add_argument("--out", default=os.environ.get("RR_OUT"), help="write sentence\\tlf\\tfuzz rows")
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("augment", help="move datives' theme pp to the recipient")
-    add_data_args(p, multi_split=False)
+    add_data_args(p, decodes=False)
     p.add_argument("--in", dest="infile", help="explicit input TSV (instead of --data/--split)")
-    p.add_argument("--out", default=_env("RR_OUT"))
+    p.add_argument("--out", default=os.environ.get("RR_OUT"))
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("analyze-errors", help="classify decode mistakes on a split")

@@ -28,11 +28,6 @@ from . import lexicon as lx
 from .grammar import all_expansion_keys, parse_sentence, tree_expansions
 
 
-def max_expansion_coverage(grammar: dict | None = None) -> frozenset[str]:
-    """Every coverable expansion key of the grammar."""
-    return all_expansion_keys(grammar)
-
-
 def row_expansions(sentences: Iterable[str | list[str]],
                    lexicon: lx.Lexicon | None = None) -> list[frozenset[str]]:
     """The expansion keys of each row's parse, empty for a row that does not
@@ -57,7 +52,7 @@ class CoverageResult:
 
     @classmethod
     def from_rows(cls, rows: Iterable[frozenset[str]]) -> "CoverageResult":
-        return cls(set().union(*rows), max_expansion_coverage())
+        return cls(set().union(*rows), all_expansion_keys())
 
     @property
     def fraction(self) -> float:
@@ -80,7 +75,7 @@ class CurveResult:
 
     @classmethod
     def from_rows(cls, rows: Iterable[frozenset[str]]) -> "CurveResult":
-        universe = max_expansion_coverage()
+        universe = all_expansion_keys()
         covered: set[str] = set()
         sizes: list[int] = []
         first_full = None
@@ -113,7 +108,7 @@ class ShuffleResult:
                   seed: int = 0) -> "ShuffleResult":
         """Distribution of the full-coverage index over row-order shuffles;
         a thousand shuffles of a training-sized corpus cost set unions only."""
-        universe = max_expansion_coverage()
+        universe = all_expansion_keys()
         rng = random.Random(seed)
         order = list(range(len(rows)))
         firsts: list[int] = []

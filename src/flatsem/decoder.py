@@ -2,9 +2,9 @@
 
 ``build_plan`` reads one sentence's ``SentenceFacts`` off its flat analysis:
 the noun introductions, the pp attachments as nmod links, and one verb group
-per matched clause template.  These are the same facts the tree oracle
-collects, and ``decode`` serialises them through the same layout
-(``logical_form.conjuncts``).
+per matched clause frame, with the relations its row of ``encoder.FRAMES``
+lists.  These are the same facts the tree oracle collects, and ``decode``
+serialises them through the same layout (``logical_form.conjuncts``).
 
 ``next_token`` is the autoregressive reference rule for that layout.  It
 carries no state between calls beyond the emitted prefix: the number of ";"
@@ -13,7 +13,7 @@ distance to the last separator says which token of it.  Replaying any prefix
 of ``decode``'s output through it reproduces the same continuation.  Nothing
 is cached between sentences; each call analyses its sentence afresh.
 
-Role binding is positional: a template's subject argument resolves to the
+Role binding is positional: a frame's subject argument resolves to the
 nearest surviving noun left of the verb inside the clause, its k-th object
 argument to the k-th surviving noun right of the verb.  "Surviving" normally
 means pp-prefixed nouns are filtered out; ``decode_ablated`` lifts that
@@ -27,40 +27,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import lexicon as lx
-from .encoder import InputAnalysis, analyze
+from .encoder import FRAMES, InputAnalysis, analyze
 from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, conjuncts, serialize_facts
-
-# Relations per verb frame, in emission order.  SUBJ binds left of the verb,
-# OBJ1/OBJ2 right of it in reading order, V2 is the infinitive two tokens
-# after the verb, NEXT_V the embedded clause's verb.
-TEMPLATE_RELATIONS: dict[str, list[tuple[str, str]]] = {
-    "v_trans_omissible_p1": [("agent", "SUBJ")],
-    "v_trans_omissible_p2": [("agent", "SUBJ"), ("theme", "OBJ1")],
-    "v_trans_omissible_pp_p1": [("theme", "SUBJ")],
-    "v_trans_omissible_pp_p2": [("theme", "SUBJ"), ("agent", "OBJ1")],
-    "v_trans_not_omissible": [("agent", "SUBJ"), ("theme", "OBJ1")],
-    "v_trans_not_omissible_pp_p1": [("theme", "SUBJ")],
-    "v_trans_not_omissible_pp_p2": [("theme", "SUBJ"), ("agent", "OBJ1")],
-    "v_cp_taking": [("agent", "SUBJ"), ("ccomp", "NEXT_V")],
-    "v_inf_taking": [("agent", "SUBJ"), ("xcomp", "V2")],
-    "v_inf": [("agent", "SUBJ")],
-    "v_unacc_p1": [("agent", "SUBJ"), ("theme", "OBJ1")],
-    "v_unacc_p2": [("theme", "SUBJ")],
-    "v_unacc_pp_p1": [("theme", "SUBJ")],
-    "v_unacc_pp_p2": [("theme", "SUBJ"), ("agent", "OBJ1")],
-    "v_unerg": [("agent", "SUBJ")],
-    "v_dat_p1": [("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2")],
-    "v_dat_p2": [("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2")],
-    "v_dat_pp_p1": [("theme", "SUBJ"), ("recipient", "OBJ1")],
-    "v_dat_pp_p2": [("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2")],
-    "v_dat_pp_p3": [("recipient", "SUBJ"), ("theme", "OBJ1")],
-    "v_dat_pp_p4": [("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2")],
-}
 
 
 @dataclass
 class DecoderState:
-    tokens: list[str]
     conjuncts: list[tuple[str, ...]]  # the form's layout, see logical_form.conjuncts
     out: list[str] = field(default_factory=list)
 
@@ -85,7 +57,7 @@ def _bind(kind: str, analysis: InputAnalysis, clause_idx: int, mask: list[int]) 
 def _verb_group(analysis: InputAnalysis, lexicon: lx.Lexicon, clause_idx: int,
                 verb_pos: int, template: str, mask: list[int]) -> VerbGroup:
     group = VerbGroup(lexicon.stem(analysis.tokens[verb_pos]), verb_pos)
-    for name, kind in TEMPLATE_RELATIONS[template]:
+    for name, kind in FRAMES[template].relations:
         arg = _bind(kind, analysis, clause_idx, mask)
         if arg is not None:
             group.relations.append((name, verb_pos, arg))
@@ -103,7 +75,7 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
             continue
         facts.groups.append(_verb_group(analysis, lexicon, idx, clause.verb_pos,
                                         clause.template, mask))
-        if clause.template == "v_inf_taking" and clause.second_verb_pos is not None:
+        if clause.second_verb_pos is not None:
             facts.groups.append(_verb_group(analysis, lexicon, idx, clause.second_verb_pos,
                                             "v_inf", mask))
     return facts
@@ -119,25 +91,21 @@ def next_token(state: DecoderState) -> Optional[str]:
     return toks[off] if off < len(toks) else None
 
 
-def _read(sentence: str | list[str], lexicon: lx.Lexicon | None,
-          ablate: bool) -> tuple[list[str], SentenceFacts]:
-    tokens = sentence.split() if isinstance(sentence, str) else list(sentence)
-    tokens = [t.lower() for t in tokens]
+def _facts(sentence: str | list[str], lexicon: lx.Lexicon | None, ablate: bool) -> SentenceFacts:
     if lexicon is None:
         lexicon = lx.default_lexicon()
-    return tokens, build_plan(analyze(tokens, lexicon), lexicon, ablate)
+    return build_plan(analyze(sentence, lexicon), lexicon, ablate)
 
 
 def start_state(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
                 ablate: bool = False) -> DecoderState:
-    tokens, facts = _read(sentence, lexicon, ablate)
-    return DecoderState(tokens, conjuncts(facts))
+    return DecoderState(conjuncts(_facts(sentence, lexicon, ablate)))
 
 
 def decode(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
            ablate: bool = False) -> str:
     """Decode the logical form of one sentence."""
-    return serialize_facts(_read(sentence, lexicon, ablate)[1])
+    return serialize_facts(_facts(sentence, lexicon, ablate))
 
 
 def decode_ablated(sentence: str | list[str], lexicon: lx.Lexicon | None = None) -> str:

@@ -1,9 +1,11 @@
 """Flat input analysis: everything the decoder needs, no trees involved.
 
 All per-position evidence is computed with the sequence primitives --
-selectors, aggregations, widths -- over the five code sequences.  The
-structural summary (clause spans, one template per clause, pp attachments) is
-then read off those flat vectors.
+selectors, aggregations, widths -- over the five code sequences and their
+shifted copies, each shift made once per sentence.  The structural summary
+(clause spans, one verb frame per clause, pp attachments) is then read off
+those flat vectors.  ``FRAMES`` is the one table of verb frames: what
+licenses each, the test that picks it, and its relations.
 
 The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
@@ -16,7 +18,7 @@ exists precisely to turn that mask off and watch the attraction error appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import lexicon as lx
 from . import seq
@@ -51,69 +53,56 @@ class InputAnalysis:
         return [i for i in range(self.n_eff) if self.noun_mask[i]]
 
 
-def noun_mask(emb: lx.Embedded) -> list[int]:
-    return seq.elementwise(lambda p: int(p in (lx.COMMON_NOUN, lx.PROPER_NOUN)), emb.pos)
+def noun_mask(pos: list[int]) -> list[int]:
+    return seq.elementwise(lambda p: int(p in (lx.COMMON_NOUN, lx.PROPER_NOUN)), pos)
 
 
-def np_head_mask(emb: lx.Embedded) -> list[int]:
+def np_head_mask(pos: list[int], prev: list[int]) -> list[int]:
     """Last token of a noun phrase core: determined common noun, or name."""
-    prev = seq.shift_right(emb.pos)
     return seq.elementwise(
         lambda p, pr: int((p == lx.COMMON_NOUN and pr == lx.DET) or p == lx.PROPER_NOUN),
-        emb.pos, prev)
+        pos, prev)
 
 
-def np_start_mask(emb: lx.Embedded) -> list[int]:
+def np_start_mask(pos: list[int], nxt: list[int]) -> list[int]:
     """First token of a noun phrase: determiner before a common noun, or name."""
-    nxt = seq.shift_left(emb.pos)
     return seq.elementwise(
         lambda p, nx: int((p == lx.DET and nx == lx.COMMON_NOUN) or p == lx.PROPER_NOUN),
-        emb.pos, nxt)
+        pos, nxt)
 
 
-def no_pp_np_mask(emb: lx.Embedded) -> list[int]:
+def no_pp_np_mask(pos: list[int], prev: list[int], prev2: list[int]) -> list[int]:
     """0 at nouns sitting inside a prepositional phrase, 1 everywhere else."""
-    prev = seq.shift_right(emb.pos)
-    prev2 = seq.shift_right(prev)
     return seq.elementwise(
         lambda p, p1, p2: 0 if ((p == lx.PROPER_NOUN and p1 == lx.PP)
                                 or (p == lx.COMMON_NOUN and p2 == lx.PP)) else 1,
-        emb.pos, prev, prev2)
+        pos, prev, prev2)
 
 
-def star_mask(emb: lx.Embedded) -> list[int]:
-    prev_word = seq.shift_right(emb.tokens, default="")
+def star_mask(pos: list[int], prev_word: list[str]) -> list[int]:
     return seq.elementwise(
         lambda p, w: int(p in (lx.COMMON_NOUN, lx.PROPER_NOUN) and w == "the"),
-        emb.pos, prev_word)
+        pos, prev_word)
 
 
-def pp_attachments(emb: lx.Embedded) -> list[tuple[int, int, int]]:
+def pp_attachments(pos: list[int], nxt: list[int]) -> list[tuple[int, int, int]]:
     """(prep_pos, modified_head_pos, object_head_pos) per preposition.
 
     The modified noun always immediately precedes its preposition; the object
     head is the name right after it, or the noun behind the determiner.
     """
-    out = []
-    n = len(emb)
-    for i in range(n):
-        if emb.pos[i] != lx.PP:
-            continue
-        head = i - 1
-        obj = i + 1 if i + 1 < n and emb.pos[i + 1] == lx.PROPER_NOUN else i + 2
-        out.append((i, head, obj))
-    return out
+    return [(i, i - 1, i + 1 if nxt[i] == lx.PROPER_NOUN else i + 2)
+            for i in range(len(pos)) if pos[i] == lx.PP]
 
 
-def clause_spans(emb: lx.Embedded, n_eff: int) -> list[tuple[int, int]]:
+def clause_spans(vmap3: list[int], nxt: list[int], n_eff: int) -> list[tuple[int, int]]:
     """Token spans of the clauses, splitting after each "<cp-verb> that".
 
     The complementizer belongs to neither span; the matrix clause ends at its
     verb.  A sentence without clause embedding is one span.
     """
-    nxt = seq.shift_left(emb.pos)
     boundary = seq.elementwise(
-        lambda v3, nx: int(v3 == lx.V_CP_TAKING and nx == lx.THAT), emb.vmap3, nxt)
+        lambda v3, nx: int(v3 == lx.V_CP_TAKING and nx == lx.THAT), vmap3, nxt)
     spans = []
     start = 0
     for i in range(n_eff):
@@ -131,72 +120,105 @@ def main_verb(emb: lx.Embedded, span: tuple[int, int]) -> Optional[int]:
     return None
 
 
-def match_template(emb: lx.Embedded, span: tuple[int, int],
-                   np_start: list[int], np_head: list[int]) -> Optional[ClauseInfo]:
-    """Pick the clause's verb frame from flat surface evidence.
+class _Site(NamedTuple):
+    """A clause's verb and the flat vectors the frame tests read."""
 
-    Discriminators are exact, so at most one frame fits an in-grammar clause:
-    the participle code decides the passive family, "to"/"by"/adjacent-np
-    patterns decide the positional variant, clause-final position separates
-    the object-dropping forms.
-    """
+    emb: lx.Embedded
+    np_start: list[int]
+    np_head: list[int]
+    verb: int
+    end: int  # clause end, exclusive
+
+    def at(self, offset: int, code: int) -> bool:
+        """The token ``offset`` after the verb is in the clause and has this code."""
+        return self.verb + offset < self.end and self.emb.pos[self.verb + offset] == code
+
+    def np_after(self, code: int) -> bool:
+        """Some token after the verb has this code and a noun phrase right behind it."""
+        return any(self.emb.pos[j] == code and j + 1 < self.end and self.np_start[j + 1]
+                   for j in range(self.verb + 1, self.end))
+
+
+@dataclass(frozen=True)
+class Frame:
+    name: str  # the grammar's leaf category, without brackets
+    slot: int  # embedding slot (1-4) that carries the licensing code
+    code: int  # lexicon code that licenses the frame
+    was: bool  # "was" stands right before the verb
+    test: Callable[[_Site], bool]  # positional test that picks this variant
+    # (role, argument) in emission order; SUBJ binds left of the verb, OBJ1/OBJ2
+    # right of it, V2 is the infinitive at +2, NEXT_V the embedded clause's verb
+    relations: tuple[tuple[str, str], ...]
+
+
+# Every verb frame; a clause takes the first row that fits.  "v_inf" only
+# holds the relations of the infinitive under "v_inf_taking".
+FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
+    Frame("v_cp_taking", 3, lx.V_CP_TAKING, False,  # "that" lies just past the clause
+          lambda s: s.verb + 1 < len(s.emb) and s.emb.pos[s.verb + 1] == lx.THAT,
+          (("agent", "SUBJ"), ("ccomp", "NEXT_V"))),
+    Frame("v_inf_taking", 4, lx.V_INF_TAKING, False,
+          lambda s: s.at(1, lx.TO) and s.verb + 2 < s.end and s.emb.vmap1[s.verb + 2] == lx.V_INF,
+          (("agent", "SUBJ"), ("xcomp", "V2"))),
+    Frame("v_inf", 1, lx.V_INF, False, lambda s: False, (("agent", "SUBJ"),)),
+    Frame("v_unerg", 1, lx.V_UNERG, False, lambda s: True, (("agent", "SUBJ"),)),
+    Frame("v_trans_omissible_p1", 1, lx.V_TRANS_OMISSIBLE, False, lambda s: s.verb + 1 == s.end,
+          (("agent", "SUBJ"),)),
+    Frame("v_trans_omissible_p2", 1, lx.V_TRANS_OMISSIBLE, False, lambda s: s.verb + 1 < s.end,
+          (("agent", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_trans_not_omissible", 1, lx.V_TRANS_NOT_OMISSIBLE, False, lambda s: True,
+          (("agent", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_unacc_p1", 1, lx.V_UNACC, False, lambda s: s.verb + 1 < s.end,  # causative
+          (("agent", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_unacc_p2", 1, lx.V_UNACC, False, lambda s: s.verb + 1 == s.end,  # inchoative
+          (("theme", "SUBJ"),)),
+    Frame("v_dat_p1", 1, lx.V_DAT, False, lambda s: s.np_after(lx.TO),
+          (("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2"))),
+    Frame("v_dat_p2", 1, lx.V_DAT, False,  # two noun phrases back to back after the verb
+          lambda s: any(s.np_head[j] and s.np_start[j + 1] for j in range(s.verb + 1, s.end - 1)),
+          (("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2"))),
+    Frame("v_trans_omissible_pp_p1", 2, lx.V_TRANS_OMISSIBLE_PP, True,
+          lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
+    Frame("v_trans_omissible_pp_p2", 2, lx.V_TRANS_OMISSIBLE_PP, True,
+          lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_trans_not_omissible_pp_p1", 2, lx.V_TRANS_NOT_OMISSIBLE_PP, True,
+          lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
+    Frame("v_trans_not_omissible_pp_p2", 2, lx.V_TRANS_NOT_OMISSIBLE_PP, True,
+          lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_unacc_pp_p1", 2, lx.V_UNACC_PP, True,
+          lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
+    Frame("v_unacc_pp_p2", 2, lx.V_UNACC_PP, True,
+          lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_dat_pp_p1", 2, lx.V_DAT_PP, True, lambda s: s.at(1, lx.TO) and not s.np_after(lx.BY),
+          (("theme", "SUBJ"), ("recipient", "OBJ1"))),
+    Frame("v_dat_pp_p2", 2, lx.V_DAT_PP, True, lambda s: s.at(1, lx.TO) and s.np_after(lx.BY),
+          (("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2"))),
+    Frame("v_dat_pp_p3", 2, lx.V_DAT_PP, True,
+          lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and not s.np_after(lx.BY),
+          (("recipient", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_dat_pp_p4", 2, lx.V_DAT_PP, True,
+          lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and s.np_after(lx.BY),
+          (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2"))),
+)}
+
+
+def match_template(emb: lx.Embedded, span: tuple[int, int],
+                   np_start: list[int], np_head: list[int]) -> ClauseInfo:
+    """The clause with its verb frame: the first row of ``FRAMES`` whose code
+    the verb carries in the row's slot, whose "was" flag holds and whose
+    test passes.  At most one row fits an in-grammar clause."""
     start, end = span
     V = main_verb(emb, span)
     if V is None:
         return ClauseInfo(start, end, -1, None)
-    n = len(emb)
-    pos = emb.pos
-    final = V == end - 1
-
-    def to_np_after() -> bool:
-        return any(pos[j] == lx.TO and j + 1 < end and np_start[j + 1]
-                   for j in range(V + 1, end))
-
-    def by_np_after() -> bool:
-        return any(pos[j] == lx.BY and j + 1 < end and np_start[j + 1]
-                   for j in range(V + 1, end))
-
-    def np_np_pair_after() -> bool:
-        return any(np_head[j] and np_start[j + 1] for j in range(V + 1, end - 1))
-
-    was_before = V > start and pos[V - 1] == lx.WAS
-    template = None
-    second = None
-    if not was_before:
-        if emb.vmap3[V] == lx.V_CP_TAKING and V + 1 < n and pos[V + 1] == lx.THAT:
-            template = "v_cp_taking"
-        elif (emb.vmap4[V] == lx.V_INF_TAKING and V + 2 < end
-              and pos[V + 1] == lx.TO and emb.vmap1[V + 2] == lx.V_INF):
-            template = "v_inf_taking"
-            second = V + 2
-        elif emb.vmap1[V] == lx.V_UNERG:
-            template = "v_unerg"
-        elif emb.vmap1[V] == lx.V_TRANS_OMISSIBLE:
-            template = "v_trans_omissible_p1" if final else "v_trans_omissible_p2"
-        elif emb.vmap1[V] == lx.V_TRANS_NOT_OMISSIBLE:
-            template = "v_trans_not_omissible"
-        elif emb.vmap1[V] == lx.V_UNACC:
-            # object after the verb = causative; clause-final = inchoative
-            template = "v_unacc_p2" if final else "v_unacc_p1"
-        elif emb.vmap1[V] == lx.V_DAT:
-            if to_np_after():
-                template = "v_dat_p1"
-            elif np_np_pair_after():
-                template = "v_dat_p2"
-    else:
-        by_next = V + 1 < end and pos[V + 1] == lx.BY
-        if emb.vmap2[V] == lx.V_TRANS_OMISSIBLE_PP:
-            template = "v_trans_omissible_pp_p2" if by_next else "v_trans_omissible_pp_p1"
-        elif emb.vmap2[V] == lx.V_TRANS_NOT_OMISSIBLE_PP:
-            template = "v_trans_not_omissible_pp_p2" if by_next else "v_trans_not_omissible_pp_p1"
-        elif emb.vmap2[V] == lx.V_UNACC_PP:
-            template = "v_unacc_pp_p2" if by_next else "v_unacc_pp_p1"
-        elif emb.vmap2[V] == lx.V_DAT_PP:
-            if V + 1 < end and pos[V + 1] == lx.TO:
-                template = "v_dat_pp_p2" if by_np_after() else "v_dat_pp_p1"
-            elif V + 1 < end and np_start[V + 1]:
-                template = "v_dat_pp_p4" if by_np_after() else "v_dat_pp_p3"
-    return ClauseInfo(start, end, V, template, second)
+    slots = (emb.vmap1[V], emb.vmap2[V], emb.vmap3[V], emb.vmap4[V])
+    was = V > start and emb.pos[V - 1] == lx.WAS
+    site = _Site(emb, np_start, np_head, V, end)
+    for frame in FRAMES.values():  # a row's test runs only if the verb carries its code
+        if slots[frame.slot - 1] == frame.code and frame.was == was and frame.test(site):
+            second = V + 2 if ("xcomp", "V2") in frame.relations else None
+            return ClauseInfo(start, end, V, frame.name, second)
+    return ClauseInfo(start, end, V, None)
 
 
 def analyze(tokens: list[str] | str, lexicon: lx.Lexicon | None = None) -> InputAnalysis:
@@ -212,10 +234,16 @@ def analyze(tokens: list[str] | str, lexicon: lx.Lexicon | None = None) -> Input
     while n_eff and emb.pos[n_eff - 1] == lx.FILLER:
         n_eff -= 1
 
-    nm = noun_mask(emb)
-    heads = np_head_mask(emb)
-    starts = np_start_mask(emb)
-    nopp = no_pp_np_mask(emb)
+    # each shifted sequence once; the masks and the clause splitter share them
+    prev = seq.shift_right(emb.pos)
+    prev2 = seq.shift_right(prev)
+    nxt = seq.shift_left(emb.pos)
+    prev_word = seq.shift_right(emb.tokens, default="")
+
+    nm = noun_mask(emb.pos)
+    heads = np_head_mask(emb.pos, prev)
+    starts = np_start_mask(emb.pos, nxt)
+    nopp = no_pp_np_mask(emb.pos, prev, prev2)
     eligible = seq.elementwise(lambda a, b: a * b, nm, nopp)
     ordinals = seq.elementwise(lambda c, e: c * e, seq.running_count(eligible), eligible)
 
@@ -223,9 +251,9 @@ def analyze(tokens: list[str] | str, lexicon: lx.Lexicon | None = None) -> Input
         tokens=tokens, emb=emb, n_eff=n_eff,
         noun_mask=nm, np_head=heads, np_start=starts,
         no_pp_np=nopp, eligible=eligible, ordinals=ordinals,
-        star=star_mask(emb), pps=pp_attachments(emb),
+        star=star_mask(emb.pos, prev_word), pps=pp_attachments(emb.pos, nxt),
     )
-    for span in clause_spans(emb, n_eff):
+    for span in clause_spans(emb.vmap3, nxt, n_eff):
         if span[0] >= span[1]:
             continue
         analysis.clauses.append(match_template(emb, span, starts, heads))

@@ -33,12 +33,9 @@ LEAF_CATEGORY: dict[str, str] = {
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, lexicon: lx.Lexicon,
-                 pp_depth: int, cp_depth: int, covered: Optional[set] = None):
+    def __init__(self, rng: random.Random, lexicon: lx.Lexicon, covered: Optional[set] = None):
         self.rng = rng
         self.lexicon = lexicon
-        self.pp_depth = pp_depth
-        self.cp_depth = cp_depth
         self.covered = covered  # None = uniform mode
         self.words: list[str] = []
 
@@ -94,7 +91,7 @@ def fuzz_generate(n: int,
         tries += 1
         if tries > budget:
             raise RuntimeError(f"fuzzer predicate too strict: {len(out)}/{n} after {tries} tries")
-        gen = _Gen(rng, lexicon, pp_depth, cp_depth, covered)
+        gen = _Gen(rng, lexicon, covered)
         tree = gen.expand(START, pp_depth, cp_depth)
         if require is not None and not require(tree):
             continue

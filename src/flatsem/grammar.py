@@ -28,7 +28,7 @@ match.  Nothing recurses per tree level, so every sentence up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from . import lexicon as lx
 
@@ -142,9 +142,13 @@ CODE_LEAVES: dict[int, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tree:
-    """Parse node.  Leaves carry the word and its 0-based sentence position."""
+    """Parse node.  Leaves carry the word and its 0-based sentence position.
+
+    Equality, hash and repr are a dataclass's, but every traversal uses an
+    explicit stack, so trees of any depth work at the default recursion limit.
+    """
 
     symbol: str
     children: tuple["Tree", ...] = ()
@@ -155,18 +159,46 @@ class Tree:
     def is_leaf(self) -> bool:
         return self.word is not None
 
-    def leaves(self) -> Iterable["Tree"]:
-        if self.is_leaf:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
+    def walk(self) -> Iterator["Tree"]:
+        """Every node in preorder, read with an explicit stack."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack += reversed(node.children)
 
-    def find_all(self, symbol: str) -> Iterable["Tree"]:
-        if self.symbol == symbol:
-            yield self
-        for c in self.children:
-            yield from c.find_all(symbol)
+    def _labels(self) -> list[tuple]:
+        # preorder (symbol, word, pos, child count): the whole structure
+        return [(n.symbol, n.word, n.pos, len(n.children)) for n in self.walk()]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return self is other or self._labels() == other._labels()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._labels()))
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[Tree | str] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                parts.append(node)
+                continue
+            kids = node.children
+            parts.append(f"Tree(symbol={node.symbol!r}, children=(")
+            stack.append(f"{',' if len(kids) == 1 else ''}), word={node.word!r}, pos={node.pos!r})")
+            for k in range(len(kids) - 1, -1, -1):  # children left to right, comma separated
+                stack += [kids[k], ", "] if k else [kids[k]]
+        return "".join(parts)
+
+    def leaves(self) -> Iterator["Tree"]:
+        return (node for node in self.walk() if node.is_leaf)
+
+    def find_all(self, symbol: str) -> Iterator["Tree"]:
+        return (node for node in self.walk() if node.symbol == symbol)
 
 
 def expansion_key(lhs: str, rhs: list[str] | tuple[str, ...]) -> str:
@@ -182,15 +214,8 @@ def all_expansion_keys(grammar: dict[str, list[list[str]]] | None = None) -> fro
 
 def tree_expansions(tree: Tree) -> set[str]:
     """Expansion keys used by a parse tree (leaves contribute none)."""
-    out: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        out.add(expansion_key(node.symbol, tuple(c.symbol for c in node.children)))
-        stack.extend(node.children)
-    return out
+    return {expansion_key(node.symbol, tuple(c.symbol for c in node.children))
+            for node in tree.walk() if not node.is_leaf}
 
 
 def leaf_classes(word: str, lexicon: lx.Lexicon) -> frozenset[str]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import lexicon as lx
-from .decoder import TEMPLATE_RELATIONS
+from .encoder import FRAMES
 from .grammar import Tree, parse_sentence
 from .logical_form import (Nmod, NounIntro, SentenceFacts, VerbGroup, parse_lf,
                            semantic_exact_match, serialize_facts)
@@ -24,7 +24,8 @@ def get_agent_side(template: str) -> Optional[str]:
     """'left' when the template's agent binds the subject, 'right' when it
     sits after the verb (a by-phrase or a later object slot); None when the
     frame has no agent at all."""
-    slot = dict(TEMPLATE_RELATIONS.get(template, ())).get("agent")
+    frame = FRAMES.get(template)
+    slot = dict(frame.relations).get("agent") if frame else None
     return None if slot is None else "left" if slot == "SUBJ" else "right"
 
 

@@ -127,6 +127,37 @@ def test_coverage_curve_and_shuffles(tmp_path, capsys):
     assert "shuffles n=20 median=" in out
 
 
+def test_coverage_shuffles_without_full_coverage(tmp_path, capsys):
+    f = tmp_path / "sentences.txt"
+    f.write_text("the girl was painted\na boy painted\n")
+    assert main(["coverage", "--sentences", str(f), "--curve", "--shuffles", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "curve first_full=None final=9" in lines
+    assert lines[-1] == ("shuffles n=5 median=None p2.5=None p97.5=None "
+                         "(no row order reaches full coverage)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--sentences", "x.txt", "--max-len", "5"],
+    ["augment", "--in", "x.tsv", "--max-len", "5"],
+    ["run", "--data", ".", "--use_dev_split"],
+    ["analyze-errors", "--data", ".", "--use_gen_split"],
+])
+def test_removed_options_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # argparse usage error
+
+
+def test_fuzz_settings_ignore_the_environment(capsys, monkeypatch):
+    main(["fuzz", "--n", "3"])
+    default = capsys.readouterr().out
+    for name in ("RR_SEED", "RR_PP_DEPTH", "RR_CP_DEPTH"):
+        monkeypatch.setenv(name, "5")
+    main(["fuzz", "--n", "3"])
+    assert capsys.readouterr().out == default
+
+
 def test_coverage_parses_each_distinct_row_once(tmp_path, capsys, monkeypatch, lexicon):
     """One parse per distinct train row feeds all three coverage reports,
     which print what the three separate functions compute."""

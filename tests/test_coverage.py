@@ -8,17 +8,16 @@ from flatsem.coverage import (
     ShuffleResult,
     coverage,
     coverage_curve,
-    max_expansion_coverage,
     row_expansions,
     shuffle_experiment,
 )
-from flatsem.grammar import parse_sentence, tree_expansions
+from flatsem.grammar import all_expansion_keys, parse_sentence, tree_expansions
 
 from corpora import CLOSING_2, HANDPICKED_19, HANDPICKED_MISSING_4, NONSENSE_21
 
 
 def test_universe_is_every_expansion():
-    universe = max_expansion_coverage()
+    universe = all_expansion_keys()
     assert len(universe) == 52
 
 

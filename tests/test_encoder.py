@@ -120,3 +120,38 @@ def test_analyze_accepts_string_or_tokens(lexicon):
 def test_length_cap(lexicon):
     with pytest.raises(SequenceTooLongError):
         enc.analyze(["the"] * 513, lexicon)
+
+
+def _frame_leaves():
+    """The grammar's verb-frame leaves, without brackets, with their codes."""
+    return {leaf.strip("<>"): code for code, leaves in gr.CODE_LEAVES.items()
+            for leaf in leaves if leaf.startswith("<v_")}
+
+
+def test_frame_table_names_the_grammar_verb_frames():
+    assert set(enc.FRAMES) == set(_frame_leaves())
+    assert len(enc.FRAMES) == 21
+
+
+def test_frame_codes_are_the_grammar_leaf_codes():
+    leaves = _frame_leaves()
+    for name, frame in enc.FRAMES.items():
+        assert frame.code == leaves[name], name
+
+
+def test_infinitive_frame_never_matches_a_clause(lexicon):
+    # "v_inf" is the relation list of the infinitive under "v_inf_taking"
+    assert [c.template for c in enc.analyze("emma wanted to call", lexicon).clauses] == [
+        "v_inf_taking"]
+    (clause,) = enc.analyze("emma call", lexicon).clauses  # "call" is only an infinitive
+    assert clause.verb_pos == 1 and clause.template is None
+
+
+def test_analyze_shifts_each_sequence_once(lexicon, monkeypatch):
+    calls = []
+    for name in ("shift_left", "shift_right"):
+        real = getattr(enc.seq, name)
+        monkeypatch.setattr(enc.seq, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    enc.analyze("a boy beside the tree painted the cake .", lexicon)
+    assert sorted(calls) == ["shift_left", "shift_right", "shift_right", "shift_right"]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flatsem import grammar as gr
-from flatsem.fuzz import fuzz_generate
+from flatsem.fuzz import fuzz_generate, pp_chain_sentence
 from flatsem.oracle import lf_oracle
 
 
@@ -164,3 +164,37 @@ def test_mutant_parses_are_well_formed(depth, mode, lexicon):
             assert [leaf.word for leaf in leaves] == mutant[:n], mutant
             assert gr.tree_expansions(tree) <= universe, mutant
     assert parsed > 0
+
+
+def test_deep_trees_compare_hash_and_print(lexicon):
+    """Equality, hashing and repr walk a 510-token tree without recursing."""
+    sentence = pp_chain_sentence(168)
+    tree = gr.parse_sentence(sentence, lexicon)
+    same = gr.parse_sentence(sentence, lexicon)
+    assert tree is not same
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != gr.parse_sentence(pp_chain_sentence(167), lexicon)
+    other_word = gr.parse_sentence(sentence[:-2] + ["table", "."], lexicon)
+    assert tree != other_word  # equal shape, one leaf word differs
+    text = repr(tree)
+    assert text.startswith("Tree(symbol='<start>', children=(Tree(symbol='<s1>', children=(")
+    assert text.count("Tree(") == 1021
+    assert text.count("word='on'") == 56
+    assert [leaf.pos for leaf in tree.leaves()] == list(range(509))
+    assert len(list(tree.find_all("<np_pp>"))) == 168
+
+
+def test_tree_repr_and_equality_match_the_dataclass_form():
+    leaf = gr.Tree("<proper_noun>", word="emma", pos=0)
+    node = gr.Tree("<np_prop>", (leaf,))
+    assert repr(node) == ("Tree(symbol='<np_prop>', children=(Tree(symbol='<proper_noun>', "
+                          "children=(), word='emma', pos=0),), word=None, pos=None)")
+    pair = gr.Tree("<np_det>", (gr.Tree("<det>", word="a", pos=0),
+                                gr.Tree("<common_noun>", word="boy", pos=1)))
+    assert repr(pair) == ("Tree(symbol='<np_det>', children=(Tree(symbol='<det>', children=(), "
+                          "word='a', pos=0), Tree(symbol='<common_noun>', children=(), "
+                          "word='boy', pos=1)), word=None, pos=None)")
+    assert node == gr.Tree("<np_prop>", (gr.Tree("<proper_noun>", word="emma", pos=0),))
+    assert node != gr.Tree("<np_prop>", (gr.Tree("<proper_noun>", word="emma", pos=1),))
+    assert node != leaf and node != "<np_prop>"
+    assert len({node, gr.Tree("<np_prop>", (leaf,))}) == 1

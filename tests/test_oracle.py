@@ -67,6 +67,29 @@ def test_agent_side_classification():
     assert orc.get_agent_side("v_unacc_p2") is None
 
 
+AGENT_SIDES = {
+    "v_trans_omissible_p1": "left", "v_trans_omissible_p2": "left",
+    "v_trans_omissible_pp_p1": None, "v_trans_omissible_pp_p2": "right",
+    "v_trans_not_omissible": "left",
+    "v_trans_not_omissible_pp_p1": None, "v_trans_not_omissible_pp_p2": "right",
+    "v_cp_taking": "left", "v_inf_taking": "left", "v_inf": "left",
+    "v_unacc_p1": "left", "v_unacc_p2": None,
+    "v_unacc_pp_p1": None, "v_unacc_pp_p2": "right",
+    "v_unerg": "left",
+    "v_dat_p1": "left", "v_dat_p2": "left",
+    "v_dat_pp_p1": None, "v_dat_pp_p2": "right", "v_dat_pp_p3": None, "v_dat_pp_p4": "right",
+}
+
+
+@pytest.mark.parametrize("template,side", sorted(AGENT_SIDES.items()))
+def test_agent_side_of_every_frame(template, side):
+    assert orc.get_agent_side(template) == side
+
+
+def test_agent_side_of_unknown_frame():
+    assert orc.get_agent_side("v_nonsense") is None
+
+
 def test_matrix_template_and_subject_modification(lexicon):
     tree = gr.parse_sentence("the baby beside the valve smiled .", lexicon)
     assert orc.matrix_template(tree) == "v_unerg"
