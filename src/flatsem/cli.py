@@ -231,6 +231,16 @@ def cmd_analyze_errors(args) -> int:
     return 1 if undecodable else 0
 
 
+class _OneSplit(argparse.Action):
+    """``--split`` for a command that reads one split: a second one is a usage
+    error.  The value is kept as a one-name list, the shape ``_split_paths`` reads."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once for this command")
+        setattr(namespace, self.dest, [values])
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flatsem", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -239,12 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_data_args(p, decodes=True):
+        """Commands that decode read every --split given; the others read one."""
         p.add_argument("--data", default=os.environ.get("RR_DATA"),
                        help="directory with <split>.tsv files")
-        p.add_argument("--split", action="append", help="split name (repeatable)")
         if decodes:
+            p.add_argument("--split", action="append", help="split name (repeatable)")
             p.add_argument("--max-len", type=int,
                            help="skip sentences longer than this many tokens")
+        else:
+            p.add_argument("--split", action=_OneSplit, help="split name")
 
     p = sub.add_parser("run", help="decode a split and score it")
     add_data_args(p)

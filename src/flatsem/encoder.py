@@ -2,9 +2,11 @@
 
 All per-position evidence is computed with the sequence primitives --
 selectors, aggregations, widths -- over the five code sequences and their
-shifted copies, each shift made once per sentence.  The structural summary
-(clause spans, one verb frame per clause, pp attachments) is then read off
-those flat vectors.  ``FRAMES`` is the one table of verb frames: what
+shifted copies, each shift made once per sentence.  Between primitives the
+sequences are numpy arrays; ``analyze`` turns each field of ``InputAnalysis``
+into a plain list once, at its end.  The structural summary (clause spans,
+one verb frame per clause, pp attachments) is then read off those flat
+vectors.  ``FRAMES`` is the one table of verb frames: what
 licenses each, the test that picks it, and its relations.
 
 The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from . import lexicon as lx
 from . import seq
@@ -53,62 +57,61 @@ class InputAnalysis:
         return [i for i in range(self.n_eff) if self.noun_mask[i]]
 
 
-def noun_mask(pos: list[int]) -> list[int]:
-    return seq.elementwise(lambda p: int(p in (lx.COMMON_NOUN, lx.PROPER_NOUN)), pos)
+def noun_mask(pos: np.ndarray) -> np.ndarray:
+    return seq.elementwise(lambda p: (p == lx.COMMON_NOUN) | (p == lx.PROPER_NOUN), pos)
 
 
-def np_head_mask(pos: list[int], prev: list[int]) -> list[int]:
+def np_head_mask(pos: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Last token of a noun phrase core: determined common noun, or name."""
     return seq.elementwise(
-        lambda p, pr: int((p == lx.COMMON_NOUN and pr == lx.DET) or p == lx.PROPER_NOUN),
+        lambda p, pr: ((p == lx.COMMON_NOUN) & (pr == lx.DET)) | (p == lx.PROPER_NOUN),
         pos, prev)
 
 
-def np_start_mask(pos: list[int], nxt: list[int]) -> list[int]:
+def np_start_mask(pos: np.ndarray, nxt: np.ndarray) -> np.ndarray:
     """First token of a noun phrase: determiner before a common noun, or name."""
     return seq.elementwise(
-        lambda p, nx: int((p == lx.DET and nx == lx.COMMON_NOUN) or p == lx.PROPER_NOUN),
+        lambda p, nx: ((p == lx.DET) & (nx == lx.COMMON_NOUN)) | (p == lx.PROPER_NOUN),
         pos, nxt)
 
 
-def no_pp_np_mask(pos: list[int], prev: list[int], prev2: list[int]) -> list[int]:
-    """0 at nouns sitting inside a prepositional phrase, 1 everywhere else."""
+def no_pp_np_mask(pos: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> np.ndarray:
+    """False at nouns sitting inside a prepositional phrase, True everywhere else."""
     return seq.elementwise(
-        lambda p, p1, p2: 0 if ((p == lx.PROPER_NOUN and p1 == lx.PP)
-                                or (p == lx.COMMON_NOUN and p2 == lx.PP)) else 1,
+        lambda p, p1, p2: ~(((p == lx.PROPER_NOUN) & (p1 == lx.PP))
+                            | ((p == lx.COMMON_NOUN) & (p2 == lx.PP))),
         pos, prev, prev2)
 
 
-def star_mask(pos: list[int], prev_word: list[str]) -> list[int]:
+def star_mask(pos: np.ndarray, prev_word: np.ndarray) -> np.ndarray:
     return seq.elementwise(
-        lambda p, w: int(p in (lx.COMMON_NOUN, lx.PROPER_NOUN) and w == "the"),
+        lambda p, w: ((p == lx.COMMON_NOUN) | (p == lx.PROPER_NOUN)) & (w == "the"),
         pos, prev_word)
 
 
-def pp_attachments(pos: list[int], nxt: list[int]) -> list[tuple[int, int, int]]:
+def pp_attachments(pos: np.ndarray, nxt: np.ndarray) -> list[tuple[int, int, int]]:
     """(prep_pos, modified_head_pos, object_head_pos) per preposition.
 
     The modified noun always immediately precedes its preposition; the object
     head is the name right after it, or the noun behind the determiner.
     """
     return [(i, i - 1, i + 1 if nxt[i] == lx.PROPER_NOUN else i + 2)
-            for i in range(len(pos)) if pos[i] == lx.PP]
+            for i in np.flatnonzero(pos == lx.PP).tolist()]
 
 
-def clause_spans(vmap3: list[int], nxt: list[int], n_eff: int) -> list[tuple[int, int]]:
+def clause_spans(vmap3: np.ndarray, nxt: np.ndarray, n_eff: int) -> list[tuple[int, int]]:
     """Token spans of the clauses, splitting after each "<cp-verb> that".
 
     The complementizer belongs to neither span; the matrix clause ends at its
     verb.  A sentence without clause embedding is one span.
     """
     boundary = seq.elementwise(
-        lambda v3, nx: int(v3 == lx.V_CP_TAKING and nx == lx.THAT), vmap3, nxt)
+        lambda v3, nx: (v3 == lx.V_CP_TAKING) & (nx == lx.THAT), vmap3, nxt)
     spans = []
     start = 0
-    for i in range(n_eff):
-        if boundary[i]:
-            spans.append((start, i + 1))
-            start = i + 2
+    for i in np.flatnonzero(boundary[:n_eff]).tolist():
+        spans.append((start, i + 1))
+        start = i + 2
     spans.append((start, n_eff))
     return spans
 
@@ -221,6 +224,11 @@ def match_template(emb: lx.Embedded, span: tuple[int, int],
     return ClauseInfo(start, end, V, None)
 
 
+def _ints(mask: np.ndarray) -> list[int]:
+    """A mask or count sequence as the list of ints ``InputAnalysis`` holds."""
+    return mask.astype(np.int64).tolist()
+
+
 def analyze(tokens: list[str] | str, lexicon: lx.Lexicon | None = None) -> InputAnalysis:
     """Full flat analysis of one sentence."""
     if isinstance(tokens, str):
@@ -234,27 +242,29 @@ def analyze(tokens: list[str] | str, lexicon: lx.Lexicon | None = None) -> Input
     while n_eff and emb.pos[n_eff - 1] == lx.FILLER:
         n_eff -= 1
 
+    pos = np.array(emb.pos, dtype=np.int64)
     # each shifted sequence once; the masks and the clause splitter share them
-    prev = seq.shift_right(emb.pos)
+    prev = seq.shift_right(pos)
     prev2 = seq.shift_right(prev)
-    nxt = seq.shift_left(emb.pos)
-    prev_word = seq.shift_right(emb.tokens, default="")
+    nxt = seq.shift_left(pos)
+    prev_word = seq.shift_right(np.array(emb.tokens, dtype=object), default="")
 
-    nm = noun_mask(emb.pos)
-    heads = np_head_mask(emb.pos, prev)
-    starts = np_start_mask(emb.pos, nxt)
-    nopp = no_pp_np_mask(emb.pos, prev, prev2)
+    nm = noun_mask(pos)
+    heads = np_head_mask(pos, prev)
+    starts = np_start_mask(pos, nxt)
+    nopp = no_pp_np_mask(pos, prev, prev2)
     eligible = seq.elementwise(lambda a, b: a * b, nm, nopp)
     ordinals = seq.elementwise(lambda c, e: c * e, seq.running_count(eligible), eligible)
+    spans = clause_spans(np.array(emb.vmap3, dtype=np.int64), nxt, n_eff)
 
     analysis = InputAnalysis(
         tokens=tokens, emb=emb, n_eff=n_eff,
-        noun_mask=nm, np_head=heads, np_start=starts,
-        no_pp_np=nopp, eligible=eligible, ordinals=ordinals,
-        star=star_mask(emb.pos, prev_word), pps=pp_attachments(emb.pos, nxt),
+        noun_mask=_ints(nm), np_head=_ints(heads), np_start=_ints(starts),
+        no_pp_np=_ints(nopp), eligible=_ints(eligible), ordinals=_ints(ordinals),
+        star=_ints(star_mask(pos, prev_word)), pps=pp_attachments(pos, nxt),
     )
-    for span in clause_spans(emb.vmap3, nxt, n_eff):
+    for span in spans:
         if span[0] >= span[1]:
             continue
-        analysis.clauses.append(match_template(emb, span, starts, heads))
+        analysis.clauses.append(match_template(emb, span, analysis.np_start, analysis.np_head))
     return analysis

@@ -13,6 +13,8 @@ fixed slots:
 ``embed`` turns a token list into five aligned sequences: the primary code
 plus the four slots.  Later analyses test slots directly (e.g. "is this word
 usable as a passive participle here?") instead of guessing a single tag.
+Each word's row of five codes is worked out once, when the ``Lexicon`` is
+built, so embedding is one lookup per token.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ class Embedded:
         return len(self.tokens)
 
 
-def _slots(codes: tuple[int, ...]) -> tuple[int, int, int, int]:
+def _row(codes: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """A word's embedding row: the primary code, then the four verb slots."""
     s1 = s2 = s3 = s4 = 0
     for c in codes:
         if c in SLOT1_CODES:
@@ -114,7 +117,7 @@ def _slots(codes: tuple[int, ...]) -> tuple[int, int, int, int]:
             s3 = c
         elif c == V_INF_TAKING:
             s4 = c
-    return s1, s2, s3, s4
+    return (s1 or s2 or s3 or s4 or codes[0]), s1, s2, s3, s4
 
 
 class Lexicon:
@@ -125,6 +128,8 @@ class Lexicon:
             for c in e.codes:
                 by_cat.setdefault(CODE_CATEGORIES[c], []).append(word)
         self._by_cat = {cat: tuple(sorted(ws)) for cat, ws in by_cat.items()}
+        self._rows = {word: _row(e.codes) for word, e in entries.items()}
+        self._rows["."] = (FILLER, 0, 0, 0, 0)
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.entries or word == "."
@@ -162,20 +167,13 @@ class Lexicon:
         "." is structural filler (all zeros).  Unknown words raise
         LexiconError -- there is no unknown-word token.
         """
-        pos, v1, v2, v3, v4 = [], [], [], [], []
-        for t in tokens:
-            if t == ".":
-                pos.append(FILLER)
-                v1.append(0), v2.append(0), v3.append(0), v4.append(0)
-                continue
-            codes = self.codes(t)
-            s1, s2, s3, s4 = _slots(codes)
-            if s1 or s2 or s3 or s4:
-                primary = s1 or s2 or s3 or s4
-            else:
-                primary = codes[0]
-            pos.append(primary)
-            v1.append(s1), v2.append(s2), v3.append(s3), v4.append(s4)
+        try:
+            rows = list(map(self._rows.__getitem__, map(str.lower, tokens)))
+        except KeyError:
+            known = list(map(self._rows.__contains__, map(str.lower, tokens)))
+            word = tokens[known.index(False)]
+            raise LexiconError(f"word not in lexicon: {word!r}") from None
+        pos, v1, v2, v3, v4 = map(list, zip(*rows)) if rows else ([], [], [], [], [])
         return Embedded(list(tokens), pos, v1, v2, v3, v4)
 
 

@@ -149,6 +149,16 @@ def test_removed_options_are_rejected(argv):
     assert exc.value.code == 2  # argparse usage error
 
 
+@pytest.mark.parametrize("command", ["coverage", "augment"])
+def test_single_split_commands_reject_a_second_split(command, datadir, capsys):
+    assert main([command, "--data", str(datadir), "--split", "dev"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(datadir), "--split", "dev", "--split", "dev"])
+    assert exc.value.code == 2  # argparse usage error, no traceback
+    assert "--split may be given only once for this command" in capsys.readouterr().err
+
+
 def test_fuzz_settings_ignore_the_environment(capsys, monkeypatch):
     main(["fuzz", "--n", "3"])
     default = capsys.readouterr().out

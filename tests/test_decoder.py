@@ -23,6 +23,20 @@ def test_ablated_decodes(sentence, clean, ablated, _, lexicon):
     assert dec.decode_ablated(sentence, lexicon) == ablated
 
 
+@pytest.mark.parametrize("sentence", ["", [], ".", "  "])
+def test_empty_input_gives_the_empty_form(sentence, lexicon):
+    assert dec.decode(sentence, lexicon) == ""
+    assert dec.decode_ablated(sentence, lexicon) == ""
+
+
+def test_empty_input_analyzes_to_empty_sequences(lexicon):
+    a = analyze([], lexicon)
+    assert a.n_eff == 0 and a.tokens == [] and a.clauses == [] and a.pps == []
+    for field in (a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible, a.ordinals,
+                  a.star, a.emb.pos, a.emb.vmap1, a.emb.vmap4):
+        assert field == []
+
+
 def test_ablation_changes_nothing_without_pp_subject(lexicon):
     s = "a boy painted the girl"
     assert dec.decode(s, lexicon) == dec.decode_ablated(s, lexicon)

@@ -31,26 +31,26 @@ def test_combine_and():
 
 def test_selector_width_counts_rows():
     sel = seq.select(seq.indices(5), seq.indices(5), operator.lt)
-    assert seq.selector_width(sel) == [0, 1, 2, 3, 4]
+    assert seq.selector_width(sel).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_aggregate_numeric_mean_and_default():
     sel = [[True, True, False], [False, False, False], [False, True, True]]
-    assert seq.aggregate(sel, [2, 4, 100]) == [3, 0, 52]
+    assert seq.aggregate(sel, [2, 4, 100]).tolist() == [3, 0, 52]
     assert seq.aggregate(sel, [2, 4, 100], default=-1)[1] == -1
 
 
 def test_aggregate_whole_means_stay_int():
-    out = seq.aggregate([[True, True]] * 2, [1, 3])
+    out = seq.aggregate([[True, True]] * 2, [1, 3]).tolist()
     assert out == [2, 2]
     assert all(isinstance(v, int) for v in out)
 
 
 def test_aggregate_symbolic_unique_selection():
     sel = [[False, True, False]] * 3
-    assert seq.aggregate(sel, ["a", "b", "c"]) == ["b", "b", "b"]
+    assert seq.aggregate(sel, ["a", "b", "c"]).tolist() == ["b", "b", "b"]
     empty = [[False] * 3] * 3
-    assert seq.aggregate(empty, ["a", "b", "c"]) == ["", "", ""]
+    assert seq.aggregate(empty, ["a", "b", "c"]).tolist() == ["", "", ""]
 
 
 def test_aggregate_symbolic_distinct_rejected():
@@ -59,21 +59,21 @@ def test_aggregate_symbolic_distinct_rejected():
 
 
 def test_elementwise_broadcast():
-    assert seq.elementwise(operator.mul, [1, 2, 3], 2) == [2, 4, 6]
-    assert seq.elementwise(operator.add, [1, 2], [10, 20]) == [11, 22]
+    assert seq.elementwise(operator.mul, [1, 2, 3], 2).tolist() == [2, 4, 6]
+    assert seq.elementwise(operator.add, [1, 2], [10, 20]).tolist() == [11, 22]
 
 
 def test_shifts():
-    assert seq.shift_right([5, 6, 7]) == [0, 5, 6]
-    assert seq.shift_left([5, 6, 7]) == [6, 7, 0]
-    assert seq.shift_right(["a", "b"], default="") == ["", "a"]
+    assert seq.shift_right([5, 6, 7]).tolist() == [0, 5, 6]
+    assert seq.shift_left([5, 6, 7]).tolist() == [6, 7, 0]
+    assert seq.shift_right(["a", "b"], default="").tolist() == ["", "a"]
 
 
 def test_running_count_gives_ordinals_at_hits():
     mask = [0, 1, 0, 1, 1, 0]
     counts = seq.running_count(mask)
-    assert counts == [0, 1, 1, 2, 3, 3]
-    assert seq.elementwise(operator.mul, counts, mask) == [0, 1, 0, 2, 3, 0]
+    assert counts.tolist() == [0, 1, 1, 2, 3, 3]
+    assert seq.elementwise(operator.mul, counts, mask).tolist() == [0, 1, 0, 2, 3, 0]
 
 
 def test_length_cap_enforced():
@@ -84,7 +84,7 @@ def test_length_cap_enforced():
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
 def test_running_count_is_monotone_and_totals(mask):
-    counts = seq.running_count(mask)
+    counts = seq.running_count(mask).tolist()
     assert counts == sorted(counts)
     assert counts[-1] == sum(mask)
     hits = [c for c, m in zip(counts, mask) if m]
@@ -105,7 +105,114 @@ def test_aggregate_matches_plain_mean(values, rng):
 @given(st.lists(st.integers(-3, 3) | st.sampled_from(["the", "boy"]), min_size=1, max_size=64),
        st.integers(-9, 9) | st.just(""))
 def test_shifts_and_running_count_match_plain_lists(values, default):
-    assert seq.shift_right(values, default=default) == [default] + values[:-1]
-    assert seq.shift_left(values, default=default) == values[1:] + [default]
+    assert seq.shift_right(values, default=default).tolist() == [default] + values[:-1]
+    assert seq.shift_left(values, default=default).tolist() == values[1:] + [default]
     mask = [int(v == "the") for v in values]
-    assert seq.running_count(mask) == [sum(mask[:i + 1]) for i in range(len(mask))]
+    assert seq.running_count(mask).tolist() == [sum(mask[:i + 1]) for i in range(len(mask))]
+
+
+def test_every_primitive_accepts_length_zero():
+    sel = seq.select(seq.indices(0), [], operator.eq)
+    assert sel.shape == (0, 0)
+    assert seq.combine(operator.and_, sel, sel).shape == (0, 0)
+    assert seq.selector_width(sel).tolist() == []
+    assert seq.aggregate(sel, []).tolist() == []
+    assert seq.aggregate(sel, [], default="").tolist() == []
+    assert seq.elementwise(operator.mul, [], 2).tolist() == []
+    assert seq.shift_right([]).tolist() == []
+    assert seq.shift_left([], default="").tolist() == []
+    assert seq.running_count([]).tolist() == []
+
+
+# Plain-Python definitions of the primitives, position by position.  Values
+# compare as Python compares them, so 1, 1.0 and True are one value.
+
+def _plain(xs):
+    return xs.tolist() if hasattr(xs, "tolist") else list(xs)
+
+
+def _typed(xs):
+    return [(type(v), v) for v in xs]
+
+
+def _numeric(values):
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
+def _ref_aggregate(sel, values, default=None):
+    if default is None:
+        default = 0 if _numeric(values) else ""
+    out = []
+    for row in sel:
+        picked = [v for v, hit in zip(values, row) if hit]
+        if not picked:
+            out.append(default)
+        elif all(v == picked[0] for v in picked):
+            out.append(picked[0])
+        elif not _numeric(values):
+            raise ValueError("distinct symbolic values")
+        else:
+            mean = sum(picked) / len(picked)
+            out.append(int(mean) if mean.is_integer() else mean)
+    return out
+
+
+def _ref_running_count(mask):
+    total, out = 0, []
+    for m in mask:
+        total += m
+        out.append(total)
+    return out
+
+
+_HALVES = st.integers(-6, 6).map(lambda i: i / 2)  # floats whose sums are exact
+_ANY = (st.integers(-3, 3) | _HALVES | st.booleans() | st.sampled_from(["the", "boy", ""])
+        | st.sampled_from([1, 1.0, True]))
+_SEQS = (st.lists(st.integers(-3, 3), max_size=64) | st.lists(_HALVES, max_size=64)
+         | st.lists(st.integers(-3, 3) | _HALVES, max_size=64) | st.lists(_ANY, max_size=64))
+
+
+@st.composite
+def _selectors(draw, n):
+    """An n x n selector: a relative offset (at most one key per row, some rows
+    empty) or random cells at a drawn density (0 gives only empty rows)."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["offset", 0.0, 0.05, 0.3, 1.0]))
+    if shape == "offset":
+        d = draw(st.integers(-3, 3))
+        return [[k == q + d for k in range(n)] for q in range(n)]
+    return [[rng.random() < shape for _ in range(n)] for _ in range(n)]
+
+
+@given(st.data())
+def test_primitives_match_plain_python(data):
+    values = data.draw(_SEQS, label="values")
+    n = len(values)
+    sel = data.draw(_selectors(n), label="selector")
+    default = data.draw(st.none() | st.integers(-2, 2) | st.sampled_from(["", "-"]),
+                        label="default")
+
+    try:
+        expected = _ref_aggregate(sel, values, default)
+    except ValueError:
+        with pytest.raises(ValueError):
+            seq.aggregate(sel, values, default)
+    else:
+        assert _typed(_plain(seq.aggregate(sel, values, default))) == _typed(expected)
+
+    assert _plain(seq.selector_width(sel)) == [sum(row) for row in sel]
+
+    other = values[::-1]
+    assert _typed(_plain(seq.elementwise(operator.eq, values, other))) == _typed(
+        [a == b for a, b in zip(values, other)])
+    assert _typed(_plain(seq.elementwise(operator.mul, values, 2))) == _typed(
+        [v * 2 for v in values])
+
+    fill = 0 if default is None else default
+    assert _typed(_plain(seq.shift_right(values, default=fill))) == _typed(
+        ([fill] + values)[:n])
+    assert _typed(_plain(seq.shift_left(values, default=fill))) == _typed(
+        (values + [fill])[1:])
+
+    mask = [int(v == "the" or v == 1) for v in values]
+    assert _plain(seq.running_count(mask)) == _ref_running_count(mask)
