@@ -231,6 +231,14 @@ def cmd_analyze_errors(args) -> int:
     return 1 if undecodable else 0
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of a count or depth: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 class _OneSplit(argparse.Action):
     """``--split`` for a command that reads one split: a second one is a usage
     error.  The value is kept as a one-name list, the shape ``_split_paths`` reads."""
@@ -271,15 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_args(p, decodes=False)
     p.add_argument("--sentences", help="plain text file, one sentence per line")
     p.add_argument("--curve", action="store_true", help="cumulative coverage curve")
-    p.add_argument("--shuffles", type=int, default=0, help="row-order shuffle experiment")
+    p.add_argument("--shuffles", type=non_negative_int, default=0, help="row-order shuffle experiment")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_coverage)
 
     p = sub.add_parser("fuzz", help="random in-grammar sentences")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=non_negative_int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pp-depth", type=int, default=2)
-    p.add_argument("--cp-depth", type=int, default=2)
+    p.add_argument("--pp-depth", type=non_negative_int, default=2)
+    p.add_argument("--cp-depth", type=non_negative_int, default=2)
     p.add_argument("--mode", choices=["uniform", "coverage"], default="uniform")
     p.add_argument("--check", action="store_true",
                    help="verify decode() against the oracle on each sentence")

@@ -20,16 +20,21 @@ Two ways to compare a prediction with gold:
   and every relation must map consistently under one global bijection.
 
 Scoring a split reports both, with an exact (Clopper-Pearson) 95% interval
-on the semantic accuracy.
+on the semantic accuracy.  Its bounds are the binomial tail's roots in p, in
+numpy: P(X >= k) = alpha/2 for the lower one and P(X <= k) = alpha/2 for the
+upper one, X ~ Binomial(n, p).  Each tail is summed in log space and bisected
+on p to the last float; at k = 0 and k = n the open bound has a closed form.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable, Iterable, Optional
 
-from scipy.special import betaincinv
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -246,11 +251,35 @@ def to_graph(lf: str | Lf) -> dict[int, list[tuple[str, int]]]:
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval for k successes out of n."""
+    if not isinstance(k, Integral) or not isinstance(n, Integral):
+        raise ValueError(f"k and n must be integers; got k={k!r} n={n!r}")
     if not 0 <= k <= n or n <= 0:
         raise ValueError(f"need 0 <= k <= n, n > 0; got k={k} n={n}")
-    lower = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
-    upper = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
-    return lower, upper
+    if not 0 < alpha < 1:
+        raise ValueError(f"need 0 < alpha < 1; got alpha={alpha}")
+    edge = (alpha / 2) ** (1 / n)  # the one open bound when k is 0 or n
+    if k == 0:
+        return 0.0, 1 - edge
+    if k == n:
+        return edge, 1.0
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    log_binom = log_fact[n] - log_fact - log_fact[::-1]  # log C(n, j), j = 0..n
+    j = np.arange(n + 1)
+    target = math.log(alpha / 2)
+
+    def root(js, rising: bool) -> float:
+        """Bisect p until log P(X in js) = target; the mass rises with p or falls."""
+        coef, lo, hi = log_binom[js], 0.0, 1.0
+        while (p := (lo + hi) / 2) not in (lo, hi):
+            t = coef + js * math.log(p) + (n - js) * math.log1p(-p)
+            top = t.max()
+            if (top + math.log(np.exp(t - top).sum()) < target) == rising:
+                lo = p
+            else:
+                hi = p
+        return p
+
+    return root(j[k:], True), root(j[:k + 1], False)
 
 
 @dataclass

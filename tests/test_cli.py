@@ -159,6 +159,27 @@ def test_single_split_commands_reject_a_second_split(command, datadir, capsys):
     assert "--split may be given only once for this command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--n", "-2"],
+    ["fuzz", "--pp-depth", "-5"],
+    ["fuzz", "--cp-depth", "-3"],
+    ["coverage", "--sentences", "x.txt", "--shuffles", "-4"],
+], ids=["n", "pp-depth", "cp-depth", "shuffles"])
+def test_negative_counts_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # argparse usage error
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be a non-negative integer, got {argv[-1]}" in captured.err
+
+
+def test_zero_counts_are_accepted(capsys):
+    assert main(["fuzz", "--n", "1", "--pp-depth", "0", "--cp-depth", "0", "--check"]) == 0
+    assert "# checked 1 sentences, 0 mismatches" in capsys.readouterr().out
+    assert main(["fuzz", "--n", "0"]) == 0
+
+
 def test_fuzz_settings_ignore_the_environment(capsys, monkeypatch):
     main(["fuzz", "--n", "3"])
     default = capsys.readouterr().out

@@ -143,6 +143,32 @@ def test_clopper_pearson_matches_beta_quantiles(n, data):
     assert hi == pytest.approx(want_hi, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [1000, 3000, 21000])
+def test_clopper_pearson_matches_beta_quantiles_at_split_sizes(n):
+    for k in (1, 2, 5, n // 2, 922 * n // 1000, n - 5, n - 2, n - 1):
+        lo, hi = lf.clopper_pearson(k, n)
+        assert abs(lo - beta.ppf(0.025, k, n - k + 1)) < 1e-9, (k, n)
+        assert abs(hi - beta.ppf(0.975, k + 1, n - k)) < 1e-9, (k, n)
+    assert abs(lf.clopper_pearson(0, n)[1] - beta.ppf(0.975, 1, n)) < 1e-9
+    assert abs(lf.clopper_pearson(n, n)[0] - beta.ppf(0.025, n, 1)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 21000])
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_clopper_pearson_edges_are_closed_forms(n, alpha):
+    assert lf.clopper_pearson(0, n, alpha) == (0.0, 1 - (alpha / 2) ** (1 / n))
+    assert lf.clopper_pearson(n, n, alpha) == ((alpha / 2) ** (1 / n), 1.0)
+
+
+@pytest.mark.parametrize("k, n, alpha", [
+    (3, 10, -0.1), (3, 10, 0.0), (3, 10, 1.0), (3, 10, 2.0), (3, 10, float("nan")),
+    (2.5, 3, 0.05), (3, 10.0, 0.05), ("3", 10, 0.05),
+])
+def test_clopper_pearson_rejects_bad_input(k, n, alpha):
+    with pytest.raises(ValueError):
+        lf.clopper_pearson(k, n, alpha)
+
+
 def test_score_split_counts_and_format():
     rows = [
         ("s1", TRANSITIVE, "x"),
