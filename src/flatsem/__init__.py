@@ -15,8 +15,8 @@ from .grammar import (
     parse_sentence,
     tree_expansions,
 )
-from .encoder import InputAnalysis, analyze
-from .decoder import DecoderState, decode, decode_ablated, next_token
+from .encoder import InputAnalysis, analyze, analyze_all
+from .decoder import DecoderState, decode, decode_ablated, decode_all, next_token
 from .oracle import (
     augment_v_dat_p2,
     classify_error,
@@ -47,6 +47,7 @@ __all__ = [
     "Tree",
     "all_expansion_keys",
     "analyze",
+    "analyze_all",
     "augment_v_dat_p2",
     "classify_error",
     "clopper_pearson",
@@ -55,6 +56,7 @@ __all__ = [
     "cp_chain_sentence",
     "decode",
     "decode_ablated",
+    "decode_all",
     "default_lexicon",
     "fuzz_generate",
     "get_agent_side",

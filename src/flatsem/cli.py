@@ -74,37 +74,47 @@ def _split_paths(args) -> list[tuple[str, Path]]:
     return out
 
 
-def _limit_rows(rows: list[Row], max_len: Optional[int]) -> list[Row]:
-    if max_len is None:
-        return rows
-    kept = [r for r in rows if len(r[0].split()) <= max_len]
-    dropped = len(rows) - len(kept)
-    if dropped:
-        print(f"# skipped {dropped} rows longer than {max_len} tokens", file=sys.stderr)
-    return kept
+def _split_rows(name: str, path: Path, args) -> list[Row]:
+    """The rows of one split that ``run`` / ``analyze-errors`` score; a split
+    left with none is noted on stderr."""
+    rows = load_tsv(path, drop_augmented=args.drop_augmented)
+    if args.max_len is not None:
+        kept = [r for r in rows if len(r[0].split()) <= args.max_len]
+        if len(kept) < len(rows):
+            print(f"# skipped {len(rows) - len(kept)} rows longer than {args.max_len} tokens",
+                  file=sys.stderr)
+        rows = kept
+    if not rows:
+        print(f"# split={name}: no rows to score", file=sys.stderr)
+    return rows
 
 
-# Kinds of rows the decoder cannot read, and how the stderr summary names them.
+# Kinds of rows the decoder cannot read: the error decode_all leaves in such a
+# row's place, and how the stderr summary names them.
 UNDECODABLE = {
-    "oov": "hold words not in the lexicon",
-    "too_long": f"are longer than {MAX_SEQ_LEN} tokens",
+    "oov": (LexiconError, "hold words not in the lexicon"),
+    "too_long": (SequenceTooLongError, f"are longer than {MAX_SEQ_LEN} tokens"),
 }
 
 
-def _decode_row(sentence: str, lexicon: Lexicon, ablate: bool) -> tuple[Optional[str], Optional[str]]:
-    """(prediction, None) for a row that decodes, (None, kind) for one that
-    cannot, with kind a key of UNDECODABLE."""
-    try:
-        return decoder.decode(sentence, lexicon, ablate=ablate), None
-    except LexiconError:
-        return None, "oov"
-    except SequenceTooLongError:
-        return None, "too_long"
+def _decode_split(rows: list[Row], lexicon: Lexicon,
+                  ablate: bool) -> list[tuple[Optional[str], Optional[str]]]:
+    """One ``decode_all`` call for the whole split: (prediction, None) for each
+    row that decodes, (None, kind) for one that cannot, with kind a key of
+    UNDECODABLE."""
+    decoded = []
+    for pred in decoder.decode_all([sentence for sentence, _, _ in rows], lexicon, ablate):
+        if isinstance(pred, str):
+            decoded.append((pred, None))
+        else:
+            decoded.append((None, next(kind for kind, (error, _) in UNDECODABLE.items()
+                                       if isinstance(pred, error))))
+    return decoded
 
 
 def _report_undecodable(name: str, kinds: Counter, what: str) -> int:
     """Note on stderr how many rows of a split could not be decoded; returns that count."""
-    for kind, note in UNDECODABLE.items():
+    for kind, (_, note) in UNDECODABLE.items():
         if kinds[kind]:
             print(f"# split={name}: {kinds[kind]} rows {note}, {what}", file=sys.stderr)
     return sum(kinds[kind] for kind in UNDECODABLE)
@@ -113,17 +123,17 @@ def _report_undecodable(name: str, kinds: Counter, what: str) -> int:
 def cmd_run(args) -> int:
     lexicon = _get_lexicon(args)
     lines: list[str] = []
-    undecodable = 0
+    failed = 0  # undecodable rows, plus splits with no rows to score
     for name, path in _split_paths(args):
-        rows = _limit_rows(load_tsv(path, drop_augmented=args.drop_augmented), args.max_len)
-        scored: list[ScoredRow] = []
-        failed: Counter = Counter()
-        for sentence, gold, _cat in rows:
-            pred, failure = _decode_row(sentence, lexicon, args.ablate_no_pp_rule)
-            if failure:
-                failed[failure] += 1
-            scored.append(score_row(sentence, gold, pred))
-        undecodable += _report_undecodable(name, failed, "scored as misses")
+        rows = _split_rows(name, path, args)
+        if not rows:
+            failed += 1
+            continue
+        decoded = _decode_split(rows, lexicon, args.ablate_no_pp_rule)
+        scored = [score_row(sentence, gold, pred)
+                  for (sentence, gold, _cat), (pred, _kind) in zip(rows, decoded)]
+        failed += _report_undecodable(name, Counter(kind for _, kind in decoded),
+                                      "scored as misses")
         lines.append(tally(scored, name).format())
         if name == "gen":
             by_cat: dict[str, list[ScoredRow]] = {}
@@ -131,10 +141,11 @@ def cmd_run(args) -> int:
                 by_cat.setdefault(cat or "uncategorized", []).append(row)
             for cat in sorted(by_cat):
                 lines.append(tally(by_cat[cat], f"gen/{cat}").format())
-    print("\n".join(lines))
+    if lines:
+        print("\n".join(lines))
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
-    return 1 if undecodable else 0
+        Path(args.out).write_text("".join(line + "\n" for line in lines))
+    return 1 if failed else 0
 
 
 def cmd_coverage(args) -> int:
@@ -171,16 +182,15 @@ def cmd_fuzz(args) -> int:
     examples = fuzz.fuzz_generate(args.n, lexicon, seed=args.seed,
                                   pp_depth=args.pp_depth, cp_depth=args.cp_depth,
                                   mode=args.mode)
-    rows: list[Row] = []
+    rows: list[Row] = [(" ".join(tokens), oracle.lf_oracle(tree, lexicon), "fuzz")
+                       for tokens, tree in examples]
     mismatches = 0
-    for tokens, tree in examples:
-        gold = oracle.lf_oracle(tree, lexicon)
-        if args.check:
-            pred = decoder.decode(tokens, lexicon)
+    if args.check:
+        preds = decoder.decode_all([tokens for tokens, _ in examples], lexicon)
+        for (sentence, gold, _), pred in zip(rows, preds):
             if pred != gold:
                 mismatches += 1
-                print(f"MISMATCH {' '.join(tokens)}\n  oracle: {gold}\n  decode: {pred}")
-        rows.append((" ".join(tokens), gold, "fuzz"))
+                print(f"MISMATCH {sentence}\n  oracle: {gold}\n  decode: {pred}")
     if args.out:
         write_tsv(args.out, rows)
     else:
@@ -211,12 +221,15 @@ def cmd_augment(args) -> int:
 
 def cmd_analyze_errors(args) -> int:
     lexicon = _get_lexicon(args)
-    shown = undecodable = 0
+    shown = failed = 0  # failed: undecodable rows, plus splits with no rows to score
     for name, path in _split_paths(args):
-        rows = _limit_rows(load_tsv(path, drop_augmented=args.drop_augmented), args.max_len)
+        rows = _split_rows(name, path, args)
+        if not rows:
+            failed += 1
+            continue
         kinds: Counter = Counter()
-        for sentence, gold, _cat in rows:
-            pred, failure = _decode_row(sentence, lexicon, args.ablate_no_pp_rule)
+        for (sentence, gold, _cat), (pred, failure) in zip(
+                rows, _decode_split(rows, lexicon, args.ablate_no_pp_rule)):
             report = oracle.classify_error(gold, pred) if failure is None else None
             kind = failure or report.kind
             kinds[kind] += 1
@@ -227,8 +240,8 @@ def cmd_analyze_errors(args) -> int:
         total = sum(kinds.values())
         for kind in sorted(kinds):
             print(f"split={name} kind={kind} count={kinds[kind]} frac={kinds[kind] / total:.4f}")
-        undecodable += _report_undecodable(name, kinds, "left undecoded")
-    return 1 if undecodable else 0
+        failed += _report_undecodable(name, kinds, "left undecoded")
+    return 1 if failed else 0
 
 
 def non_negative_int(text: str) -> int:
@@ -236,6 +249,14 @@ def non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a length limit: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -262,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory with <split>.tsv files")
         if decodes:
             p.add_argument("--split", action="append", help="split name (repeatable)")
-            p.add_argument("--max-len", type=int,
+            p.add_argument("--max-len", type=positive_int,
                            help="skip sentences longer than this many tokens")
         else:
             p.add_argument("--split", action=_OneSplit, help="split name")

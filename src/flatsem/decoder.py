@@ -5,13 +5,16 @@ the noun introductions, the pp attachments as nmod links, and one verb group
 per matched clause frame, with the relations its row of ``encoder.FRAMES``
 lists.  These are the same facts the tree oracle collects, and ``decode``
 serialises them through the same layout (``logical_form.conjuncts``).
+``decode_all`` does the same for many sentences, analysed in length buckets
+by ``encoder.analyze_all``; ``decode`` takes the same path with one sentence
+and raises the error that ``decode_all`` leaves in an unreadable row's place.
 
 ``next_token`` is the autoregressive reference rule for that layout.  It
 carries no state between calls beyond the emitted prefix: the number of ";"
 and "AND" separators in the prefix says which conjunct is in flight, and the
 distance to the last separator says which token of it.  Replaying any prefix
 of ``decode``'s output through it reproduces the same continuation.  Nothing
-is cached between sentences; each call analyses its sentence afresh.
+is cached between calls; each call analyses its sentences afresh.
 
 Role binding is positional: a frame's subject argument resolves to the
 nearest surviving noun left of the verb inside the clause, its k-th object
@@ -24,11 +27,12 @@ pp chain left nearest to the verb.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import lexicon as lx
-from .encoder import FRAMES, InputAnalysis, analyze
+from .encoder import FRAMES, Failure, InputAnalysis, analyze, analyze_all
 from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, conjuncts, serialize_facts
+from .seq import SequenceTooLongError
 
 
 @dataclass
@@ -106,6 +110,22 @@ def decode(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
            ablate: bool = False) -> str:
     """Decode the logical form of one sentence."""
     return serialize_facts(_facts(sentence, lexicon, ablate))
+
+
+def decode_all(sentences: Sequence[str | list[str]], lexicon: lx.Lexicon | None = None,
+               ablate: bool = False) -> list[str | lx.LexiconError | SequenceTooLongError]:
+    """Decode many sentences, one entry per sentence, in order.
+
+    The sentences are analysed in length buckets (``encoder.analyze_all``); a
+    sentence that cannot be read keeps its ``LexiconError`` or
+    ``SequenceTooLongError`` as its entry, and the others still decode.
+    Each form equals ``decode`` of its sentence.
+    """
+    if lexicon is None:
+        lexicon = lx.default_lexicon()
+    return [analysis if isinstance(analysis, Failure)
+            else serialize_facts(build_plan(analysis, lexicon, ablate))
+            for analysis in analyze_all(sentences, lexicon)]
 
 
 def decode_ablated(sentence: str | list[str], lexicon: lx.Lexicon | None = None) -> str:

@@ -2,12 +2,15 @@
 
 All per-position evidence is computed with the sequence primitives --
 selectors, aggregations, widths -- over the five code sequences and their
-shifted copies, each shift made once per sentence.  Between primitives the
-sequences are numpy arrays; ``analyze`` turns each field of ``InputAnalysis``
-into a plain list once, at its end.  The structural summary (clause spans,
-one verb frame per clause, pp attachments) is then read off those flat
-vectors.  ``FRAMES`` is the one table of verb frames: what
-licenses each, the test that picks it, and its relations.
+shifted copies, each shift made once per batch.  ``analyze_all`` groups its
+sentences by length and runs each group through the primitives at once, as
+a (sentences, positions) batch; ``analyze`` is its one-sentence case.
+Between primitives the sequences are numpy arrays; each field of
+``InputAnalysis`` becomes a plain list once, at the end.  The structural
+summary of each sentence (clause spans, one verb frame per clause, pp
+attachments) is then read off its row of those flat vectors.  ``FRAMES`` is
+the one table of verb frames: what licenses each, the test that picks it,
+and its relations.
 
 The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
@@ -20,7 +23,7 @@ exists precisely to turn that mask off and watch the attraction error appear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,30 +92,44 @@ def star_mask(pos: np.ndarray, prev_word: np.ndarray) -> np.ndarray:
         pos, prev_word)
 
 
-def pp_attachments(pos: np.ndarray, nxt: np.ndarray) -> list[tuple[int, int, int]]:
-    """(prep_pos, modified_head_pos, object_head_pos) per preposition.
+def pp_attachments(pos: np.ndarray, nxt: np.ndarray,
+                   rows: int) -> list[list[tuple[int, int, int]]]:
+    """(prep_pos, modified_head_pos, object_head_pos) per preposition, for
+    each of ``rows`` sentences (a lone one 1-D).
 
     The modified noun always immediately precedes its preposition; the object
     head is the name right after it, or the noun behind the determiner.
     """
-    return [(i, i - 1, i + 1 if nxt[i] == lx.PROPER_NOUN else i + 2)
-            for i in np.flatnonzero(pos == lx.PP).tolist()]
+    n = pos.shape[-1]
+    hits = np.flatnonzero(pos == lx.PP)
+    names = nxt.ravel()[hits] == lx.PROPER_NOUN
+    pps: list[list[tuple[int, int, int]]] = [[] for _ in range(rows)]
+    for hit, name in zip(hits.tolist(), names.tolist()):
+        row, i = divmod(hit, n)
+        pps[row].append((i, i - 1, i + 1 if name else i + 2))
+    return pps
 
 
-def clause_spans(vmap3: np.ndarray, nxt: np.ndarray, n_eff: int) -> list[tuple[int, int]]:
-    """Token spans of the clauses, splitting after each "<cp-verb> that".
+def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
+                 n_eff: list[int]) -> list[list[tuple[int, int]]]:
+    """Token spans of the clauses of each sentence (a lone one 1-D), split
+    after each "<cp-verb> that".
 
     The complementizer belongs to neither span; the matrix clause ends at its
     verb.  A sentence without clause embedding is one span.
     """
     boundary = seq.elementwise(
         lambda v3, nx: (v3 == lx.V_CP_TAKING) & (nx == lx.THAT), vmap3, nxt)
-    spans = []
-    start = 0
-    for i in np.flatnonzero(boundary[:n_eff]).tolist():
-        spans.append((start, i + 1))
-        start = i + 2
-    spans.append((start, n_eff))
+    n = boundary.shape[-1]
+    spans: list[list[tuple[int, int]]] = [[] for _ in n_eff]
+    starts = [0] * len(n_eff)
+    for hit in np.flatnonzero(boundary).tolist():
+        row, i = divmod(hit, n)
+        if i < n_eff[row]:
+            spans[row].append((starts[row], i + 1))
+            starts[row] = i + 2
+    for row_spans, start, end in zip(spans, starts, n_eff):
+        row_spans.append((start, end))
     return spans
 
 
@@ -224,47 +241,97 @@ def match_template(emb: lx.Embedded, span: tuple[int, int],
     return ClauseInfo(start, end, V, None)
 
 
-def _ints(mask: np.ndarray) -> list[int]:
-    """A mask or count sequence as the list of ints ``InputAnalysis`` holds."""
-    return mask.astype(np.int64).tolist()
+Failure = (lx.LexiconError, seq.SequenceTooLongError)  # a sentence analyze_all cannot read
+
+
+def _embed(tokens: list[str] | str, lexicon: lx.Lexicon) -> lx.Embedded:
+    """The five code sequences of a sentence, lowercased; raises ``Failure``."""
+    if isinstance(tokens, str):
+        tokens = tokens.split()
+    tokens = [t.lower() for t in tokens]
+    seq.check_length(len(tokens))
+    return lexicon.embed(tokens)
 
 
 def analyze(tokens: list[str] | str, lexicon: lx.Lexicon | None = None) -> InputAnalysis:
-    """Full flat analysis of one sentence."""
-    if isinstance(tokens, str):
-        tokens = tokens.split()
+    """Full flat analysis of one sentence: ``analyze_all``'s path for one row,
+    raising the error it would leave in the row's place."""
     if lexicon is None:
         lexicon = lx.default_lexicon()
-    tokens = [t.lower() for t in tokens]
-    seq.check_length(len(tokens))
-    emb = lexicon.embed(tokens)
-    n_eff = len(tokens)
-    while n_eff and emb.pos[n_eff - 1] == lx.FILLER:
-        n_eff -= 1
+    (analysis,) = _analyze_batch([_embed(tokens, lexicon)])
+    return analysis
 
-    pos = np.array(emb.pos, dtype=np.int64)
+
+def analyze_all(token_lists: Sequence[list[str] | str], lexicon: lx.Lexicon | None = None,
+                ) -> list[InputAnalysis | lx.LexiconError | seq.SequenceTooLongError]:
+    """Flat analysis of many sentences, one entry per sentence, in order.
+
+    Sentences of one length form a bucket, which runs through the sequence
+    primitives at once as a batch: no row is padded.  A bucket is cut so that
+    no selector holds more than ``MAX_SEQ_LEN ** 2`` cells, what one sentence
+    of the longest length needs alone.  A sentence longer than ``MAX_SEQ_LEN``
+    or holding a word the lexicon lacks gets its ``SequenceTooLongError`` or
+    ``LexiconError`` as its entry; the other sentences are still analysed.
+    """
+    if lexicon is None:
+        lexicon = lx.default_lexicon()
+    out: list = []
+    buckets: dict[int, list[int]] = {}
+    for row, tokens in enumerate(token_lists):
+        try:
+            out.append(_embed(tokens, lexicon))
+        except Failure as err:
+            out.append(err)
+            continue
+        buckets.setdefault(len(out[row]), []).append(row)
+    for n, rows in buckets.items():
+        size = seq.MAX_SEQ_LEN ** 2 // max(n * n, 1)
+        for lo in range(0, len(rows), size):
+            batch = rows[lo:lo + size]
+            for row, analysis in zip(batch, _analyze_batch([out[row] for row in batch])):
+                out[row] = analysis
+    return out
+
+
+def _stack(rows: list[list], dtype: type) -> np.ndarray:
+    """Same-length rows as a (rows, positions) batch; a lone row stays 1-D,
+    since numpy's cost per call is lower on it than on a batch of one row."""
+    return np.array(rows if len(rows) > 1 else rows[0], dtype=dtype)
+
+
+def _analyze_batch(embs: list[lx.Embedded]) -> list[InputAnalysis]:
+    """The analyses of same-length sentences: each primitive runs once on the
+    (rows, positions) batch, then each row's structure is read off its slice."""
+    n_eff = []
+    for emb in embs:
+        end = len(emb)
+        while end and emb.pos[end - 1] == lx.FILLER:
+            end -= 1
+        n_eff.append(end)
+
+    pos = _stack([emb.pos for emb in embs], np.int64)
     # each shifted sequence once; the masks and the clause splitter share them
     prev = seq.shift_right(pos)
     prev2 = seq.shift_right(prev)
     nxt = seq.shift_left(pos)
-    prev_word = seq.shift_right(np.array(emb.tokens, dtype=object), default="")
+    prev_word = seq.shift_right(_stack([emb.tokens for emb in embs], object), default="")
 
     nm = noun_mask(pos)
-    heads = np_head_mask(pos, prev)
-    starts = np_start_mask(pos, nxt)
     nopp = no_pp_np_mask(pos, prev, prev2)
     eligible = seq.elementwise(lambda a, b: a * b, nm, nopp)
     ordinals = seq.elementwise(lambda c, e: c * e, seq.running_count(eligible), eligible)
-    spans = clause_spans(np.array(emb.vmap3, dtype=np.int64), nxt, n_eff)
+    # the InputAnalysis fields from noun_mask to star, one row of lists per sentence
+    masks = [nm, np_head_mask(pos, prev), np_start_mask(pos, nxt), nopp, eligible, ordinals,
+             star_mask(pos, prev_word)]
+    fields = np.array(masks, dtype=np.int64).reshape(
+        len(masks), len(embs), pos.shape[-1]).swapaxes(0, 1).tolist()
+    spans = clause_spans(_stack([emb.vmap3 for emb in embs], np.int64), nxt, n_eff)
+    pps = pp_attachments(pos, nxt, len(embs))
 
-    analysis = InputAnalysis(
-        tokens=tokens, emb=emb, n_eff=n_eff,
-        noun_mask=_ints(nm), np_head=_ints(heads), np_start=_ints(starts),
-        no_pp_np=_ints(nopp), eligible=_ints(eligible), ordinals=_ints(ordinals),
-        star=_ints(star_mask(pos, prev_word)), pps=pp_attachments(pos, nxt),
-    )
-    for span in spans:
-        if span[0] >= span[1]:
-            continue
-        analysis.clauses.append(match_template(emb, span, analysis.np_start, analysis.np_head))
-    return analysis
+    analyses = []
+    for emb, end, row, row_spans, row_pps in zip(embs, n_eff, fields, spans, pps):
+        analysis = InputAnalysis(emb.tokens, emb, end, *row, row_pps)
+        analysis.clauses = [match_template(emb, span, analysis.np_start, analysis.np_head)
+                            for span in row_spans if span[0] < span[1]]
+        analyses.append(analysis)
+    return analyses

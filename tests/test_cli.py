@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from flatsem import decoder
 from flatsem.cli import load_tsv, main, write_tsv
 from flatsem.coverage import coverage, coverage_curve, shuffle_experiment
-from flatsem.fuzz import pp_chain_sentence
-from flatsem.oracle import AUGMENTED_CATEGORY
+from flatsem.fuzz import fuzz_generate, pp_chain_sentence
+from flatsem.lexicon import LexiconError
+from flatsem.oracle import AUGMENTED_CATEGORY, lf_oracle
+from flatsem.seq import SequenceTooLongError
 
 from corpora import (
     ATTRACTION_CASES,
@@ -304,3 +307,111 @@ def test_run_scores_overlong_rows_as_misses(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "split=test n=2 sem=0.5000 em=0.5000" in captured.out
     assert "1 rows are longer than 512 tokens" in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "analyze-errors"])
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_max_len_must_be_positive(command, limit, datadir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--data", str(datadir), "--split", "dev", "--max-len", limit])
+    assert exc.value.code == 2  # argparse usage error
+    assert f"argument --max-len: must be a positive integer, got {limit}" in capsys.readouterr().err
+    assert main([command, "--data", str(datadir), "--split", "dev", "--max-len", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "analyze-errors"])
+def test_a_split_with_no_rows_is_reported_not_scored(command, datadir, capsys):
+    (datadir / "test.tsv").write_text("")
+    assert main([command, "--data", str(datadir), "--split", "test", "--split", "dev"]) == 1
+    captured = capsys.readouterr()
+    assert "# split=test: no rows to score" in captured.err
+    assert "split=test " not in captured.out
+    assert "split=dev " in captured.out  # the other split is still scored
+
+    assert main([command, "--data", str(datadir), "--split", "dev", "--max-len", "2"]) == 1
+    captured = capsys.readouterr()
+    assert f"# skipped {len(GOLDEN)} rows longer than 2 tokens" in captured.err
+    assert "# split=dev: no rows to score" in captured.err
+    assert captured.out == ""
+
+
+def _gen_split(tmp_path, lexicon):
+    """A gen split with categories: fuzzed rows, attraction cases, and rows
+    the decoder cannot read."""
+    rows = [(" ".join(tokens), oracle_lf, f"depth{depth}")
+            for depth in (1, 2, 3)
+            for tokens, oracle_lf in ((t, lf_oracle(tree, lexicon)) for t, tree in
+                                      fuzz_generate(15, lexicon, seed=depth, pp_depth=depth,
+                                                    cp_depth=depth))]
+    rows += [(s, clean, "attraction") for s, clean, _, _ in ATTRACTION_CASES]
+    rows += [("emma saw zorblax .", "emma ( 0 )", "attraction"),
+             (" ".join(pp_chain_sentence(170)), "boy ( 1 )", "depth3")]
+    write_tsv(tmp_path / "gen.tsv", rows)
+    write_tsv(tmp_path / "test.tsv", rows[::2])
+    return tmp_path
+
+
+def _per_row_decode_all(sentences, lexicon=None, ablate=False):
+    """decode_all made of per-row decode calls: the reference for the CLI."""
+    out = []
+    for sentence in sentences:
+        try:
+            out.append(decoder.decode(sentence, lexicon, ablate))
+        except (LexiconError, SequenceTooLongError) as err:
+            out.append(err)
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--split", "test", "--split", "gen"],
+    ["run", "--split", "test", "--split", "gen", "--ablate-no-pp-rule"],
+    ["analyze-errors", "--split", "test", "--split", "gen", "--show", "100"],
+    ["analyze-errors", "--split", "test", "--split", "gen", "--show", "100",
+     "--ablate-no-pp-rule"],
+])
+def test_split_commands_decode_each_split_in_one_batched_call(argv, tmp_path, capsys,
+                                                              monkeypatch, lexicon):
+    data = _gen_split(tmp_path, lexicon)
+    calls = Counter()
+    real_decode_all = decoder.decode_all
+
+    def counting_decode_all(*args, **kwargs):
+        calls["decode_all"] += 1
+        return real_decode_all(*args, **kwargs)
+
+    real_decode = decoder.decode
+
+    def counting_decode(*args, **kwargs):
+        calls["decode"] += 1
+        return real_decode(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "decode_all", counting_decode_all)
+    monkeypatch.setattr(decoder, "decode", counting_decode)
+    code = main([*argv[:1], "--data", str(data), *argv[1:]])
+    batched = capsys.readouterr()
+    assert calls == {"decode_all": 2}
+
+    monkeypatch.setattr(decoder, "decode", real_decode)
+    monkeypatch.setattr(decoder, "decode_all", _per_row_decode_all)
+    assert main([*argv[:1], "--data", str(data), *argv[1:]]) == code == 1
+    assert capsys.readouterr() == batched
+    assert "split=gen " in batched.out and "split=test " in batched.out
+    assert "# split=gen: 1 rows hold words not in the lexicon" in batched.err
+
+
+def test_fuzz_check_decodes_in_one_batched_call(capsys, monkeypatch):
+    calls = Counter()
+    real_decode_all = decoder.decode_all
+
+    def counting_decode_all(*args, **kwargs):
+        calls["decode_all"] += 1
+        return real_decode_all(*args, **kwargs)
+
+    def counting_decode(*args, **kwargs):
+        calls["decode"] += 1
+
+    monkeypatch.setattr(decoder, "decode_all", counting_decode_all)
+    monkeypatch.setattr(decoder, "decode", counting_decode)
+    assert main(["fuzz", "--n", "30", "--seed", "4", "--pp-depth", "3", "--check"]) == 0
+    assert "# checked 30 sentences, 0 mismatches" in capsys.readouterr().out
+    assert calls == {"decode_all": 1}

@@ -1,11 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from flatsem import decoder as dec
-from flatsem.encoder import analyze
+from flatsem import seq
+from flatsem.encoder import analyze, analyze_all
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.grammar import parse_sentence
+from flatsem.lexicon import LexiconError
 from flatsem.logical_form import parse_lf
 from flatsem.oracle import lf_oracle, sentence_facts
 
@@ -140,3 +143,72 @@ def test_decode_reaches_max_seq_len(tokens, length, nouns, verbs, lexicon):
     assert len(tokens) == length
     lf = parse_lf(dec.decode(tokens, lexicon))
     assert sorted(u.idx for u in lf.unary) == sorted(nouns + verbs)
+
+
+def _decode_or_error(sentence, lexicon, ablate):
+    """decode(), with an unreadable row's error as (type, message)."""
+    try:
+        return dec.decode(sentence, lexicon, ablate=ablate)
+    except (LexiconError, seq.SequenceTooLongError) as err:
+        return type(err), str(err)
+
+
+def _entries(results):
+    return [r if isinstance(r, str) else (type(r), str(r)) for r in results]
+
+
+def _bucketed_corpus(lexicon):
+    """Fuzzed sentences at pp/cp depths 1-6 in both modes, chains up to 511
+    tokens, empty and mixed-case input, and an unknown-word row and a
+    516-token row between two rows of one length bucket."""
+    corpus = [tokens for mode in ("uniform", "coverage") for depth in range(1, 7)
+              for tokens, _tree in fuzz_generate(12, lexicon, seed=depth, pp_depth=depth,
+                                                 cp_depth=depth, mode=mode)]
+    corpus += [chain(depth) for chain in (pp_chain_sentence, cp_chain_sentence)
+               for depth in (1, 2, 7, 40, 100, 168)]
+    corpus += [cp_chain_sentence(169), "", ".", [], "A Boy PAINTED the Girl", "EMMA smiled ."]
+    eight = [tokens for tokens in corpus if len(tokens) == 8]
+    unknown = [*eight[0][:-2], "zorblax", eight[0][-1]]
+    return [*corpus, eight[0], unknown, pp_chain_sentence(170), eight[1]]
+
+
+@pytest.mark.parametrize("ablate", [False, True])
+def test_decode_all_equals_decode_row_by_row(ablate, lexicon):
+    corpus = _bucketed_corpus(lexicon)
+    assert len(corpus[-3]) == 8 and len(corpus[-2]) == 516
+    expected = [_decode_or_error(s, lexicon, ablate) for s in corpus]
+    assert [e[0] for e in expected if not isinstance(e, str)] == [LexiconError,
+                                                                    seq.SequenceTooLongError]
+    assert _entries(dec.decode_all(corpus, lexicon, ablate)) == expected
+    assert _entries(dec.decode_all([], lexicon, ablate)) == []
+
+
+def test_analyze_all_equals_analyze_row_by_row(lexicon):
+    corpus = [s for s in _bucketed_corpus(lexicon) if len(s) <= 40]
+    for sentence, analysis in zip(corpus, analyze_all(corpus, lexicon)):
+        if isinstance(analysis, LexiconError):
+            with pytest.raises(LexiconError):
+                analyze(sentence, lexicon)
+        else:
+            assert repr(analysis) == repr(analyze(sentence, lexicon))
+
+
+def test_a_bucket_is_cut_to_the_selector_cell_cap(lexicon, monkeypatch):
+    shapes = []
+    real_select = seq.select
+
+    def recording_select(*args, **kwargs):
+        sel = real_select(*args, **kwargs)
+        shapes.append(sel.shape)
+        return sel
+
+    monkeypatch.setattr(seq, "select", recording_select)
+    sentence = cp_chain_sentence(12)
+    assert len(sentence) == 40
+    forms = dec.decode_all([sentence] * 600, lexicon)
+    cap = seq.MAX_SEQ_LEN ** 2
+    assert max(int(np.prod(shape)) for shape in shapes) <= cap
+    batched = [shape[0] for shape in shapes if len(shape) == 3]
+    assert sum(batched) == 600 and max(batched) == cap // (40 * 40)
+    monkeypatch.setattr(seq, "select", real_select)
+    assert forms == [dec.decode(sentence, lexicon)] * 600

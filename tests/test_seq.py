@@ -1,5 +1,6 @@
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -216,3 +217,92 @@ def test_primitives_match_plain_python(data):
 
     mask = [int(v == "the" or v == 1) for v in values]
     assert _plain(seq.running_count(mask)) == _ref_running_count(mask)
+
+
+# Batches: a (B, n) stack of rows must give the stack of the per-row calls,
+# under a selector shared by every row (n x n) or one selector per row.
+
+def _stack(rows, n):
+    """Rows stacked as the primitives would convert one of them: int64 or
+    float64 when every value is an int or every one a float, object otherwise."""
+    kinds = {type(v) for row in rows for v in row}
+    dtype = {frozenset([int]): np.int64, frozenset([float]): np.float64}.get(
+        frozenset(kinds), object)
+    out = np.empty((len(rows), n), dtype=dtype)
+    for b, row in enumerate(rows):
+        out[b, :] = row
+    return out
+
+
+_ROWS = st.sampled_from([st.integers(-3, 3), _HALVES, st.integers(-3, 3) | _HALVES, _ANY])
+
+
+@st.composite
+def _batches(draw):
+    """B rows of length n, each row drawn from its own kind of value."""
+    n = draw(st.integers(0, 64), label="n")
+    b = draw(st.integers(0, 4), label="B")
+    return [draw(st.lists(draw(_ROWS), min_size=n, max_size=n)) for _ in range(b)], n
+
+
+def _each(out, rows, row_ndim=1):
+    """Each row of a batched result, as ``_typed`` lists (a selector as nested
+    lists); an unbatched result stands for every one of ``rows`` rows."""
+    out = np.broadcast_to(out, (rows, *out.shape[out.ndim - row_ndim:]))
+    return [_typed(_plain(row)) if row_ndim == 1 else row.tolist() for row in out]
+
+
+def _per_row(fn, *columns, row_ndim=1):
+    """``fn`` on each row's arguments, one column of arguments per parameter,
+    as ``_each`` gives them, or ValueError when a row raises it."""
+    try:
+        return [_typed(_plain(out)) if row_ndim == 1 else out.tolist()
+                for out in (fn(*args) for args in zip(*columns))]
+    except ValueError:
+        return ValueError
+
+
+@given(_batches(), st.data())
+def test_batched_primitives_equal_the_stack_of_row_calls(batch, data):
+    rows, n = batch
+    b = len(rows)
+    stacked = _stack(rows, n)
+    shared = np.array(data.draw(_selectors(n), label="shared selector"), dtype=bool).reshape(n, n)
+    own = np.array([data.draw(_selectors(n), label="row selector") for _ in rows],
+                   dtype=bool).reshape(b, n, n)
+    default = data.draw(st.none() | st.integers(-2, 2) | st.sampled_from(["", "-"]),
+                        label="default")
+
+    for sel, sels in ((shared, [shared] * b), (own, list(own))):
+        expected = _per_row(lambda s, v: seq.aggregate(s, v, default), sels, rows)
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                seq.aggregate(sel, stacked, default)
+        else:
+            assert _each(seq.aggregate(sel, stacked, default), b) == expected
+        assert _each(seq.selector_width(sel), b) == _per_row(seq.selector_width, sels)
+        assert _each(seq.combine(operator.and_, sel, shared), b, 2) == _per_row(
+            lambda s: seq.combine(operator.and_, s, shared), sels, row_ndim=2)
+
+    reverse = [row[::-1] for row in rows]
+    assert _each(seq.elementwise(operator.eq, stacked, _stack(reverse, n)), b) == _per_row(
+        lambda x, y: seq.elementwise(operator.eq, x, y), rows, reverse)
+    assert _each(seq.elementwise(operator.mul, stacked, 2), b) == _per_row(
+        lambda x: seq.elementwise(operator.mul, x, 2), rows)
+
+    fill = 0 if default is None else default
+    for shift in (seq.shift_right, seq.shift_left):
+        assert _each(shift(stacked, default=fill), b) == _per_row(
+            lambda x: shift(x, default=fill), rows)
+
+    masks = [[int(v == "the" or v == 1) for v in row] for row in rows]
+    assert _each(seq.running_count(_stack(masks, n)), b) == _per_row(seq.running_count, masks)
+
+    # batched keys or queries against unbatched ones, and a broadcast scalar
+    idx = seq.indices(n)
+    for keys, queries, fn in ((stacked, idx, lambda x, y: seq.select(x, idx, operator.eq)),
+                              (1, stacked, lambda x, y: seq.select(1, x, operator.eq)),
+                              (stacked, _stack(reverse, n), lambda x, y: seq.select(
+                                  x, y, operator.eq))):
+        assert _each(seq.select(keys, queries, operator.eq), b, 2) == _per_row(
+            fn, rows, reverse, row_ndim=2)
