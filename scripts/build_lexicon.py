@@ -10,9 +10,8 @@ the handful of words that only surface in the generalization splits
 
 Row format:  word<TAB>category,category,...<TAB>stem
 The stem column is present only for verb forms whose output stem differs from
-the surface form ("painted" -> "paint").  Stems that never occur as an input
-word of their own get a dedicated row under category v_normalized_in_output so
-the decoder can classify them when they appear in the output stream.
+the surface form ("painted" -> "paint").  Every row is an input word: a stem
+that never occurs as an input word of its own ("sold" -> "sell") gets no row.
 """
 
 import argparse
@@ -242,7 +241,6 @@ CATEGORY_ORDER = [
     'v_trans_not_omissible', 'v_trans_not_omissible_pp',
     'v_cp_taking', 'v_inf_taking',
     'v_unacc', 'v_unerg', 'v_inf', 'v_dat', 'v_dat_pp', 'v_unacc_pp',
-    'v_normalized_in_output',
 ]
 
 
@@ -257,22 +255,13 @@ def build_rows():
     for word in proper_nouns:
         cats.setdefault(word, set()).add('proper_noun')
 
-    verb_words = set()
     for lst, cat in VERB_LISTS:
         for word in lst:
             cats.setdefault(word, set()).add(cat)
-            verb_words.add(word)
             stem = verbs_lemmas.get(word, word)
             if stem != word:
                 prev = stems.setdefault(word, stem)
                 assert prev == stem, f"conflicting stems for {word}"
-
-    # Output-only stems ("painted" -> "paint" is already a v_inf word, but
-    # "ate" -> "eat" needs its own row so output counting can see it).
-    for word in sorted(verb_words):
-        stem = verbs_lemmas.get(word, word)
-        if stem not in cats:
-            cats[stem] = {'v_normalized_in_output'}
 
     # The vocabulary keeps nouns and verbs disjoint; the parser relies on it.
     for word, cs in cats.items():

@@ -2,9 +2,10 @@
 
 The package decodes English sentences of the COGS fragment into ReCOGS-style
 logical forms without building a tree: a fixed stack of sequence primitives
-(selectors, aggregations, counts) computes everything the autoregressive
-decoder needs.  A conventional tree-based oracle, a grammar-coverage toolkit,
-a grammar fuzzer, and error/augmentation analyses ride along for evaluation.
+(selectors, aggregations, counts) computes a flat analysis, and the decoder
+reads the whole form off it in one pass.  A conventional tree-based oracle, a
+grammar-coverage toolkit, a grammar fuzzer, and error/augmentation analyses
+ride along for evaluation.
 """
 
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
@@ -16,7 +17,7 @@ from .grammar import (
     tree_expansions,
 )
 from .encoder import InputAnalysis, analyze, analyze_all
-from .decoder import DecoderState, decode, decode_ablated, decode_all, next_token
+from .decoder import decode, decode_all
 from .oracle import (
     augment_v_dat_p2,
     classify_error,
@@ -28,7 +29,6 @@ from .logical_form import (
     Lf,
     clopper_pearson,
     parse_lf,
-    score_split,
     semantic_exact_match,
     string_exact_match,
 )
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "COGS_INPUT_GRAMMAR_NO_TERMINALS",
-    "DecoderState",
     "InputAnalysis",
     "Lexicon",
     "LexiconError",
@@ -55,19 +54,16 @@ __all__ = [
     "coverage_curve",
     "cp_chain_sentence",
     "decode",
-    "decode_ablated",
     "decode_all",
     "default_lexicon",
     "fuzz_generate",
     "get_agent_side",
     "lf_oracle",
     "load_lexicon",
-    "next_token",
     "parse_lf",
     "parse_sentence",
     "pp_chain_sentence",
     "predict_attraction_error",
-    "score_split",
     "semantic_exact_match",
     "shuffle_experiment",
     "string_exact_match",

@@ -112,12 +112,18 @@ def _decode_split(rows: list[Row], lexicon: Lexicon,
     return decoded
 
 
-def _report_undecodable(name: str, kinds: Counter, what: str) -> int:
-    """Note on stderr how many rows of a split could not be decoded; returns that count."""
+def _report_undecodable(source: str, kinds: Counter, what: str) -> int:
+    """Note on stderr how many rows of a source ("split=NAME" or
+    "source=NAME") could not be read; returns that count."""
     for kind, (_, note) in UNDECODABLE.items():
         if kinds[kind]:
-            print(f"# split={name}: {kinds[kind]} rows {note}, {what}", file=sys.stderr)
+            print(f"# {source}: {kinds[kind]} rows {note}, {what}", file=sys.stderr)
     return sum(kinds[kind] for kind in UNDECODABLE)
+
+
+def _count_oov(sentences: list[str], lexicon: Lexicon) -> Counter:
+    """The rows that hold a word outside the lexicon, as kind ``oov``."""
+    return Counter(oov=sum(not all(map(lexicon.__contains__, s.split())) for s in sentences))
 
 
 def cmd_run(args) -> int:
@@ -132,7 +138,7 @@ def cmd_run(args) -> int:
         decoded = _decode_split(rows, lexicon, args.ablate_no_pp_rule)
         scored = [score_row(sentence, gold, pred)
                   for (sentence, gold, _cat), (pred, _kind) in zip(rows, decoded)]
-        failed += _report_undecodable(name, Counter(kind for _, kind in decoded),
+        failed += _report_undecodable(f"split={name}", Counter(kind for _, kind in decoded),
                                       "scored as misses")
         lines.append(tally(scored, name).format())
         if name == "gen":
@@ -157,6 +163,7 @@ def cmd_coverage(args) -> int:
         (name, path), = _split_paths(args)
         sentences = [r[0] for r in load_tsv(path)]
         label = name
+    oov = _count_oov(sentences, lexicon)
     rows = row_expansions(sentences, lexicon)
     result = CoverageResult.from_rows(rows)
     print(f"coverage source={label} n={len(sentences)} covered={len(result.covered)} "
@@ -174,7 +181,7 @@ def cmd_coverage(args) -> int:
         res = ShuffleResult.from_rows(rows, n_shuffles=args.shuffles, seed=args.seed)
         print(f"shuffles n={args.shuffles} median={res.median} "
               f"p2.5={res.lo} p97.5={res.hi}")
-    return 0
+    return 1 if _report_undecodable(f"source={label}", oov, "given no expansions") else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -216,7 +223,8 @@ def cmd_augment(args) -> int:
         for row in augmented:
             print("\t".join(row))
     print(f"# augmented {len(augmented)} of {len(rows)} rows", file=sys.stderr)
-    return 0
+    oov = _count_oov([sentence for sentence, _, _ in rows], lexicon)
+    return 1 if _report_undecodable(f"source={args.infile or name}", oov, "skipped") else 0
 
 
 def cmd_analyze_errors(args) -> int:
@@ -240,7 +248,7 @@ def cmd_analyze_errors(args) -> int:
         total = sum(kinds.values())
         for kind in sorted(kinds):
             print(f"split={name} kind={kind} count={kinds[kind]} frac={kinds[kind] / total:.4f}")
-        failed += _report_undecodable(name, kinds, "left undecoded")
+        failed += _report_undecodable(f"split={name}", kinds, "left undecoded")
     return 1 if failed else 0
 
 
@@ -325,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_args(p)
     p.add_argument("--ablate-no-pp-rule", action="store_true")
     p.add_argument("--drop-augmented", action="store_true")
-    p.add_argument("--show", type=int, default=5, help="print this many mistakes in full")
+    p.add_argument("--show", type=non_negative_int, default=5,
+                   help="print this many mistakes in full")
     p.set_defaults(fn=cmd_analyze_errors)
     return ap
 

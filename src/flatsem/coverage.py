@@ -31,7 +31,8 @@ from .grammar import all_expansion_keys, parse_sentence, tree_expansions
 def row_expansions(sentences: Iterable[str | list[str]],
                    lexicon: lx.Lexicon | None = None) -> list[frozenset[str]]:
     """The expansion keys of each row's parse, empty for a row that does not
-    parse.  Each distinct row is parsed once."""
+    parse or holds a word outside the lexicon.  Each distinct row is parsed
+    once."""
     if lexicon is None:
         lexicon = lx.default_lexicon()
     by_row: dict[str, frozenset[str]] = {}
@@ -39,7 +40,10 @@ def row_expansions(sentences: Iterable[str | list[str]],
     for s in sentences:
         key = s if isinstance(s, str) else " ".join(s)
         if key not in by_row:
-            tree = parse_sentence(s, lexicon)
+            try:
+                tree = parse_sentence(s, lexicon)
+            except lx.LexiconError:
+                tree = None
             by_row[key] = frozenset(tree_expansions(tree)) if tree is not None else frozenset()
         out.append(by_row[key])
     return out

@@ -1,44 +1,32 @@
-"""Decoding: the logical form read off the flat analysis, and the per-token rule.
+"""Decoding: the logical form read off the flat analysis.
 
 ``build_plan`` reads one sentence's ``SentenceFacts`` off its flat analysis:
 the noun introductions, the pp attachments as nmod links, and one verb group
 per matched clause frame, with the relations its row of ``encoder.FRAMES``
 lists.  These are the same facts the tree oracle collects, and ``decode``
-serialises them through the same layout (``logical_form.conjuncts``).
+serialises them through the same layout (``logical_form.serialize_facts``),
+the whole form in one pass; there is no per-token decoder step.
 ``decode_all`` does the same for many sentences, analysed in length buckets
 by ``encoder.analyze_all``; ``decode`` takes the same path with one sentence
 and raises the error that ``decode_all`` leaves in an unreadable row's place.
-
-``next_token`` is the autoregressive reference rule for that layout.  It
-carries no state between calls beyond the emitted prefix: the number of ";"
-and "AND" separators in the prefix says which conjunct is in flight, and the
-distance to the last separator says which token of it.  Replaying any prefix
-of ``decode``'s output through it reproduces the same continuation.  Nothing
-is cached between calls; each call analyses its sentences afresh.
+Nothing is cached between calls; each call analyses its sentences afresh.
 
 Role binding is positional: a frame's subject argument resolves to the
 nearest surviving noun left of the verb inside the clause, its k-th object
 argument to the k-th surviving noun right of the verb.  "Surviving" normally
-means pp-prefixed nouns are filtered out; ``decode_ablated`` lifts that
-filter and nothing else, which makes the subject slot latch onto the noun the
-pp chain left nearest to the verb.
+means pp-prefixed nouns are filtered out; ``ablate=True`` lifts that filter
+and nothing else, which makes the subject slot latch onto the noun the pp
+chain left nearest to the verb.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import lexicon as lx
 from .encoder import FRAMES, Failure, InputAnalysis, analyze, analyze_all
-from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, conjuncts, serialize_facts
+from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, serialize_facts
 from .seq import SequenceTooLongError
-
-
-@dataclass
-class DecoderState:
-    conjuncts: list[tuple[str, ...]]  # the form's layout, see logical_form.conjuncts
-    out: list[str] = field(default_factory=list)
 
 
 def _bind(kind: str, analysis: InputAnalysis, clause_idx: int, mask: list[int]) -> Optional[int]:
@@ -85,31 +73,12 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
     return facts
 
 
-def next_token(state: DecoderState) -> Optional[str]:
-    """The next logical-form token, or None when the form is complete."""
-    seps = [i for i, tok in enumerate(state.out) if tok in (";", "AND")]
-    if len(seps) >= len(state.conjuncts):
-        return None
-    toks = state.conjuncts[len(seps)]
-    off = len(state.out) - (seps[-1] + 1 if seps else 0)
-    return toks[off] if off < len(toks) else None
-
-
-def _facts(sentence: str | list[str], lexicon: lx.Lexicon | None, ablate: bool) -> SentenceFacts:
-    if lexicon is None:
-        lexicon = lx.default_lexicon()
-    return build_plan(analyze(sentence, lexicon), lexicon, ablate)
-
-
-def start_state(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
-                ablate: bool = False) -> DecoderState:
-    return DecoderState(conjuncts(_facts(sentence, lexicon, ablate)))
-
-
 def decode(sentence: str | list[str], lexicon: lx.Lexicon | None = None,
            ablate: bool = False) -> str:
     """Decode the logical form of one sentence."""
-    return serialize_facts(_facts(sentence, lexicon, ablate))
+    if lexicon is None:
+        lexicon = lx.default_lexicon()
+    return serialize_facts(build_plan(analyze(sentence, lexicon), lexicon, ablate))
 
 
 def decode_all(sentences: Sequence[str | list[str]], lexicon: lx.Lexicon | None = None,
@@ -126,8 +95,3 @@ def decode_all(sentences: Sequence[str | list[str]], lexicon: lx.Lexicon | None 
     return [analysis if isinstance(analysis, Failure)
             else serialize_facts(build_plan(analysis, lexicon, ablate))
             for analysis in analyze_all(sentences, lexicon)]
-
-
-def decode_ablated(sentence: str | list[str], lexicon: lx.Lexicon | None = None) -> str:
-    """decode() with the pp-prefix filter disabled during role binding."""
-    return decode(sentence, lexicon, ablate=True)

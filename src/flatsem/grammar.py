@@ -138,7 +138,6 @@ CODE_LEAVES: dict[int, tuple[str, ...]] = {
     lx.V_DAT: ("<v_dat_p1>", "<v_dat_p2>"),
     lx.V_DAT_PP: ("<v_dat_pp_p1>", "<v_dat_pp_p2>", "<v_dat_pp_p3>", "<v_dat_pp_p4>"),
     lx.V_UNACC_PP: ("<v_unacc_pp_p1>", "<v_unacc_pp_p2>"),
-    lx.V_NORMALIZED_IN_OUTPUT: (),
 }
 
 

@@ -5,7 +5,7 @@ Each input token maps to a small integer code.  Verbs are form-ambiguous
 infinitive-taker all at once), so a word carries up to four verb codes in
 fixed slots:
 
-    slot 1  active/main form       (9, 11, 15, 16, 17, 18, or 21)
+    slot 1  active/main form       (9, 11, 15, 16, 17, or 18)
     slot 2  passive participle     (10, 12, 19, 20)
     slot 3  clause-complement use  (13)
     slot 4  infinitive-taking use  (14)
@@ -15,6 +15,10 @@ plus the four slots.  Later analyses test slots directly (e.g. "is this word
 usable as a passive participle here?") instead of guessing a single tag.
 Each word's row of five codes is worked out once, when the ``Lexicon`` is
 built, so embedding is one lookup per token.
+
+Every entry is a word an input sentence may hold.  A verb's output label
+("sold" -> "sell") is the entry's stem; a stem that is no input word of its
+own has no entry, so a sentence holding one raises ``LexiconError``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ V_INF = 17
 V_DAT = 18
 V_DAT_PP = 19
 V_UNACC_PP = 20
-V_NORMALIZED_IN_OUTPUT = 21
 
 CATEGORY_CODES = {
     "det": DET,
@@ -68,15 +71,11 @@ CATEGORY_CODES = {
     "v_dat": V_DAT,
     "v_dat_pp": V_DAT_PP,
     "v_unacc_pp": V_UNACC_PP,
-    "v_normalized_in_output": V_NORMALIZED_IN_OUTPUT,
 }
 CODE_CATEGORIES = {v: k for k, v in CATEGORY_CODES.items()}
 
-NOUN_CODES = {COMMON_NOUN, PROPER_NOUN}
-SLOT1_CODES = {V_TRANS_OMISSIBLE, V_TRANS_NOT_OMISSIBLE, V_UNACC, V_UNERG, V_INF,
-               V_DAT, V_NORMALIZED_IN_OUTPUT}
+SLOT1_CODES = {V_TRANS_OMISSIBLE, V_TRANS_NOT_OMISSIBLE, V_UNACC, V_UNERG, V_INF, V_DAT}
 SLOT2_CODES = {V_TRANS_OMISSIBLE_PP, V_TRANS_NOT_OMISSIBLE_PP, V_DAT_PP, V_UNACC_PP}
-VERB_CODES = SLOT1_CODES | SLOT2_CODES | {V_CP_TAKING, V_INF_TAKING}
 
 
 class LexiconError(KeyError):
@@ -146,17 +145,6 @@ class Lexicon:
         if entry is None:
             raise LexiconError(f"word not in lexicon: {word!r}")
         return entry.stem
-
-    def is_nv_in_output(self, token: str) -> bool:
-        """Does this output token introduce a noun or verb instance?
-
-        True for nouns and for any verb form or stem; punctuation, parens,
-        digits, relation names and the like are not lexicon entries.
-        """
-        entry = self.entries.get(token.lower())
-        return entry is not None and any(
-            c in NOUN_CODES or c in VERB_CODES for c in entry.codes
-        )
 
     def words_for(self, category: str) -> tuple[str, ...]:
         return self._by_cat.get(category, ())

@@ -1,8 +1,8 @@
 """The logical form: its layout, parsing, equality notions, and split scoring.
 
 Logical-form layout.  ``SentenceFacts`` holds what a sentence asserts -- noun
-introductions, nmod links and verb groups -- and ``conjuncts`` lays them out;
-the tree oracle and the flat decoder both serialise through it:
+introductions, nmod links and verb groups -- and ``serialize_facts`` lays them
+out; the tree oracle and the flat decoder both serialise through it:
 
 * every noun is introduced in sentence order, ``[*] label ( idx ) ;`` with a
   star when its determiner is "the";
@@ -32,7 +32,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -65,26 +65,16 @@ class SentenceFacts:
     groups: list[VerbGroup] = field(default_factory=list)
 
 
-def conjuncts(facts: SentenceFacts) -> list[tuple[str, ...]]:
-    """The form's conjuncts in order, each but the last closed by the ";" or
-    "AND" that follows it."""
-    intros = [(("*",) if i.star else ()) + (i.label, "(", str(i.pos), ")")
-              for i in sorted(facts.intros, key=lambda i: i.pos)]
-    body = [(m.head_pos, ("nmod", ".", m.prep, "(", str(m.head_pos), ",", str(m.obj_pos), ")"))
-            for m in facts.nmods]
-    for g in facts.groups:
-        body.append((g.pos, (g.stem, "(", str(g.pos), ")")))
-        body += [(g.pos, (name, "(", str(left), ",", str(right), ")"))
-                 for name, left, right in g.relations]
-    body.sort(key=lambda item: item[0])
-    out = [c + (";",) for c in intros] + [c + ("AND",) for _, c in body]
-    if out:
-        out[-1] = out[-1][:-1]
-    return out
-
-
 def serialize_facts(facts: SentenceFacts) -> str:
-    return " ".join(tok for conjunct in conjuncts(facts) for tok in conjunct)
+    """The form: the noun introductions joined by ";", then the body joined by "AND"."""
+    intros = [f"{'* ' if i.star else ''}{i.label} ( {i.pos} )"
+              for i in sorted(facts.intros, key=lambda i: i.pos)]
+    body = [(m.head_pos, f"nmod . {m.prep} ( {m.head_pos} , {m.obj_pos} )") for m in facts.nmods]
+    for g in facts.groups:
+        body.append((g.pos, f"{g.stem} ( {g.pos} )"))
+        body += [(g.pos, f"{name} ( {left} , {right} )") for name, left, right in g.relations]
+    body.sort(key=lambda item: item[0])
+    return " ; ".join(intros + [" AND ".join(c for _, c in body)] if body else intros)
 
 
 class LfParseError(ValueError):
@@ -235,20 +225,6 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
     return extend(0)
 
 
-def to_graph(lf: str | Lf) -> dict[int, list[tuple[str, int]]]:
-    """Adjacency view with agent edges flipped so arrows follow "who acts on
-    whom": agent(v, n) becomes n -> v, everything else keeps left -> right."""
-    if isinstance(lf, str):
-        lf = parse_lf(lf)
-    adj: dict[int, list[tuple[str, int]]] = {i.idx: [] for i in lf.unary}
-    for r in lf.binary:
-        if r.name == "agent":
-            adj.setdefault(r.right, []).append((r.name, r.left))
-        else:
-            adj.setdefault(r.left, []).append((r.name, r.right))
-    return adj
-
-
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact binomial confidence interval for k successes out of n."""
     if not isinstance(k, Integral) or not isinstance(n, Integral):
@@ -333,13 +309,3 @@ def tally(scored: Iterable[ScoredRow], name: str = "split",
         if not sem and len(report.failures) < keep_failures:
             report.failures.append((sentence, gold, pred))
     return report
-
-
-def score_split(rows: Iterable[tuple[str, str, str]],
-                predict: Callable[[str], str],
-                name: str = "split",
-                keep_failures: int = 20) -> SplitReport:
-    """Run ``predict`` over (sentence, gold_lf, category) rows and tally
-    semantic / string exact match."""
-    return tally((score_row(sentence, gold, predict(sentence)) for sentence, gold, _ in rows),
-                 name, keep_failures)

@@ -223,15 +223,18 @@ def augment_v_dat_p2(rows: Sequence[tuple[str, str, str]],
     Eligible rows look like "liam gave the monkey a chalk in the container ."
     -- a double-object dative whose only pp modifies the second object -- and
     come back as "liam gave the monkey in the container a chalk ." with the
-    logical form rebuilt for the new positions.  Other rows contribute
-    nothing.
+    logical form rebuilt for the new positions.  Other rows, and rows that
+    hold a word outside the lexicon, contribute nothing.
     """
     if lexicon is None:
         lexicon = lx.default_lexicon()
     out = []
     for sentence, _lf, _category in rows:
         tokens = [t.lower() for t in sentence.split()]
-        tree = parse_sentence(tokens, lexicon)
+        try:
+            tree = parse_sentence(tokens, lexicon)
+        except lx.LexiconError:
+            continue
         if tree is None:
             continue
         clause = tree.children[0]

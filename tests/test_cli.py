@@ -167,7 +167,8 @@ def test_single_split_commands_reject_a_second_split(command, datadir, capsys):
     ["fuzz", "--pp-depth", "-5"],
     ["fuzz", "--cp-depth", "-3"],
     ["coverage", "--sentences", "x.txt", "--shuffles", "-4"],
-], ids=["n", "pp-depth", "cp-depth", "shuffles"])
+    ["analyze-errors", "--data", ".", "--show", "-1"],
+], ids=["n", "pp-depth", "cp-depth", "shuffles", "show"])
 def test_negative_counts_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -224,6 +225,66 @@ def test_coverage_parses_each_distinct_row_once(tmp_path, capsys, monkeypatch, l
         f"shuffles n=20 median={shuffles.median} p2.5={shuffles.lo} p97.5={shuffles.hi}",
     ]
     assert out.splitlines() == expected
+
+
+# One out-of-lexicon row: an unknown word, and a verb stem that is only ever
+# an output label.
+OUT_OF_LEXICON = ["emma saw zorblax .", "emma sell the cake ."]
+
+
+@pytest.mark.parametrize("oov", OUT_OF_LEXICON, ids=["zorblax", "sell"])
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--data", "DIR", "--split", "test", "--curve", "--shuffles", "3"],
+    ["coverage", "--sentences", "DIR/s.txt", "--curve", "--shuffles", "3"],
+], ids=["split", "sentences"])
+def test_coverage_reports_out_of_lexicon_rows(argv, oov, tmp_path, capsys, monkeypatch,
+                                              lexicon):
+    sentences = [AUGMENT_BEFORE[0], oov]
+    write_tsv(tmp_path / "test.tsv", [(s, "x ( 0 )", "x") for s in sentences])
+    (tmp_path / "s.txt").write_text("\n".join(sentences) + "\n")
+    cov_module = importlib.import_module("flatsem.coverage")
+    parsed = Counter()
+    real_parse = cov_module.parse_sentence
+
+    def counting_parse(tokens, *args, **kwargs):
+        parsed[tokens] += 1
+        return real_parse(tokens, *args, **kwargs)
+
+    monkeypatch.setattr(cov_module, "parse_sentence", counting_parse)
+    argv = [a.replace("DIR", str(tmp_path)) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert parsed == Counter(sentences)  # no row is parsed twice
+
+    monkeypatch.setattr(cov_module, "parse_sentence", real_parse)
+    covered = len(coverage(sentences[:1], lexicon).covered)
+    assert coverage_curve(sentences, lexicon).sizes == [covered, covered]
+    source = argv[2] if argv[1] == "--sentences" else "test"
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(f"coverage source={source} n=2 covered={covered} universe=52 ")
+    assert f"curve first_full=None final={covered}" in lines
+    assert lines[-1].startswith("shuffles n=3 median=None")
+    assert captured.err == (f"# source={source}: 1 rows hold words not in the lexicon, "
+                            "given no expansions\n")
+
+
+@pytest.mark.parametrize("oov", OUT_OF_LEXICON, ids=["zorblax", "sell"])
+def test_augment_skips_out_of_lexicon_rows(oov, tmp_path, capsys):
+    write_tsv(tmp_path / "test.tsv", [(oov, "emma ( 0 )", "x"),
+                                      (AUGMENT_BEFORE[0], AUGMENT_BEFORE[1], "x")])
+    assert main(["augment", "--data", str(tmp_path), "--split", "test"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["\t".join((*AUGMENT_AFTER, AUGMENTED_CATEGORY))]
+    assert captured.err == ("# augmented 1 of 2 rows\n"
+                            "# source=test: 1 rows hold words not in the lexicon, skipped\n")
+
+
+def test_run_scores_an_output_only_stem_as_out_of_lexicon(tmp_path, capsys):
+    write_tsv(tmp_path / "test.tsv", [(OUT_OF_LEXICON[1], "emma ( 0 )", "x")])
+    assert main(["run", "--data", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "split=test n=1 sem=0.0000 em=0.0000" in captured.out
+    assert "# split=test: 1 rows hold words not in the lexicon, scored as misses" in captured.err
 
 
 def test_fuzz_check_against_oracle(tmp_path, capsys):

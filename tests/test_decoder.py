@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -23,13 +21,13 @@ def test_golden_decodes(sentence, expected, lexicon):
 @pytest.mark.parametrize("sentence,clean,ablated,_", ATTRACTION_CASES)
 def test_ablated_decodes(sentence, clean, ablated, _, lexicon):
     assert dec.decode(sentence, lexicon) == clean
-    assert dec.decode_ablated(sentence, lexicon) == ablated
+    assert dec.decode(sentence, lexicon, ablate=True) == ablated
 
 
 @pytest.mark.parametrize("sentence", ["", [], ".", "  "])
 def test_empty_input_gives_the_empty_form(sentence, lexicon):
     assert dec.decode(sentence, lexicon) == ""
-    assert dec.decode_ablated(sentence, lexicon) == ""
+    assert dec.decode(sentence, lexicon, ablate=True) == ""
 
 
 def test_empty_input_analyzes_to_empty_sequences(lexicon):
@@ -42,41 +40,19 @@ def test_empty_input_analyzes_to_empty_sequences(lexicon):
 
 def test_ablation_changes_nothing_without_pp_subject(lexicon):
     s = "a boy painted the girl"
-    assert dec.decode(s, lexicon) == dec.decode_ablated(s, lexicon)
-
-
-def test_next_token_is_a_pure_function_of_prefix(lexicon):
-    """Replaying any output prefix into a fresh state continues identically."""
-    rng = random.Random(0)
-    for sentence in GOLDEN:
-        full = dec.decode(sentence, lexicon).split()
-        for cut in sorted(rng.sample(range(len(full)), k=min(5, len(full)))):
-            state = dec.start_state(sentence, lexicon)
-            state.out = full[:cut]
-            assert dec.next_token(state) == full[cut]
-        done = dec.start_state(sentence, lexicon)
-        done.out = list(full)
-        assert dec.next_token(done) is None
-
-
-def test_two_decodes_interleave_without_interference(lexicon):
-    a = dec.start_state("a boy painted the girl", lexicon)
-    b = dec.start_state("the captain ate .", lexicon)
-    states = [a, b]
-    while states:
-        for s in list(states):
-            tok = dec.next_token(s)
-            if tok is None:
-                states.remove(s)
-            else:
-                s.out.append(tok)
-    assert " ".join(a.out) == GOLDEN["a boy painted the girl"]
-    assert " ".join(b.out) == GOLDEN["the captain ate ."]
+    assert dec.decode(s, lexicon) == dec.decode(s, lexicon, ablate=True)
 
 
 def test_out_of_grammar_input_degrades_to_intros(lexicon):
     # no template matches, so only the noun preamble comes out
     assert dec.decode("shark .", lexicon) == "shark ( 0 )"
+
+
+def test_output_only_stem_is_out_of_lexicon(lexicon):
+    # "sell" is only ever an output label ("sold" -> "sell"), never an input word
+    with pytest.raises(LexiconError, match="'sell'"):
+        dec.decode("emma sell the cake .", lexicon)
+    assert isinstance(dec.decode_all(["emma sell the cake ."], lexicon)[0], LexiconError)
 
 
 def test_decode_agrees_with_oracle_on_goldens(lexicon):
@@ -93,7 +69,7 @@ def test_case_and_token_list_inputs(lexicon):
 def test_repeated_decodes_keep_ablation_variants_apart(lexicon):
     s = ATTRACTION_CASES[0][0]
     clean_1 = dec.decode(s, lexicon)
-    ablated = dec.decode_ablated(s, lexicon)
+    ablated = dec.decode(s, lexicon, ablate=True)
     clean_2 = dec.decode(s, lexicon)
     assert clean_1 == clean_2 != ablated
 
@@ -109,17 +85,6 @@ def test_flat_facts_equal_tree_facts(lexicon):
         flat = dec.build_plan(analyze(tokens, lexicon), lexicon)
         tree = sentence_facts(parse_sentence(tokens, lexicon), lexicon)
         assert by_position(flat) == by_position(tree), tokens
-
-
-@pytest.mark.parametrize("ablate", [False, True])
-def test_next_token_replays_decode_on_fuzzed_sentences(ablate, lexicon):
-    """Every prefix of decode()'s output continues with its next token."""
-    for tokens, _tree in fuzz_generate(60, lexicon, seed=5, pp_depth=3, cp_depth=3):
-        full = dec.decode(tokens, lexicon, ablate=ablate).split()
-        state = dec.start_state(tokens, lexicon, ablate=ablate)
-        for cut in range(len(full) + 1):
-            state.out = full[:cut]
-            assert dec.next_token(state) == (full[cut] if cut < len(full) else None)
 
 
 # Chains up to MAX_SEQ_LEN tokens (pp depth 168, clause depth 169), sampled.

@@ -18,6 +18,13 @@ def test_expansion_universe_size():
     assert not any(k.startswith("<common_noun>") for k in keys)
 
 
+def test_every_lexicon_entry_fills_a_grammar_leaf(lexicon):
+    """No lexicon row is embedded by the encoder yet used by no grammar leaf."""
+    idle = [word for word in lexicon.entries if not gr.leaf_classes(word, lexicon)]
+    assert idle == []
+    assert len(lexicon.entries) == 682
+
+
 def test_simple_transitive_structure():
     tree = gr.parse_sentence("a boy painted the girl")
     assert tree is not None

@@ -41,26 +41,20 @@ def test_stems(lexicon):
     assert lexicon.stem("painted") == "paint"
     assert lexicon.stem("ate") == "eat"
     assert lexicon.stem("gave") == "give"
-    assert lexicon.stem("smile") == "smile"
     assert lexicon.stem("cake") == "cake"
-
-
-def test_output_only_stem_has_own_row(lexicon):
     # "sold" normalizes to "sell", which never occurs as an input word
     assert lexicon.stem("sold") == "sell"
-    assert lexicon.codes("sell") == (lx.V_NORMALIZED_IN_OUTPUT,)
-    # ...while "paint" is already an input verb, so no extra row
-    assert lx.V_NORMALIZED_IN_OUTPUT not in lexicon.codes("paint")
 
 
-def test_is_nv_in_output(lexicon):
-    assert lexicon.is_nv_in_output("cake")
-    assert lexicon.is_nv_in_output("emma")
-    assert lexicon.is_nv_in_output("sell")
-    assert not lexicon.is_nv_in_output("the")
-    assert not lexicon.is_nv_in_output("agent")
-    assert not lexicon.is_nv_in_output("(")
-    assert not lexicon.is_nv_in_output("7")
+def test_output_only_stem_has_no_row(lexicon):
+    # "sell" is only ever an output label, so it is no lexicon word
+    assert "sell" not in lexicon
+    with pytest.raises(lx.LexiconError):
+        lexicon.codes("sell")
+    with pytest.raises(lx.LexiconError):
+        lexicon.embed(["emma", "sell", "the", "cake", "."])
+    # ...while "paint" is an input verb (an infinitive) as well as a stem
+    assert lexicon.codes("paint") == (lx.V_INF,)
 
 
 def test_embed_period_is_filler(lexicon):
@@ -98,7 +92,6 @@ def test_generalization_only_words_present(lexicon):
 def test_category_sizes(lexicon):
     assert len(lexicon.words_for("common_noun")) == 408
     assert len(lexicon.words_for("proper_noun")) == 103
-    assert len(lexicon.words_for("v_normalized_in_output")) == 112
 
 
 def test_shipped_tsv_matches_builder():

@@ -107,14 +107,6 @@ def test_sem_invariant_under_any_permutation(perm):
     assert lf.semantic_exact_match(gold, renumber(gold, table.__getitem__))
 
 
-def test_to_graph_flips_agent_edges():
-    assert lf.to_graph(TRANSITIVE) == {
-        1: [("agent", 2)],
-        2: [("theme", 4)],
-        4: [],
-    }
-
-
 def test_clopper_pearson_frozen_values():
     assert lf.clopper_pearson(3000, 3000) == pytest.approx((0.998771, 1.0), abs=1e-4)
     assert lf.clopper_pearson(1000, 1000) == pytest.approx((0.996318, 1.0), abs=1e-4)
@@ -169,20 +161,15 @@ def test_clopper_pearson_rejects_bad_input(k, n, alpha):
         lf.clopper_pearson(k, n, alpha)
 
 
-def test_score_split_counts_and_format():
-    rows = [
-        ("s1", TRANSITIVE, "x"),
-        ("s2", TRANSITIVE, "x"),
-        ("s3", TRANSITIVE, "x"),
-        ("s4", TRANSITIVE, "x"),
-    ]
+def test_tally_counts_and_format():
     answers = {
         "s1": TRANSITIVE,                            # string match
         "s2": renumber(TRANSITIVE, lambda i: i + 9),  # semantic only
         "s3": TRANSITIVE.replace("boy", "dog"),       # miss
         "s4": TRANSITIVE,                            # string match
     }
-    report = lf.score_split(rows, answers.__getitem__, name="demo")
+    report = lf.tally((lf.score_row(s, TRANSITIVE, pred) for s, pred in answers.items()),
+                      name="demo")
     assert (report.n, report.sem_hits, report.em_hits) == (4, 3, 2)
     assert report.sem == pytest.approx(0.75)
     assert report.em == pytest.approx(0.5)
@@ -193,8 +180,7 @@ def test_score_split_counts_and_format():
     )
 
 
-def test_score_split_failure_cap():
-    rows = [("s", TRANSITIVE, "x")] * 30
-    report = lf.score_split(rows, lambda s: "junk ( 0 )", keep_failures=5)
+def test_tally_failure_cap():
+    report = lf.tally([lf.score_row("s", TRANSITIVE, "junk ( 0 )")] * 30, keep_failures=5)
     assert report.sem_hits == 0
     assert len(report.failures) == 5
