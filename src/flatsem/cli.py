@@ -2,11 +2,11 @@
 
 Subcommands:
 
-* ``run``             decode a TSV split and score it (semantic + string EM)
-* ``coverage``        grammar-expansion coverage of a split or sentence file
-* ``fuzz``            generate random in-grammar sentences (+ oracle forms)
-* ``augment``         emit pp-moved double-object dative rows
-* ``analyze-errors``  classify decode mistakes, e.g. under the pp ablation
+* ``run``       decode TSV splits, score them (semantic + string EM) and
+                tally each row's kind, e.g. attraction under the pp ablation
+* ``coverage``  grammar-expansion coverage of splits or a sentence file
+* ``fuzz``      generate random in-grammar sentences (+ oracle forms)
+* ``augment``   emit pp-moved double-object dative rows
 
 Paths may also come from the environment: RR_DATA (--data), RR_LEXICON
 (--lexicon) and RR_OUT (--out).  Explicit flags win.
@@ -75,8 +75,8 @@ def _split_paths(args) -> list[tuple[str, Path]]:
 
 
 def _split_rows(name: str, path: Path, args) -> list[Row]:
-    """The rows of one split that ``run`` / ``analyze-errors`` score; a split
-    left with none is noted on stderr."""
+    """The rows of one split that ``run`` scores; a split left with none is
+    noted on stderr."""
     rows = load_tsv(path, drop_augmented=args.drop_augmented)
     if args.max_len is not None:
         kept = [r for r in rows if len(r[0].split()) <= args.max_len]
@@ -129,7 +129,7 @@ def _count_oov(sentences: list[str], lexicon: Lexicon) -> Counter:
 def cmd_run(args) -> int:
     lexicon = _get_lexicon(args)
     lines: list[str] = []
-    failed = 0  # undecodable rows, plus splits with no rows to score
+    shown = failed = 0  # failed: undecodable rows, plus splits with no rows to score
     for name, path in _split_paths(args):
         rows = _split_rows(name, path, args)
         if not rows:
@@ -138,8 +138,17 @@ def cmd_run(args) -> int:
         decoded = _decode_split(rows, lexicon, args.ablate_no_pp_rule)
         scored = [score_row(sentence, gold, pred)
                   for (sentence, gold, _cat), (pred, _kind) in zip(rows, decoded)]
-        failed += _report_undecodable(f"split={name}", Counter(kind for _, kind in decoded),
-                                      "scored as misses")
+        kinds: Counter = Counter()
+        for (sentence, gold, pred, sem, em), (_, failure) in zip(scored, decoded):
+            # a hit's kind comes from its scores; only a decoded miss is classified
+            report = None if failure or sem else oracle.classify_error(gold, pred)
+            kind = failure or ("exact" if em else "equivalent" if sem else report.kind)
+            kinds[kind] += 1
+            if not sem and shown < args.show:
+                shown += 1
+                print(f"[{kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
+                      + (f"\n  {report.detail}" if report and report.detail else ""))
+        failed += _report_undecodable(f"split={name}", kinds, "scored as misses")
         lines.append(tally(scored, name).format())
         if name == "gen":
             by_cat: dict[str, list[ScoredRow]] = {}
@@ -147,6 +156,8 @@ def cmd_run(args) -> int:
                 by_cat.setdefault(cat or "uncategorized", []).append(row)
             for cat in sorted(by_cat):
                 lines.append(tally(by_cat[cat], f"gen/{cat}").format())
+        lines += [f"split={name} kind={kind} count={count} frac={count / len(rows):.4f}"
+                  for kind, count in sorted(kinds.items())]
     if lines:
         print("\n".join(lines))
     if args.out:
@@ -157,31 +168,32 @@ def cmd_run(args) -> int:
 def cmd_coverage(args) -> int:
     lexicon = _get_lexicon(args)
     if args.sentences:
-        sentences = [ln for ln in Path(args.sentences).read_text().splitlines() if ln.strip()]
-        label = args.sentences
+        sources = [(args.sentences, [ln for ln in Path(args.sentences).read_text().splitlines()
+                                     if ln.strip()])]
     else:
-        (name, path), = _split_paths(args)
-        sentences = [r[0] for r in load_tsv(path)]
-        label = name
-    oov = _count_oov(sentences, lexicon)
-    rows = row_expansions(sentences, lexicon)
-    result = CoverageResult.from_rows(rows)
-    print(f"coverage source={label} n={len(sentences)} covered={len(result.covered)} "
-          f"universe={len(result.universe)} fraction={result.fraction}")
-    for key in sorted(result.missing):
-        print(f"missing {key}")
-    if args.curve:
-        curve = CurveResult.from_rows(rows)
-        print(f"curve first_full={curve.first_full} final={curve.final}")
-    if args.shuffles and result.missing:
-        # the covered set does not depend on row order, so no shuffle fills it
-        print(f"shuffles n={args.shuffles} median=None p2.5=None p97.5=None "
-              "(no row order reaches full coverage)")
-    elif args.shuffles:
-        res = ShuffleResult.from_rows(rows, n_shuffles=args.shuffles, seed=args.seed)
-        print(f"shuffles n={args.shuffles} median={res.median} "
-              f"p2.5={res.lo} p97.5={res.hi}")
-    return 1 if _report_undecodable(f"source={label}", oov, "given no expansions") else 0
+        sources = ((name, [r[0] for r in load_tsv(path)]) for name, path in _split_paths(args))
+    failed = 0  # rows with a word outside the lexicon
+    for label, sentences in sources:
+        oov = _count_oov(sentences, lexicon)
+        rows = row_expansions(sentences, lexicon)
+        result = CoverageResult.from_rows(rows)
+        print(f"coverage source={label} n={len(sentences)} covered={len(result.covered)} "
+              f"universe={len(result.universe)} fraction={result.fraction}")
+        for key in sorted(result.missing):
+            print(f"missing {key}")
+        if args.curve:
+            curve = CurveResult.from_rows(rows)
+            print(f"curve first_full={curve.first_full} final={curve.final}")
+        if args.shuffles and result.missing:
+            # the covered set does not depend on row order, so no shuffle fills it
+            print(f"shuffles n={args.shuffles} median=None p2.5=None p97.5=None "
+                  "(no row order reaches full coverage)")
+        elif args.shuffles:
+            res = ShuffleResult.from_rows(rows, n_shuffles=args.shuffles, seed=args.seed)
+            print(f"shuffles n={args.shuffles} median={res.median} "
+                  f"p2.5={res.lo} p97.5={res.hi}")
+        failed += _report_undecodable(f"source={label}", oov, "given no expansions")
+    return 1 if failed else 0
 
 
 def cmd_fuzz(args) -> int:
@@ -211,44 +223,20 @@ def cmd_fuzz(args) -> int:
 
 def cmd_augment(args) -> int:
     lexicon = _get_lexicon(args)
-    if args.infile:
-        rows = load_tsv(args.infile)
-    else:
-        (name, path), = _split_paths(args)
+    augmented: list[Row] = []
+    failed = 0  # rows with a word outside the lexicon
+    for name, path in _split_paths(args):
         rows = load_tsv(path)
-    augmented = oracle.augment_v_dat_p2(rows, lexicon)
+        new = oracle.augment_v_dat_p2(rows, lexicon)
+        augmented += new
+        print(f"# augmented {len(new)} of {len(rows)} rows", file=sys.stderr)
+        oov = _count_oov([sentence for sentence, _, _ in rows], lexicon)
+        failed += _report_undecodable(f"source={name}", oov, "skipped")
     if args.out:
         write_tsv(args.out, augmented)
     else:
         for row in augmented:
             print("\t".join(row))
-    print(f"# augmented {len(augmented)} of {len(rows)} rows", file=sys.stderr)
-    oov = _count_oov([sentence for sentence, _, _ in rows], lexicon)
-    return 1 if _report_undecodable(f"source={args.infile or name}", oov, "skipped") else 0
-
-
-def cmd_analyze_errors(args) -> int:
-    lexicon = _get_lexicon(args)
-    shown = failed = 0  # failed: undecodable rows, plus splits with no rows to score
-    for name, path in _split_paths(args):
-        rows = _split_rows(name, path, args)
-        if not rows:
-            failed += 1
-            continue
-        kinds: Counter = Counter()
-        for (sentence, gold, _cat), (pred, failure) in zip(
-                rows, _decode_split(rows, lexicon, args.ablate_no_pp_rule)):
-            report = oracle.classify_error(gold, pred) if failure is None else None
-            kind = failure or report.kind
-            kinds[kind] += 1
-            if kind not in ("exact", "equivalent") and shown < args.show:
-                shown += 1
-                print(f"[{kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
-                      + (f"\n  {report.detail}" if report and report.detail else ""))
-        total = sum(kinds.values())
-        for kind in sorted(kinds):
-            print(f"split={name} kind={kind} count={kinds[kind]} frac={kinds[kind] / total:.4f}")
-        failed += _report_undecodable(f"split={name}", kinds, "left undecoded")
     return 1 if failed else 0
 
 
@@ -268,16 +256,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-class _OneSplit(argparse.Action):
-    """``--split`` for a command that reads one split: a second one is a usage
-    error.  The value is kept as a one-name list, the shape ``_split_paths`` reads."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            parser.error(f"{option_string} may be given only once for this command")
-        setattr(namespace, self.dest, [values])
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flatsem", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -285,27 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="alternative lexicon TSV (default: bundled)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_data_args(p, decodes=True):
-        """Commands that decode read every --split given; the others read one."""
+    def add_data_args(p):
         p.add_argument("--data", default=os.environ.get("RR_DATA"),
                        help="directory with <split>.tsv files")
-        if decodes:
-            p.add_argument("--split", action="append", help="split name (repeatable)")
-            p.add_argument("--max-len", type=positive_int,
-                           help="skip sentences longer than this many tokens")
-        else:
-            p.add_argument("--split", action=_OneSplit, help="split name")
+        p.add_argument("--split", action="append",
+                       help="split name (repeatable; default test)")
 
-    p = sub.add_parser("run", help="decode a split and score it")
+    p = sub.add_parser("run", help="decode splits, score them and tally each row's kind")
     add_data_args(p)
+    p.add_argument("--max-len", type=positive_int,
+                   help="skip sentences longer than this many tokens")
     p.add_argument("--ablate-no-pp-rule", action="store_true",
                    help="bind roles without filtering pp-prefixed nouns")
     p.add_argument("--drop-augmented", action="store_true")
+    p.add_argument("--show", type=non_negative_int, default=0,
+                   help="print this many mistakes in full")
     p.add_argument("--out", default=os.environ.get("RR_OUT"), help="also write the report here")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("coverage", help="expansion coverage of sentences")
-    add_data_args(p, decodes=False)
+    add_data_args(p)
     p.add_argument("--sentences", help="plain text file, one sentence per line")
     p.add_argument("--curve", action="store_true", help="cumulative coverage curve")
     p.add_argument("--shuffles", type=non_negative_int, default=0, help="row-order shuffle experiment")
@@ -324,18 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("augment", help="move datives' theme pp to the recipient")
-    add_data_args(p, decodes=False)
-    p.add_argument("--in", dest="infile", help="explicit input TSV (instead of --data/--split)")
+    add_data_args(p)
     p.add_argument("--out", default=os.environ.get("RR_OUT"))
     p.set_defaults(fn=cmd_augment)
-
-    p = sub.add_parser("analyze-errors", help="classify decode mistakes on a split")
-    add_data_args(p)
-    p.add_argument("--ablate-no-pp-rule", action="store_true")
-    p.add_argument("--drop-augmented", action="store_true")
-    p.add_argument("--show", type=non_negative_int, default=5,
-                   help="print this many mistakes in full")
-    p.set_defaults(fn=cmd_analyze_errors)
     return ap
 
 

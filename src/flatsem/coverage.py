@@ -32,7 +32,9 @@ def row_expansions(sentences: Iterable[str | list[str]],
                    lexicon: lx.Lexicon | None = None) -> list[frozenset[str]]:
     """The expansion keys of each row's parse, empty for a row that does not
     parse or holds a word outside the lexicon.  Each distinct row is parsed
-    once."""
+    once.  A lone string is no list of sentences, and raises ``TypeError``."""
+    if isinstance(sentences, str):
+        raise TypeError("row_expansions takes a list of sentences, not one string")
     if lexicon is None:
         lexicon = lx.default_lexicon()
     by_row: dict[str, frozenset[str]] = {}
@@ -112,6 +114,8 @@ class ShuffleResult:
                   seed: int = 0) -> "ShuffleResult":
         """Distribution of the full-coverage index over row-order shuffles;
         a thousand shuffles of a training-sized corpus cost set unions only."""
+        if n_shuffles < 1:
+            raise ValueError(f"n_shuffles must be at least 1, got {n_shuffles}")
         universe = all_expansion_keys()
         rng = random.Random(seed)
         order = list(range(len(rows)))

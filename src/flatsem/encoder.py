@@ -272,7 +272,10 @@ def analyze_all(token_lists: Sequence[list[str] | str], lexicon: lx.Lexicon | No
     of the longest length needs alone.  A sentence longer than ``MAX_SEQ_LEN``
     or holding a word the lexicon lacks gets its ``SequenceTooLongError`` or
     ``LexiconError`` as its entry; the other sentences are still analysed.
+    A lone string is no list of sentences, and raises ``TypeError``.
     """
+    if isinstance(token_lists, str):
+        raise TypeError("analyze_all takes a list of sentences, not one string")
     if lexicon is None:
         lexicon = lx.default_lexicon()
     out: list = []

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from flatsem import decoder
+from flatsem import decoder, oracle
 from flatsem.cli import load_tsv, main, write_tsv
 from flatsem.coverage import coverage, coverage_curve, shuffle_experiment
 from flatsem.fuzz import fuzz_generate, pp_chain_sentence
@@ -142,9 +142,10 @@ def test_coverage_shuffles_without_full_coverage(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["coverage", "--sentences", "x.txt", "--max-len", "5"],
-    ["augment", "--in", "x.tsv", "--max-len", "5"],
+    ["augment", "--data", ".", "--max-len", "5"],
     ["run", "--data", ".", "--use_dev_split"],
-    ["analyze-errors", "--data", ".", "--use_gen_split"],
+    ["analyze-errors", "--data", ".", "--split", "dev"],  # now run's kind lines
+    ["augment", "--in", "x.tsv"],  # --data DIR --split NAME names the same file
 ])
 def test_removed_options_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -153,13 +154,24 @@ def test_removed_options_are_rejected(argv):
 
 
 @pytest.mark.parametrize("command", ["coverage", "augment"])
-def test_single_split_commands_reject_a_second_split(command, datadir, capsys):
-    assert main([command, "--data", str(datadir), "--split", "dev"]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--data", str(datadir), "--split", "dev", "--split", "dev"])
-    assert exc.value.code == 2  # argparse usage error, no traceback
-    assert "--split may be given only once for this command" in capsys.readouterr().err
+def test_split_commands_read_every_split(command, tmp_path, capsys):
+    """Two splits give the two one-split reports, one after the other; the
+    command exits 1 when either split holds an out-of-lexicon row."""
+    write_tsv(tmp_path / "dev.tsv", [(AUGMENT_BEFORE[0], AUGMENT_BEFORE[1], "x"),
+                                     ("a boy painted the girl", "x ( 0 )", "x")])
+    write_tsv(tmp_path / "test.tsv", [(OUT_OF_LEXICON[0], "x ( 0 )", "x"),
+                                      (AUGMENT_BEFORE[0], AUGMENT_BEFORE[1], "x")])
+    alone = {}
+    for name in ("dev", "test"):
+        code = main([command, "--data", str(tmp_path), "--split", name])
+        alone[name] = code, capsys.readouterr()
+    assert [code for code, _ in alone.values()] == [0, 1]
+    for pair, code in ((["dev", "test"], 1), (["test", "dev"], 1), (["dev", "dev"], 0)):
+        assert main([command, "--data", str(tmp_path), "--split", pair[0],
+                     "--split", pair[1]]) == code
+        both = capsys.readouterr()
+        assert both.out == "".join(alone[name][1].out for name in pair)
+        assert both.err == "".join(alone[name][1].err for name in pair)
 
 
 @pytest.mark.parametrize("argv", [
@@ -167,7 +179,7 @@ def test_single_split_commands_reject_a_second_split(command, datadir, capsys):
     ["fuzz", "--pp-depth", "-5"],
     ["fuzz", "--cp-depth", "-3"],
     ["coverage", "--sentences", "x.txt", "--shuffles", "-4"],
-    ["analyze-errors", "--data", ".", "--show", "-1"],
+    ["run", "--data", ".", "--show", "-1"],
 ], ids=["n", "pp-depth", "cp-depth", "shuffles", "show"])
 def test_negative_counts_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -305,27 +317,57 @@ def test_fuzz_seed_reproducible(capsys):
 
 
 def test_augment_from_file(tmp_path, capsys):
-    src = tmp_path / "train.tsv"
-    write_tsv(src, [
+    write_tsv(tmp_path / "train.tsv", [
         (AUGMENT_BEFORE[0], AUGMENT_BEFORE[1], "in_distribution"),
         ("a boy painted the girl", GOLDEN["a boy painted the girl"], "in_distribution"),
     ])
     out_file = tmp_path / "aug.tsv"
-    main(["augment", "--in", str(src), "--out", str(out_file)])
+    assert main(["augment", "--data", str(tmp_path), "--split", "train",
+                 "--out", str(out_file)]) == 0
     assert load_tsv(out_file) == [(AUGMENT_AFTER[0], AUGMENT_AFTER[1], AUGMENTED_CATEGORY)]
     assert "# augmented 1 of 2 rows" in capsys.readouterr().err
 
 
-def test_analyze_errors_tallies_attraction(tmp_path, capsys):
+def test_run_tallies_attraction(tmp_path, capsys):
     rows = [(s, clean, "x") for s, clean, _, _ in ATTRACTION_CASES]
     write_tsv(tmp_path / "dev.tsv", rows)
-    main(["analyze-errors", "--data", str(tmp_path), "--split", "dev",
-          "--ablate-no-pp-rule", "--show", "1"])
+    report = tmp_path / "report.txt"
+    main(["run", "--data", str(tmp_path), "--split", "dev", "--ablate-no-pp-rule",
+          "--show", "1", "--out", str(report)])
     out = capsys.readouterr().out
-    assert f"kind=attraction count={len(rows)}" in out
     assert out.count("[attraction]") == 1  # --show caps the detail dumps
-    main(["analyze-errors", "--data", str(tmp_path), "--split", "dev"])
-    assert f"kind=exact count={len(rows)}" in capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[-2].startswith(f"split=dev n={len(rows)} sem=0.0000 em=0.0000 ")
+    assert lines[-1] == f"split=dev kind=attraction count={len(rows)} frac=1.0000"
+    assert report.read_text().splitlines() == lines[-2:]  # no mistake blocks
+    main(["run", "--data", str(tmp_path), "--split", "dev"])
+    assert f"split=dev kind=exact count={len(rows)} frac=1.0000" in capsys.readouterr().out
+
+
+def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
+    """A hit is ``exact`` or ``equivalent`` by its scores; only a miss the
+    decoder read goes through ``classify_error``."""
+    sentence = "a boy painted the girl"
+    gold = GOLDEN[sentence]
+    head, body = gold.split(" ; ")[:-1], gold.split(" ; ")[-1]
+    reordered = " ; ".join([*head, " AND ".join(reversed(body.split(" AND ")))])
+    write_tsv(tmp_path / "dev.tsv", [(sentence, gold, "x"), (sentence, reordered, "x"),
+                                     (sentence, "boy ( 1 )", "x")])
+    classified = []
+    real_classify = oracle.classify_error
+
+    def counting_classify(expected, actual):
+        classified.append(expected)
+        return real_classify(expected, actual)
+
+    monkeypatch.setattr(oracle, "classify_error", counting_classify)
+    assert main(["run", "--data", str(tmp_path), "--split", "dev", "--show", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert classified == ["boy ( 1 )"]
+    assert lines[:2] == [f"[other] {sentence}", "  gold: boy ( 1 )"]
+    assert lines[-3:] == ["split=dev kind=equivalent count=1 frac=0.3333",
+                          "split=dev kind=exact count=1 frac=0.3333",
+                          "split=dev kind=other count=1 frac=0.3333"]
 
 
 def test_explicit_lexicon_flag(datadir, capsys):
@@ -334,23 +376,27 @@ def test_explicit_lexicon_flag(datadir, capsys):
     assert "sem=1.0000" in capsys.readouterr().out
 
 
-def test_analyze_errors_tallies_each_split_apart(tmp_path, capsys):
+def test_run_tallies_each_split_apart(tmp_path, capsys):
     sentence, clean, _ablated, _ = ATTRACTION_CASES[0]
     for name in ("dev", "test"):
         write_tsv(tmp_path / f"{name}.tsv", [(sentence, clean, "x")])
-    main(["analyze-errors", "--data", str(tmp_path), "--split", "dev", "--split", "test"])
-    out = capsys.readouterr().out
-    assert "split=dev kind=exact count=1 frac=1.0000" in out
-    assert "split=test kind=exact count=1 frac=1.0000" in out
+    main(["run", "--data", str(tmp_path), "--split", "dev", "--split", "test"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["split=dev", "n=1"], ["split=dev", "kind=exact"],
+        ["split=test", "n=1"], ["split=test", "kind=exact"],
+    ]
+    assert "split=dev kind=exact count=1 frac=1.0000" in lines
+    assert "split=test kind=exact count=1 frac=1.0000" in lines
 
 
-def test_analyze_errors_tallies_out_of_lexicon_rows(tmp_path, capsys):
+def test_run_tallies_out_of_lexicon_rows(tmp_path, capsys):
     rows = [
         ("emma saw zorblax .", "emma ( 0 )", "x"),
         ("a boy painted the girl", GOLDEN["a boy painted the girl"], "x"),
     ]
     write_tsv(tmp_path / "dev.tsv", rows)
-    assert main(["analyze-errors", "--data", str(tmp_path), "--split", "dev"]) == 1
+    assert main(["run", "--data", str(tmp_path), "--split", "dev"]) == 1
     captured = capsys.readouterr()
     assert "split=dev kind=oov count=1 frac=0.5000" in captured.out
     assert "split=dev kind=exact count=1 frac=0.5000" in captured.out
@@ -370,26 +416,31 @@ def test_run_scores_overlong_rows_as_misses(tmp_path, capsys):
     assert "1 rows are longer than 512 tokens" in captured.err
 
 
-@pytest.mark.parametrize("command", ["run", "analyze-errors"])
+# run as it scores, and with the mistake blocks shown
+RUN_SHOWING = pytest.mark.parametrize("command", [["run"], ["run", "--show", "100"]],
+                                      ids=["run", "show"])
+
+
+@RUN_SHOWING
 @pytest.mark.parametrize("limit", ["0", "-5"])
 def test_max_len_must_be_positive(command, limit, datadir, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--data", str(datadir), "--split", "dev", "--max-len", limit])
+        main([*command, "--data", str(datadir), "--split", "dev", "--max-len", limit])
     assert exc.value.code == 2  # argparse usage error
     assert f"argument --max-len: must be a positive integer, got {limit}" in capsys.readouterr().err
-    assert main([command, "--data", str(datadir), "--split", "dev", "--max-len", "1"]) == 1
+    assert main([*command, "--data", str(datadir), "--split", "dev", "--max-len", "1"]) == 1
 
 
-@pytest.mark.parametrize("command", ["run", "analyze-errors"])
+@RUN_SHOWING
 def test_a_split_with_no_rows_is_reported_not_scored(command, datadir, capsys):
     (datadir / "test.tsv").write_text("")
-    assert main([command, "--data", str(datadir), "--split", "test", "--split", "dev"]) == 1
+    assert main([*command, "--data", str(datadir), "--split", "test", "--split", "dev"]) == 1
     captured = capsys.readouterr()
     assert "# split=test: no rows to score" in captured.err
     assert "split=test " not in captured.out
     assert "split=dev " in captured.out  # the other split is still scored
 
-    assert main([command, "--data", str(datadir), "--split", "dev", "--max-len", "2"]) == 1
+    assert main([*command, "--data", str(datadir), "--split", "dev", "--max-len", "2"]) == 1
     captured = capsys.readouterr()
     assert f"# skipped {len(GOLDEN)} rows longer than 2 tokens" in captured.err
     assert "# split=dev: no rows to score" in captured.err
@@ -424,11 +475,10 @@ def _per_row_decode_all(sentences, lexicon=None, ablate=False):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--split", "test", "--split", "gen"],
-    ["run", "--split", "test", "--split", "gen", "--ablate-no-pp-rule"],
-    ["analyze-errors", "--split", "test", "--split", "gen", "--show", "100"],
-    ["analyze-errors", "--split", "test", "--split", "gen", "--show", "100",
-     "--ablate-no-pp-rule"],
+    ["run", "--split", "test", "--split", "gen", "--show", "0"],
+    ["run", "--split", "test", "--split", "gen", "--show", "0", "--ablate-no-pp-rule"],
+    ["run", "--split", "test", "--split", "gen", "--show", "100"],
+    ["run", "--split", "test", "--split", "gen", "--show", "100", "--ablate-no-pp-rule"],
 ])
 def test_split_commands_decode_each_split_in_one_batched_call(argv, tmp_path, capsys,
                                                               monkeypatch, lexicon):

@@ -102,3 +102,20 @@ def test_shuffle_experiment_deterministic(lexicon):
 def test_shuffle_experiment_needs_full_corpus(lexicon):
     with pytest.raises(ValueError):
         shuffle_experiment(NONSENSE_21, lexicon, n_shuffles=2)
+
+
+def test_row_expansions_rejects_a_lone_string(lexicon):
+    # a string is iterable, so it would otherwise be read one character a row
+    for report in (row_expansions, coverage, coverage_curve, shuffle_experiment):
+        with pytest.raises(TypeError, match="list of sentences"):
+            report("emma smiled .", lexicon)
+    assert coverage(["emma smiled ."], lexicon).covered
+
+
+@pytest.mark.parametrize("n_shuffles", [0, -3])
+def test_shuffles_need_at_least_one(n_shuffles, lexicon):
+    rows = row_expansions(HANDPICKED_19 + CLOSING_2, lexicon)
+    with pytest.raises(ValueError, match="n_shuffles must be at least 1"):
+        ShuffleResult.from_rows(rows, n_shuffles=n_shuffles)
+    with pytest.raises(ValueError, match="n_shuffles must be at least 1"):
+        shuffle_experiment(HANDPICKED_19 + CLOSING_2, lexicon, n_shuffles=n_shuffles)

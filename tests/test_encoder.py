@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from flatsem import encoder as enc
 from flatsem import grammar as gr
 from flatsem import oracle as orc
+from flatsem.decoder import decode_all
 from flatsem.fuzz import fuzz_generate
 from flatsem.seq import SequenceTooLongError
 
@@ -117,6 +120,16 @@ def test_analyze_accepts_string_or_tokens(lexicon):
     assert by_str.clauses[0].template == by_tok.clauses[0].template
 
 
+def test_analyze_all_rejects_a_lone_string(lexicon):
+    # a string is iterable, so it would otherwise be read one character a row
+    with pytest.raises(TypeError, match="list of sentences"):
+        enc.analyze_all("emma smiled .", lexicon)
+    with pytest.raises(TypeError, match="list of sentences"):
+        decode_all("emma smiled .", lexicon)
+    assert [a.tokens for a in enc.analyze_all(["emma smiled ."], lexicon)] == [
+        ["emma", "smiled", "."]]
+
+
 def test_length_cap(lexicon):
     with pytest.raises(SequenceTooLongError):
         enc.analyze(["the"] * 513, lexicon)
@@ -155,3 +168,37 @@ def test_analyze_shifts_each_sequence_once(lexicon, monkeypatch):
                             calls.append(_name) or _real(*a, **k))
     enc.analyze("a boy beside the tree painted the cake .", lexicon)
     assert sorted(calls) == ["shift_left", "shift_right", "shift_right", "shift_right"]
+
+
+def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
+    """Rows and code sets are one-to-one, and a sentence whose words are each
+    swapped for a word of the same class analyses the same: a row stands for
+    all of its words."""
+    code_sets = {}
+    for word, entry in lexicon.entries.items():
+        code_sets.setdefault(lexicon._rows[word], set()).add(frozenset(entry.codes))
+    assert len(code_sets) == 29
+    assert all(len(sets) == 1 for sets in code_sets.values())
+    assert len({frozenset(entry.codes) for entry in lexicon.entries.values()}) == 29
+    # the words the encoder cannot tell apart: one class per row, with "the"
+    # apart, since star_mask reads it by identity
+    classes = {}
+    for word in [*lexicon.entries, "."]:
+        classes.setdefault("the" if word == "the" else lexicon._rows[word], []).append(word)
+    assert len(classes) == 31
+    assert len([key for key in classes if key != lexicon._rows["."]]) == 30
+
+    def structure(a):
+        return (a.n_eff, a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible,
+                a.ordinals, a.star, a.pps, a.clauses)
+
+    rng = random.Random(11)
+    swapped = 0
+    for tokens, _tree in fuzz_generate(300, lexicon, seed=11, pp_depth=3, cp_depth=3):
+        other = [rng.choice(classes["the" if t == "the" else lexicon._rows[t]]) for t in tokens]
+        swapped += other != tokens
+        assert structure(enc.analyze(other, lexicon)) == structure(enc.analyze(tokens, lexicon))
+    assert swapped == 300
+    # and "the" is read by identity: "a" in its place drops the star
+    assert enc.analyze("the cake burned .", lexicon).star == [0, 1, 0, 0]
+    assert enc.analyze("a cake burned .", lexicon).star == [0, 0, 0, 0]
