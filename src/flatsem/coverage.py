@@ -7,13 +7,18 @@ curve/shuffle machinery asks how quickly a row stream covers everything --
 each consumed row advances the example counter whether or not it parses, so
 "full coverage at example k" has one fixed meaning.
 
-All three reports are folds over one pass, ``row_expansions``, which parses
-each distinct row once and gives every row its set of expansion keys:
-``CoverageResult.from_rows`` unions them, ``CurveResult.from_rows`` counts
-the union row by row, and ``ShuffleResult.from_rows`` repeats that count over
-shuffled row orders.  ``coverage``, ``coverage_curve`` and
-``shuffle_experiment`` run the pass and then their fold; ``flatsem coverage``
-runs the pass once and hands it to every report it prints.
+All three reports are folds over one pass, ``row_expansions``, which gives
+every row its set of expansion keys.  The parser reads a word only through
+its leaf classes (``grammar.leaf_classes``), so rows with one word-class
+sequence share a key set, and the pass parses once per such sequence:
+"the boy saw emma ." and "a cat ate liam ." are one parse.
+``CoverageResult.from_rows`` unions the key sets, ``CurveResult.from_rows``
+counts the union row by row, and ``ShuffleResult.from_rows`` finds where
+that count first reaches the universe over random row orders -- in numpy,
+as the latest first occurrence over keys, without replaying the unions.
+``coverage``, ``coverage_curve`` and ``shuffle_experiment`` run the pass and
+then their fold; ``flatsem coverage`` runs the pass once and hands it to
+every report it prints.
 """
 
 from __future__ import annotations
@@ -24,30 +29,38 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from . import lexicon as lx
-from .grammar import all_expansion_keys, parse_sentence, tree_expansions
+from .grammar import all_expansion_keys, leaf_classes, parse_sentence, tree_expansions
 
 
 def row_expansions(sentences: Iterable[str | list[str]],
                    lexicon: lx.Lexicon | None = None) -> list[frozenset[str]]:
     """The expansion keys of each row's parse, empty for a row that does not
-    parse or holds a word outside the lexicon.  Each distinct row is parsed
-    once.  A lone string is no list of sentences, and raises ``TypeError``."""
+    parse or holds a word outside the lexicon.  Rows are parsed once per
+    distinct word-class sequence, as rows that differ only in words of the
+    same leaf classes have one parse shape; a row outside the lexicon is not
+    parsed.  A lone string is no list of sentences, and raises ``TypeError``."""
     if isinstance(sentences, str):
         raise TypeError("row_expansions takes a list of sentences, not one string")
     if lexicon is None:
         lexicon = lx.default_lexicon()
-    by_row: dict[str, frozenset[str]] = {}
+    by_shape: dict[tuple[frozenset[str], ...], frozenset[str]] = {}
     out = []
     for s in sentences:
-        key = s if isinstance(s, str) else " ".join(s)
-        if key not in by_row:
-            try:
-                tree = parse_sentence(s, lexicon)
-            except lx.LexiconError:
-                tree = None
-            by_row[key] = frozenset(tree_expansions(tree)) if tree is not None else frozenset()
-        out.append(by_row[key])
+        tokens = s.split() if isinstance(s, str) else list(s)
+        if tokens[-1:] == ["."]:
+            tokens.pop()  # parse_sentence skips a final "." too
+        try:
+            shape = tuple(leaf_classes(t, lexicon) for t in tokens)
+        except lx.LexiconError:
+            out.append(frozenset())
+            continue
+        if shape not in by_shape:
+            tree = parse_sentence(s, lexicon)
+            by_shape[shape] = frozenset(tree_expansions(tree)) if tree is not None else frozenset()
+        out.append(by_shape[shape])
     return out
 
 
@@ -112,24 +125,34 @@ class ShuffleResult:
     @classmethod
     def from_rows(cls, rows: Sequence[frozenset[str]], n_shuffles: int = 1000,
                   seed: int = 0) -> "ShuffleResult":
-        """Distribution of the full-coverage index over row-order shuffles;
-        a thousand shuffles of a training-sized corpus cost set unions only."""
+        """Distribution of the full-coverage index over row-order shuffles.
+        The rows are read once, to list those holding each key; no shuffle
+        replays the set unions.
+
+        Each shuffle draws one 64-bit key per row from ``random.Random(seed)``
+        and orders the rows by it (stably, so ties keep row order).  Full
+        coverage arrives with the last key of the universe to appear, and a
+        key appears with the earliest of its rows: the index is one more
+        than the max over keys of the min rank of their rows."""
         if n_shuffles < 1:
             raise ValueError(f"n_shuffles must be at least 1, got {n_shuffles}")
-        universe = all_expansion_keys()
+        members: dict[str, list[int]] = {key: [] for key in all_expansion_keys()}
+        for r, exps in enumerate(rows):
+            for key in exps:
+                members[key].append(r)
+        if not all(members.values()):
+            raise ValueError("corpus does not reach full coverage")
+        flat = np.fromiter((r for rs in members.values() for r in rs), dtype=np.intp)
+        starts = np.cumsum([0, *(len(rs) for rs in members.values())][:-1])
+        n = len(rows)
         rng = random.Random(seed)
-        order = list(range(len(rows)))
+        positions = np.arange(n)
+        rank = np.empty(n, dtype=np.intp)
         firsts: list[int] = []
         for _ in range(n_shuffles):
-            rng.shuffle(order)
-            covered: set[str] = set()
-            for k, idx in enumerate(order, start=1):
-                covered |= rows[idx]
-                if len(covered) == len(universe):
-                    firsts.append(k)
-                    break
-            else:
-                raise ValueError("corpus does not reach full coverage")
+            keys = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+            rank[np.argsort(keys, kind="stable")] = positions
+            firsts.append(1 + int(np.minimum.reduceat(rank[flat], starts).max()))
         s = sorted(firsts)
         return cls(firsts, float(median(s)), float(_percentile(s, 0.025)),
                    float(_percentile(s, 0.975)))

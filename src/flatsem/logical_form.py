@@ -18,6 +18,7 @@ Two ways to compare a prediction with gold:
 * semantic exact match -- equality up to a bijective renaming of the
   instance indices.  Conjunct order never matters, star flags and labels do,
   and every relation must map consistently under one global bijection.
+  Two forms that differ only in conjunct order match without a search.
 
 Scoring a split reports both, with an exact (Clopper-Pearson) 95% interval
 on the semantic accuracy.  Its bounds are the binomial tail's roots in p, in
@@ -101,16 +102,21 @@ class Lf:
     binary: list[Rel] = field(default_factory=list)
 
 
-def parse_lf(text: str) -> Lf:
-    """Parse "x ( 1 ) ; * y ( 4 ) ; v ( 2 ) AND agent ( 2 , 1 ) AND ..." """
-    lf = Lf()
+def _conjuncts(text: str) -> list[list[str]]:
+    """The tokens of each conjunct, split at every ";" and "AND"."""
     conjuncts: list[list[str]] = [[]]
     for tok in text.split():
         if tok in (";", "AND"):
             conjuncts.append([])
         else:
             conjuncts[-1].append(tok)
-    for toks in conjuncts:
+    return conjuncts
+
+
+def parse_lf(text: str) -> Lf:
+    """Parse "x ( 1 ) ; * y ( 4 ) ; v ( 2 ) AND agent ( 2 , 1 ) AND ..." """
+    lf = Lf()
+    for toks in _conjuncts(text):
         if not toks:
             raise LfParseError(f"empty conjunct in: {text!r}")
         star = toks[0] == "*"
@@ -154,7 +160,20 @@ def _signature(lf: Lf, idx: int) -> tuple:
 
 
 def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
-    """Equality up to bijective renaming of instance indices."""
+    """Equality up to bijective renaming of instance indices.
+
+    Two strings that hold the same conjuncts, in any order, need no search:
+    the identity renaming maps one onto the other, so they match exactly
+    when one of them parses.  Any other pair is parsed, its indices are
+    bucketed by what a renaming must preserve, and a backtracking search
+    looks for the renaming."""
+    if (isinstance(a, str) and isinstance(b, str)
+            and sorted(map(tuple, _conjuncts(a))) == sorted(map(tuple, _conjuncts(b)))):
+        try:
+            parse_lf(a)
+        except LfParseError:
+            return False
+        return True
     try:
         lfa = parse_lf(a) if isinstance(a, str) else a
         lfb = parse_lf(b) if isinstance(b, str) else b

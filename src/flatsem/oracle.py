@@ -223,8 +223,9 @@ def augment_v_dat_p2(rows: Sequence[tuple[str, str, str]],
     Eligible rows look like "liam gave the monkey a chalk in the container ."
     -- a double-object dative whose only pp modifies the second object -- and
     come back as "liam gave the monkey in the container a chalk ." with the
-    logical form rebuilt for the new positions.  Other rows, and rows that
-    hold a word outside the lexicon, contribute nothing.
+    logical form rebuilt for the new positions.  Other rows contribute
+    nothing: rows whose recipient is a name (the grammar puts no pp on one)
+    and rows that hold a word outside the lexicon among them.
     """
     if lexicon is None:
         lexicon = lx.default_lexicon()
@@ -245,8 +246,8 @@ def augment_v_dat_p2(rows: Sequence[tuple[str, str, str]],
             continue
         dat = vp.children[0]
         theme = dat.children[2].children[0]
-        if theme.symbol != "<np_pp>":
-            continue
+        if theme.symbol != "<np_pp>" or dat.children[1].children[0].symbol == "<np_prop>":
+            continue  # the grammar has no pp on a name, so none can move onto one
         if len(list(tree.find_all("<np_pp>"))) != 1:
             continue  # exactly one pp in the sentence, and it is on the theme
         pp_start = theme.children[1].pos
@@ -255,6 +256,7 @@ def augment_v_dat_p2(rows: Sequence[tuple[str, str, str]],
         new_tokens = (tokens[:theme_start] + tokens[pp_start:theme_end + 1]
                       + tokens[theme_start:pp_start] + tokens[theme_end + 1:])
         new_lf = lf_oracle(new_tokens, lexicon)
-        assert new_lf is not None, f"augmented sentence failed to reparse: {new_tokens}"
+        if new_lf is None:
+            raise ValueError(f"augmented sentence failed to reparse: {' '.join(new_tokens)}")
         out.append((" ".join(new_tokens), new_lf, AUGMENTED_CATEGORY))
     return out

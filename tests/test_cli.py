@@ -251,7 +251,10 @@ OUT_OF_LEXICON = ["emma saw zorblax .", "emma sell the cake ."]
 ], ids=["split", "sentences"])
 def test_coverage_reports_out_of_lexicon_rows(argv, oov, tmp_path, capsys, monkeypatch,
                                               lexicon):
-    sentences = [AUGMENT_BEFORE[0], oov]
+    """The out-of-lexicon row is counted on stderr and never parsed, and the
+    second row, whose words fill the classes of the first's, is parsed with it."""
+    twin = "emma gave a dog the cake on a table ."  # AUGMENT_BEFORE's word classes
+    sentences = [AUGMENT_BEFORE[0], twin, oov]
     write_tsv(tmp_path / "test.tsv", [(s, "x ( 0 )", "x") for s in sentences])
     (tmp_path / "s.txt").write_text("\n".join(sentences) + "\n")
     cov_module = importlib.import_module("flatsem.coverage")
@@ -266,14 +269,15 @@ def test_coverage_reports_out_of_lexicon_rows(argv, oov, tmp_path, capsys, monke
     argv = [a.replace("DIR", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert parsed == Counter(sentences)  # no row is parsed twice
+    assert parsed == Counter(sentences[:1])  # one parse per word-class sequence
 
     monkeypatch.setattr(cov_module, "parse_sentence", real_parse)
     covered = len(coverage(sentences[:1], lexicon).covered)
-    assert coverage_curve(sentences, lexicon).sizes == [covered, covered]
+    assert len(coverage(sentences[1:2], lexicon).covered) == covered
+    assert coverage_curve(sentences, lexicon).sizes == [covered] * 3
     source = argv[2] if argv[1] == "--sentences" else "test"
     lines = captured.out.splitlines()
-    assert lines[0].startswith(f"coverage source={source} n=2 covered={covered} universe=52 ")
+    assert lines[0].startswith(f"coverage source={source} n=3 covered={covered} universe=52 ")
     assert f"curve first_full=None final={covered}" in lines
     assert lines[-1].startswith("shuffles n=3 median=None")
     assert captured.err == (f"# source={source}: 1 rows hold words not in the lexicon, "

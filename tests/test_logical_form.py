@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,7 @@ from scipy.stats import beta
 
 from flatsem import logical_form as lf
 from flatsem.oracle import lf_oracle
-from flatsem.fuzz import pp_chain_sentence
+from flatsem.fuzz import fuzz_generate, pp_chain_sentence
 
 from corpora import GOLDEN
 
@@ -184,3 +186,68 @@ def test_tally_failure_cap():
     report = lf.tally([lf.score_row("s", TRANSITIVE, "junk ( 0 )")] * 30, keep_failures=5)
     assert report.sem_hits == 0
     assert len(report.failures) == 5
+
+
+def _search_match(a: str, b: str) -> bool:
+    """The bijection search alone: forms passed parsed take no shortcut."""
+    try:
+        lfa, lfb = lf.parse_lf(a), lf.parse_lf(b)
+    except lf.LfParseError:
+        return False
+    return lf.semantic_exact_match(lfa, lfb)
+
+
+def _variant(gold: str, rng: random.Random) -> str:
+    """The gold reordered, index-renamed, token-mutated, truncated,
+    re-spaced or malformed."""
+    toks = gold.split()
+    kind = rng.choice(["reorder", "rename", "mutate", "truncate", "respace", "malform"])
+    if kind == "reorder":  # the conjuncts shuffled, the separators kept in place
+        seps = [t for t in toks if t in (";", "AND")]
+        parts = " ".join(toks).replace(" AND ", " ; ").split(" ; ")
+        rng.shuffle(parts)
+        return " ".join(part for pair in zip(parts, [*seps, ""]) for part in pair).strip()
+    if kind == "rename":
+        shift = rng.randrange(1, 50)
+        return renumber(gold, lambda i: i + shift)
+    if kind == "mutate":
+        k = rng.randrange(len(toks))
+        toks[k] = rng.choice([*toks, "*", "7", ";", "AND", "x"])
+        return " ".join(toks)
+    if kind == "truncate":
+        return " ".join(toks[:rng.randrange(1, len(toks))])
+    if kind == "respace":
+        return "  ".join(toks) + " "
+    k = rng.randrange(len(toks))
+    return " ".join(toks[:k] + toks[k + 1:])  # one token dropped
+
+
+def test_sem_shortcut_agrees_with_the_search(lexicon):
+    rng = random.Random(8)
+    golds = [lf_oracle(tree, lexicon) for _tokens, tree in
+             fuzz_generate(150, lexicon, seed=8, pp_depth=2, cp_depth=2)]
+    compared = 0
+    for gold in golds:
+        for _ in range(6):
+            other = _variant(gold, rng)
+            for a, b in ((gold, other), (other, gold), (other, other)):
+                assert lf.semantic_exact_match(a, b) == _search_match(a, b), (a, b)
+                compared += 1
+    assert compared == 150 * 6 * 3
+
+
+def test_a_reordered_pair_is_parsed_once(monkeypatch):
+    renamed = renumber(TRANSITIVE, lambda i: i + 1)
+    calls = []
+    real = lf.parse_lf
+    monkeypatch.setattr(lf, "parse_lf", lambda text: calls.append(text) or real(text))
+    reordered = ("* girl ( 4 ) ; boy ( 1 ) ; paint ( 2 ) AND theme ( 2 , 4 ) "
+                 "AND agent ( 2 , 1 )")
+    assert lf.semantic_exact_match(TRANSITIVE, reordered)
+    assert len(calls) == 1
+    # the same conjuncts, malformed alike on both sides, do not match
+    assert not lf.semantic_exact_match("a ( 1 ) ; ; b ( 2 )", "b ( 2 ) ; a ( 1 ) ;")
+    assert len(calls) == 2
+    # a renamed pair still takes the search
+    assert lf.semantic_exact_match(TRANSITIVE, renamed)
+    assert len(calls) == 4

@@ -158,8 +158,18 @@ def test_augment_skips_ineligible_rows():
         ("liam gave the monkey on the bed a chalk in the container .", "", "x"),
         # out of grammar entirely
         ("shark .", "", "x"),
+        # the recipient is a name, and the grammar has no pp on a name
+        ("the counter gave wyatt a cage beside a tool .", "", "x"),
+        ("joshua offered liam the throne beside ava .", "", "x"),
     ]
     assert orc.augment_v_dat_p2(ineligible) == []
+
+
+def test_augment_raises_when_its_sentence_does_not_reparse(monkeypatch):
+    """A checked error, not an assert, which ``python -O`` would strip."""
+    monkeypatch.setattr(orc, "lf_oracle", lambda *args: None)
+    with pytest.raises(ValueError, match="failed to reparse: liam gave the monkey in"):
+        orc.augment_v_dat_p2([(AUGMENT_BEFORE[0], AUGMENT_BEFORE[1], "x")])
 
 
 def test_augment_output_reparses_to_own_lf():

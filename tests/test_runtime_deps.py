@@ -1,6 +1,7 @@
 """The runtime needs numpy only: scipy is a test-time reference, never imported
-by ``flatsem``.  Each check runs in a fresh interpreter, so modules this test
-session has already loaded cannot hide an import."""
+by ``flatsem``, and neither is ``numpy.random``, whose import costs some 6 MB
+of resident memory.  Each check runs in a fresh interpreter, so modules this
+test run has already loaded cannot hide an import."""
 
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import flatsem
 
-from corpora import GOLDEN
+from flatsem import lf_oracle
+
+from corpora import CLOSING_2, GOLDEN, HANDPICKED_19
 
 SRC = str(Path(flatsem.__file__).resolve().parents[1])
 
@@ -54,3 +57,26 @@ def test_everything_runs_with_scipy_blocked(tmp_path):
     assert lines[0].startswith("split=gen n=3 sem=0.6667 em=0.6667 ")
     assert lines[1].startswith("split=gen/right n=2 sem=1.0000")
     assert lines[2].startswith("split=gen/wrong n=1 sem=0.0000")
+
+
+def test_shuffles_and_runs_load_no_numpy_random(tmp_path):
+    """The row-order shuffles draw from ``random``, not ``numpy.random``.
+    Older numpy imports its ``random`` with itself, so the check is against
+    what a bare ``import numpy`` loads."""
+    rows = [(s, lf_oracle(s), "x") for s in HANDPICKED_19 + CLOSING_2]
+    (tmp_path / "train.tsv").write_text("".join("\t".join(r) + "\n" for r in rows))
+    out = run_python(f"""
+        import sys
+        import numpy
+        by_numpy = "numpy.random" in sys.modules
+        import flatsem
+        from flatsem.cli import main
+        assert main(["coverage", "--data", {str(tmp_path)!r}, "--split", "train",
+                     "--curve", "--shuffles", "20"]) == 0
+        assert main(["run", "--data", {str(tmp_path)!r}, "--split", "train"]) == 0
+        print(by_numpy, "numpy.random" in sys.modules)
+    """, tmp_path)
+    lines = out.splitlines()
+    assert lines[-1] in ("True True", "False False")
+    assert any(line.startswith("shuffles n=20 median=") and "None" not in line for line in lines)
+    assert f"split=train n={len(rows)} sem=1.0000 em=1.0000" in out
