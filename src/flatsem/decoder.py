@@ -11,49 +11,25 @@ by ``encoder.analyze_all``; ``decode`` takes the same path with one sentence
 and raises the error that ``decode_all`` leaves in an unreadable row's place.
 Nothing is cached between calls; each call analyses its sentences afresh.
 
-Role binding is positional: a frame's subject argument resolves to the
-nearest surviving noun left of the verb inside the clause, its k-th object
-argument to the k-th surviving noun right of the verb.  "Surviving" normally
-means pp-prefixed nouns are filtered out; ``ablate=True`` lifts that filter
-and nothing else, which makes the subject slot latch onto the noun the pp
-chain left nearest to the verb.
+Role binding is positional, and each clause's roles are bound once, into
+five slots that both its verb group and, under "v_inf_taking", the
+infinitive's group read: ``SUBJ``, the nearest surviving noun left of the
+verb inside the clause; ``OBJ1`` and ``OBJ2``, the first and second surviving
+nouns right of it; ``V2``, the infinitive; ``NEXT_V``, the next clause's
+verb.  A frame's relations name the slot each role takes.  "Surviving"
+normally means pp-prefixed nouns are filtered out; ``ablate=True`` lifts
+that filter and nothing else, which makes the subject slot latch onto the
+noun the pp chain left nearest to the verb.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import lexicon as lx
 from .encoder import FRAMES, Failure, InputAnalysis, analyze, analyze_all
 from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, serialize_facts
 from .seq import SequenceTooLongError
-
-
-def _bind(kind: str, analysis: InputAnalysis, clause_idx: int, mask: list[int]) -> Optional[int]:
-    clause = analysis.clauses[clause_idx]
-    if kind == "SUBJ":
-        left = [i for i in range(clause.start, clause.verb_pos) if mask[i]]
-        return left[-1] if left else None
-    if kind in ("OBJ1", "OBJ2"):
-        k = int(kind[-1])
-        right = [i for i in range(clause.verb_pos + 1, clause.end) if mask[i]]
-        return right[k - 1] if len(right) >= k else None
-    if kind == "V2":
-        return clause.second_verb_pos
-    if kind == "NEXT_V":
-        nxt = analysis.clauses[clause_idx + 1] if clause_idx + 1 < len(analysis.clauses) else None
-        return nxt.verb_pos if nxt and nxt.verb_pos >= 0 else None
-    raise ValueError(kind)
-
-
-def _verb_group(analysis: InputAnalysis, lexicon: lx.Lexicon, clause_idx: int,
-                verb_pos: int, template: str, mask: list[int]) -> VerbGroup:
-    group = VerbGroup(lexicon.stem(analysis.tokens[verb_pos]), verb_pos)
-    for name, kind in FRAMES[template].relations:
-        arg = _bind(kind, analysis, clause_idx, mask)
-        if arg is not None:
-            group.relations.append((name, verb_pos, arg))
-    return group
 
 
 def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = False) -> SentenceFacts:
@@ -65,11 +41,22 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
     for idx, clause in enumerate(analysis.clauses):
         if clause.template is None:
             continue
-        facts.groups.append(_verb_group(analysis, lexicon, idx, clause.verb_pos,
-                                        clause.template, mask))
+        left = [i for i in range(clause.start, clause.verb_pos) if mask[i]]
+        right = [i for i in range(clause.verb_pos + 1, clause.end) if mask[i]]
+        nxt = analysis.clauses[idx + 1].verb_pos if idx + 1 < len(analysis.clauses) else -1
+        slots = {"SUBJ": left[-1] if left else None,
+                 "OBJ1": right[0] if right else None,
+                 "OBJ2": right[1] if len(right) > 1 else None,
+                 "V2": clause.second_verb_pos,
+                 "NEXT_V": nxt if nxt >= 0 else None}
+        groups = [(clause.verb_pos, clause.template)]
         if clause.second_verb_pos is not None:
-            facts.groups.append(_verb_group(analysis, lexicon, idx, clause.second_verb_pos,
-                                            "v_inf", mask))
+            groups.append((clause.second_verb_pos, "v_inf"))
+        for verb, template in groups:
+            facts.groups.append(VerbGroup(
+                lexicon.stem(analysis.tokens[verb]), verb,
+                [(name, verb, slots[slot]) for name, slot in FRAMES[template].relations
+                 if slots[slot] is not None]))
     return facts
 
 

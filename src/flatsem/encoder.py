@@ -9,8 +9,11 @@ Between primitives the sequences are numpy arrays; each field of
 ``InputAnalysis`` becomes a plain list once, at the end.  The structural
 summary of each sentence (clause spans, one verb frame per clause, pp
 attachments) is then read off its row of those flat vectors.  ``FRAMES`` is
-the one table of verb frames: what licenses each, the test that picks it,
-and its relations.
+the one table of verb frames; a row holds only its name, the test that picks
+it and its relations.  What licenses a frame is the lexicon code of its leaf
+in ``grammar.CODE_LEAVES``, the table the parser reads, and its voice is that
+code's slot in ``lexicon.SLOT``: slot 2, the passive participle, wants "was"
+right before the verb.
 
 The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
@@ -29,6 +32,7 @@ import numpy as np
 
 from . import lexicon as lx
 from . import seq
+from .grammar import CODE_LEAVES
 
 
 @dataclass
@@ -133,13 +137,6 @@ def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
     return spans
 
 
-def main_verb(emb: lx.Embedded, span: tuple[int, int]) -> Optional[int]:
-    for i in range(*span):
-        if emb.vmap1[i] or emb.vmap2[i] or emb.vmap3[i] or emb.vmap4[i]:
-            return i
-    return None
-
-
 class _Site(NamedTuple):
     """A clause's verb and the flat vectors the frame tests read."""
 
@@ -162,61 +159,54 @@ class _Site(NamedTuple):
 @dataclass(frozen=True)
 class Frame:
     name: str  # the grammar's leaf category, without brackets
-    slot: int  # embedding slot (1-4) that carries the licensing code
-    code: int  # lexicon code that licenses the frame
-    was: bool  # "was" stands right before the verb
     test: Callable[[_Site], bool]  # positional test that picks this variant
-    # (role, argument) in emission order; SUBJ binds left of the verb, OBJ1/OBJ2
+    # (role, slot) in emission order; SUBJ binds left of the verb, OBJ1/OBJ2
     # right of it, V2 is the infinitive at +2, NEXT_V the embedded clause's verb
     relations: tuple[tuple[str, str], ...]
 
 
+# leaf name -> the lexicon code a word needs to fill it; a frame's licence
+_LICENCE = {leaf.strip("<>"): code for code, leaves in CODE_LEAVES.items() for leaf in leaves}
+
 # Every verb frame; a clause takes the first row that fits.  "v_inf" only
 # holds the relations of the infinitive under "v_inf_taking".
 FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
-    Frame("v_cp_taking", 3, lx.V_CP_TAKING, False,  # "that" lies just past the clause
+    Frame("v_cp_taking",  # "that" lies just past the clause
           lambda s: s.verb + 1 < len(s.emb) and s.emb.pos[s.verb + 1] == lx.THAT,
           (("agent", "SUBJ"), ("ccomp", "NEXT_V"))),
-    Frame("v_inf_taking", 4, lx.V_INF_TAKING, False,
+    Frame("v_inf_taking",
           lambda s: s.at(1, lx.TO) and s.verb + 2 < s.end and s.emb.vmap1[s.verb + 2] == lx.V_INF,
           (("agent", "SUBJ"), ("xcomp", "V2"))),
-    Frame("v_inf", 1, lx.V_INF, False, lambda s: False, (("agent", "SUBJ"),)),
-    Frame("v_unerg", 1, lx.V_UNERG, False, lambda s: True, (("agent", "SUBJ"),)),
-    Frame("v_trans_omissible_p1", 1, lx.V_TRANS_OMISSIBLE, False, lambda s: s.verb + 1 == s.end,
-          (("agent", "SUBJ"),)),
-    Frame("v_trans_omissible_p2", 1, lx.V_TRANS_OMISSIBLE, False, lambda s: s.verb + 1 < s.end,
+    Frame("v_inf", lambda s: False, (("agent", "SUBJ"),)),
+    Frame("v_unerg", lambda s: True, (("agent", "SUBJ"),)),
+    Frame("v_trans_omissible_p1", lambda s: s.verb + 1 == s.end, (("agent", "SUBJ"),)),
+    Frame("v_trans_omissible_p2", lambda s: s.verb + 1 < s.end,
           (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_trans_not_omissible", 1, lx.V_TRANS_NOT_OMISSIBLE, False, lambda s: True,
+    Frame("v_trans_not_omissible", lambda s: True, (("agent", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_unacc_p1", lambda s: s.verb + 1 < s.end,  # causative
           (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_unacc_p1", 1, lx.V_UNACC, False, lambda s: s.verb + 1 < s.end,  # causative
-          (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_unacc_p2", 1, lx.V_UNACC, False, lambda s: s.verb + 1 == s.end,  # inchoative
-          (("theme", "SUBJ"),)),
-    Frame("v_dat_p1", 1, lx.V_DAT, False, lambda s: s.np_after(lx.TO),
+    Frame("v_unacc_p2", lambda s: s.verb + 1 == s.end, (("theme", "SUBJ"),)),  # inchoative
+    Frame("v_dat_p1", lambda s: s.np_after(lx.TO),
           (("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2"))),
-    Frame("v_dat_p2", 1, lx.V_DAT, False,  # two noun phrases back to back after the verb
+    Frame("v_dat_p2",  # two noun phrases back to back after the verb
           lambda s: any(s.np_head[j] and s.np_start[j + 1] for j in range(s.verb + 1, s.end - 1)),
           (("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2"))),
-    Frame("v_trans_omissible_pp_p1", 2, lx.V_TRANS_OMISSIBLE_PP, True,
-          lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
-    Frame("v_trans_omissible_pp_p2", 2, lx.V_TRANS_OMISSIBLE_PP, True,
-          lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_trans_not_omissible_pp_p1", 2, lx.V_TRANS_NOT_OMISSIBLE_PP, True,
-          lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
-    Frame("v_trans_not_omissible_pp_p2", 2, lx.V_TRANS_NOT_OMISSIBLE_PP, True,
-          lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_unacc_pp_p1", 2, lx.V_UNACC_PP, True,
-          lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
-    Frame("v_unacc_pp_p2", 2, lx.V_UNACC_PP, True,
-          lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_dat_pp_p1", 2, lx.V_DAT_PP, True, lambda s: s.at(1, lx.TO) and not s.np_after(lx.BY),
+    Frame("v_trans_omissible_pp_p1", lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
+    Frame("v_trans_omissible_pp_p2", lambda s: s.at(1, lx.BY),
+          (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_trans_not_omissible_pp_p1", lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
+    Frame("v_trans_not_omissible_pp_p2", lambda s: s.at(1, lx.BY),
+          (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_unacc_pp_p1", lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
+    Frame("v_unacc_pp_p2", lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_dat_pp_p1", lambda s: s.at(1, lx.TO) and not s.np_after(lx.BY),
           (("theme", "SUBJ"), ("recipient", "OBJ1"))),
-    Frame("v_dat_pp_p2", 2, lx.V_DAT_PP, True, lambda s: s.at(1, lx.TO) and s.np_after(lx.BY),
+    Frame("v_dat_pp_p2", lambda s: s.at(1, lx.TO) and s.np_after(lx.BY),
           (("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2"))),
-    Frame("v_dat_pp_p3", 2, lx.V_DAT_PP, True,
+    Frame("v_dat_pp_p3",
           lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and not s.np_after(lx.BY),
           (("recipient", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_dat_pp_p4", 2, lx.V_DAT_PP, True,
+    Frame("v_dat_pp_p4",
           lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and s.np_after(lx.BY),
           (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2"))),
 )}
@@ -224,18 +214,24 @@ FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
 
 def match_template(emb: lx.Embedded, span: tuple[int, int],
                    np_start: list[int], np_head: list[int]) -> ClauseInfo:
-    """The clause with its verb frame: the first row of ``FRAMES`` whose code
-    the verb carries in the row's slot, whose "was" flag holds and whose
-    test passes.  At most one row fits an in-grammar clause."""
+    """The clause with its verb, the first token carrying a verb code, and
+    its frame: the first row of ``FRAMES`` whose licence the verb carries,
+    whose voice fits and whose test passes.  A row whose licence sits in
+    slot 2 of ``lexicon.SLOT``, the passive participle's, fits only when "was"
+    stands right before the verb, and any other row only when it does not.
+    At most one row fits an in-grammar clause."""
     start, end = span
-    V = main_verb(emb, span)
-    if V is None:
+    for V in range(start, end):
+        if emb.vmap1[V] or emb.vmap2[V] or emb.vmap3[V] or emb.vmap4[V]:
+            break
+    else:
         return ClauseInfo(start, end, -1, None)
     slots = (emb.vmap1[V], emb.vmap2[V], emb.vmap3[V], emb.vmap4[V])
     was = V > start and emb.pos[V - 1] == lx.WAS
     site = _Site(emb, np_start, np_head, V, end)
-    for frame in FRAMES.values():  # a row's test runs only if the verb carries its code
-        if slots[frame.slot - 1] == frame.code and frame.was == was and frame.test(site):
+    for frame in FRAMES.values():  # a row's test runs only if the verb carries its licence
+        code = _LICENCE[frame.name]
+        if code in slots and (lx.SLOT[code] == 2) == was and frame.test(site):
             second = V + 2 if ("xcomp", "V2") in frame.relations else None
             return ClauseInfo(start, end, V, frame.name, second)
     return ClauseInfo(start, end, V, None)

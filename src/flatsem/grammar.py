@@ -204,11 +204,9 @@ def expansion_key(lhs: str, rhs: list[str] | tuple[str, ...]) -> str:
     return f"{lhs} -> {' '.join(rhs)}"
 
 
-def all_expansion_keys(grammar: dict[str, list[list[str]]] | None = None) -> frozenset[str]:
-    g = grammar if grammar is not None else COGS_INPUT_GRAMMAR_NO_TERMINALS
-    return frozenset(
-        expansion_key(lhs, rhs) for lhs, alts in g.items() for rhs in alts
-    )
+def all_expansion_keys() -> frozenset[str]:
+    return frozenset(expansion_key(lhs, rhs)
+                     for lhs, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() for rhs in alts)
 
 
 def tree_expansions(tree: Tree) -> set[str]:

@@ -10,9 +10,11 @@ fixed slots:
     slot 3  clause-complement use  (13)
     slot 4  infinitive-taking use  (14)
 
-``embed`` turns a token list into five aligned sequences: the primary code
-plus the four slots.  Later analyses test slots directly (e.g. "is this word
-usable as a passive participle here?") instead of guessing a single tag.
+``SLOT`` is that table, the one map from verb code to slot; a verb frame is
+passive exactly when its licensing code sits in slot 2.  ``embed`` turns a
+token list into five aligned sequences: the primary code plus the four
+slots.  Later analyses test slots directly (e.g. "is this word usable as a
+passive participle here?") instead of guessing a single tag.
 Each word's row of five codes is worked out once, when the ``Lexicon`` is
 built, so embedding is one lookup per token.
 
@@ -74,8 +76,13 @@ CATEGORY_CODES = {
 }
 CODE_CATEGORIES = {v: k for k, v in CATEGORY_CODES.items()}
 
-SLOT1_CODES = {V_TRANS_OMISSIBLE, V_TRANS_NOT_OMISSIBLE, V_UNACC, V_UNERG, V_INF, V_DAT}
-SLOT2_CODES = {V_TRANS_OMISSIBLE_PP, V_TRANS_NOT_OMISSIBLE_PP, V_DAT_PP, V_UNACC_PP}
+# verb code -> embedding slot (1-4) that carries it
+SLOT = {
+    **dict.fromkeys((V_TRANS_OMISSIBLE, V_TRANS_NOT_OMISSIBLE, V_UNACC, V_UNERG, V_INF, V_DAT), 1),
+    **dict.fromkeys((V_TRANS_OMISSIBLE_PP, V_TRANS_NOT_OMISSIBLE_PP, V_DAT_PP, V_UNACC_PP), 2),
+    V_CP_TAKING: 3,
+    V_INF_TAKING: 4,
+}
 
 
 class LexiconError(KeyError):
@@ -106,16 +113,11 @@ class Embedded:
 
 def _row(codes: tuple[int, ...]) -> tuple[int, int, int, int, int]:
     """A word's embedding row: the primary code, then the four verb slots."""
-    s1 = s2 = s3 = s4 = 0
+    slots = [0, 0, 0, 0]
     for c in codes:
-        if c in SLOT1_CODES:
-            s1 = c
-        elif c in SLOT2_CODES:
-            s2 = c
-        elif c == V_CP_TAKING:
-            s3 = c
-        elif c == V_INF_TAKING:
-            s4 = c
+        if c in SLOT:
+            slots[SLOT[c] - 1] = c
+    s1, s2, s3, s4 = slots
     return (s1 or s2 or s3 or s4 or codes[0]), s1, s2, s3, s4
 
 

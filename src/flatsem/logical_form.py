@@ -277,6 +277,9 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     return root(j[k:], True), root(j[:k + 1], False)
 
 
+KEEP_FAILURES = 20  # missed rows a SplitReport keeps, in order
+
+
 @dataclass
 class SplitReport:
     name: str
@@ -317,14 +320,13 @@ def score_row(sentence: str, gold: str, pred: Optional[str]) -> ScoredRow:
     return sentence, gold, pred, em or semantic_exact_match(gold, pred), em
 
 
-def tally(scored: Iterable[ScoredRow], name: str = "split",
-          keep_failures: int = 20) -> SplitReport:
-    """Sum scored rows into a report."""
+def tally(scored: Iterable[ScoredRow], name: str = "split") -> SplitReport:
+    """Sum scored rows into a report, keeping the first ``KEEP_FAILURES`` misses."""
     report = SplitReport(name, 0, 0, 0)
     for sentence, gold, pred, sem, em in scored:
         report.n += 1
         report.sem_hits += sem
         report.em_hits += em
-        if not sem and len(report.failures) < keep_failures:
+        if not sem and len(report.failures) < KEEP_FAILURES:
             report.failures.append((sentence, gold, pred))
     return report

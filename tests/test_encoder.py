@@ -4,6 +4,7 @@ import pytest
 
 from flatsem import encoder as enc
 from flatsem import grammar as gr
+from flatsem import lexicon as lx
 from flatsem import oracle as orc
 from flatsem.decoder import decode_all
 from flatsem.fuzz import fuzz_generate
@@ -99,10 +100,27 @@ def test_infinitive_records_second_verb(lexicon):
 
 
 def test_templates_agree_with_tree_oracle(lexicon):
-    # flat discriminators must pick the same frame the parse tree proves
-    for tokens, tree in fuzz_generate(200, lexicon, seed=5, pp_depth=3, cp_depth=2):
-        a = enc.analyze(tokens, lexicon)
-        assert a.clauses[0].template == orc.matrix_template(tree), tokens
+    # flat discriminators must pick, clause by clause, the frame the parse
+    # tree proves; "v_inf" is no clause of its own.  Fuzzed sentences seldom
+    # embed a clause, so half the corpus is drawn with one at least.
+    frames = set(_frame_leaves()) - {"v_inf"}
+
+    def embeds(tree):
+        return next(tree.find_all("<vp_external5>"), None) is not None
+
+    embedded, deepest = set(), 0
+    for mode in ("uniform", "coverage"):
+        corpus = [pair for require in (None, embeds) for pair in fuzz_generate(
+            150, lexicon, seed=5, pp_depth=3, cp_depth=3, mode=mode, require=require)]
+        for (tokens, tree), a in zip(corpus, enc.analyze_all([t for t, _ in corpus], lexicon)):
+            leaves = sorted((node.pos, node.symbol.strip("<>")) for node in tree.walk()
+                            if node.is_leaf and node.symbol.strip("<>") in frames)
+            assert [c.template for c in a.clauses] == [name for _, name in leaves], tokens
+            assert a.clauses[0].template == orc.matrix_template(tree), tokens
+            embedded.update(c.template for c in a.clauses[1:])
+            deepest = max(deepest, len(a.clauses))
+    assert embedded == frames
+    assert deepest >= 3
 
 
 def test_embedded_clause_templates_also_match(lexicon):
@@ -146,10 +164,18 @@ def test_frame_table_names_the_grammar_verb_frames():
     assert len(enc.FRAMES) == 21
 
 
-def test_frame_codes_are_the_grammar_leaf_codes():
+BINDER_SLOTS = {"SUBJ", "OBJ1", "OBJ2", "V2", "NEXT_V"}  # what build_plan binds per clause
+
+
+def test_frame_rows_have_a_licence_and_name_binder_slots():
+    # a row holds only its test and relations; its licence is its leaf's code
+    # in CODE_LEAVES, a verb code whose lexicon slot gives the frame's voice
     leaves = _frame_leaves()
     for name, frame in enc.FRAMES.items():
-        assert frame.code == leaves[name], name
+        assert name in leaves and leaves[name] in lx.SLOT, name
+        assert (lx.SLOT[leaves[name]] == 2) == ("_pp" in name), name
+        assert {slot for _, slot in frame.relations} <= BINDER_SLOTS, name
+    assert {slot for frame in enc.FRAMES.values() for _, slot in frame.relations} == BINDER_SLOTS
 
 
 def test_infinitive_frame_never_matches_a_clause(lexicon):

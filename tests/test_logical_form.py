@@ -183,9 +183,9 @@ def test_tally_counts_and_format():
 
 
 def test_tally_failure_cap():
-    report = lf.tally([lf.score_row("s", TRANSITIVE, "junk ( 0 )")] * 30, keep_failures=5)
-    assert report.sem_hits == 0
-    assert len(report.failures) == 5
+    report = lf.tally([lf.score_row(f"s{k}", TRANSITIVE, "junk ( 0 )") for k in range(30)])
+    assert (report.n, report.sem_hits) == (30, 0)
+    assert [s for s, _, _ in report.failures] == [f"s{k}" for k in range(20)]
 
 
 def _search_match(a: str, b: str) -> bool:
