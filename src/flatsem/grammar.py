@@ -17,11 +17,14 @@ The grammar is compiled once, at import, into rule tables, and chart items
 are plain ``(rule, dot, origin)`` int tuples.  Each chart column indexes its
 items by the symbol they wait on, so a nonterminal is predicted at most once
 per column and a completed span advances only the items waiting on its
-symbol at its origin.  The chart's product is the map of completed spans
-``(symbol, start) -> {ends}``.  Extraction reads that map top down and
-breadth first: each node takes the first of its rules that fits its span,
-and within the rule each child takes its shortest span that lets the rest
-match.  Nothing recurses per tree level, so every sentence up to
+symbol at its origin.  A rule is predicted only where its FIRST set, the leaf
+categories its spans can start with (computed once, at import), meets the
+leaf categories of the word at that column; the rules this skips could never
+scan there, so the chart holds the same spans.  The chart's product is the
+map of completed spans ``(symbol, start) -> {ends}``.  Extraction reads that
+map top down and breadth first: each node takes the first of its rules that
+fits its span, and within the rule each child takes its shortest span that
+lets the rest match.  Nothing recurses per tree level, so every sentence up to
 ``MAX_SEQ_LEN`` tokens parses at Python's default recursion limit.
 """
 
@@ -238,6 +241,26 @@ _RULES_OF: dict[str, tuple[int, ...]] = {
 }
 
 
+def _first_sets() -> dict[str, frozenset[str]]:
+    """Each symbol's FIRST set: the leaf categories its derivations can start
+    with (a leaf's is itself), grown to a fixed point over the rules."""
+    first = {sym: set() if alts else {sym}
+             for sym, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items()}
+    grown = True
+    while grown:
+        grown = False
+        for lhs, rhs in zip(_LHS, _RHS):
+            if not first[rhs[0]] <= first[lhs]:
+                first[lhs] |= first[rhs[0]]
+                grown = True
+    return {sym: frozenset(leaves) for sym, leaves in first.items()}
+
+
+# _STARTS[r]: the leaf categories a span of rule r can start with
+_FIRST = _first_sets()
+_STARTS: tuple[frozenset[str], ...] = tuple(_FIRST[rhs[0]] for rhs in _RHS)
+
+
 def _earley_chart(token_classes: list[frozenset[str]]) -> dict[tuple[str, int], set[int]]:
     """Earley recognition; returns completed spans (symbol, start) -> {ends}.
 
@@ -248,16 +271,21 @@ def _earley_chart(token_classes: list[frozenset[str]]) -> dict[tuple[str, int], 
     after a column is closed the scanner advances the waiters on each leaf
     category its word fills.  The grammar has no epsilon rules, so nothing
     completes over an empty span and a column's waiters are all known before
-    any completion looks them up.
+    any completion looks them up.  For the same reason a rule whose FIRST set
+    misses every leaf category of the column's word could never scan: it is
+    not predicted, and the last column, which has no word, predicts nothing.
+    The completed spans are those of the unfiltered chart.
     """
     n = len(token_classes)
     waiting: list[dict[str, list[tuple[int, int, int]]]] = []
     completed: dict[tuple[str, int], set[int]] = {}
-    agenda = [(r, 0, 0) for r in _RULES_OF[START]]
+    agenda = [(r, 0, 0) for r in _RULES_OF[START]
+              if n and not _STARTS[r].isdisjoint(token_classes[0])]
     for i in range(n + 1):
         wait: dict[str, list[tuple[int, int, int]]] = {}
         waiting.append(wait)
         seen = set(agenda)
+        classes = token_classes[i] if i < n else frozenset()
         while agenda:
             item = agenda.pop()
             rule, dot, origin = item
@@ -269,7 +297,8 @@ def _earley_chart(token_classes: list[frozenset[str]]) -> dict[tuple[str, int], 
                     wait[sym] = [item]
                     # predictor; an item with its dot at 0 is never made
                     # again by the completer or the scanner, so needs no seen
-                    agenda += [(r, 0, i) for r in _RULES_OF.get(sym, ())]
+                    agenda += [(r, 0, i) for r in _RULES_OF.get(sym, ())
+                               if not _STARTS[r].isdisjoint(classes)]
                 else:
                     waiters.append(item)
                 continue

@@ -9,15 +9,28 @@ terms of a handful of operations over aligned sequences:
 * ``elementwise``   position-wise map over aligned sequences
 * ``combine``       position-wise map over selectors
 
-As in RASP, a selector *is* an attention matrix: an n x n numpy ``bool``
-array, ``sel[q, k]`` meaning query position ``q`` attends to key position
-``k``.  A sequence is a numpy array whose last axis is the position; any axes
-before it are a batch of same-length rows, each row an independent input, as
-a Transformer layer runs a batch of inputs at once.  A selector built from
+As in RASP, a selector stands for an attention matrix: n x n ``bool`` cells,
+``sel[q, k]`` meaning query position ``q`` attends to key position ``k``.  A
+sequence is a numpy array whose last axis is the position; any axes before it
+are a batch of same-length rows, each row an independent input, as a
+Transformer layer runs a batch of inputs at once.  A selector built from
 batched sequences is ``(..., n, n)``; one that does not depend on the data,
-such as a shift's ``k == q - 1`` over ``indices(n)``, stays ``(n, n)`` and
+such as a shift's ``Offset(-1)`` over ``indices(n)``, stays ``(n, n)`` and
 broadcasts over the batch.  Every primitive on a batch equals the stack of its
 calls on the rows.
+
+Most selectors are numpy ``bool`` arrays.  A few patterns are held by their
+structure instead, as a ``Structured`` selector, so that they cost O(n), not
+n x n cells: a declared predicate (``Offset(d)`` for ``k == q + d``,
+``Prefix`` for ``k <= q``) over ``indices(n)`` as both keys and queries; a
+declared predicate against one query value, such as
+``select(mask, 1, Equal)``, which is a mask over the keys; and the
+``combine(np.logical_and, ...)`` of such selectors.  ``aggregate`` reads an
+offset selector as a slice, and ``selector_width`` of a prefix and a key mask
+is a cumulative sum.  A structured selector has the ``shape`` and ``len`` of
+its dense array, ``np.asarray`` gives that array, and every other use of it
+goes through that array, so each primitive returns what it would on the dense
+selector.
 
 Each primitive makes one numpy call over the whole of its input, never a
 Python loop over positions or rows.  ``select`` calls its predicate once, on
@@ -26,7 +39,8 @@ the key rows and the query columns broadcast against each other;
 ``combine`` calls its op once, on whole matrices.  Predicates, functions and
 ops must therefore be elementwise -- ``operator.le``,
 ``lambda k, q: k == q - 1``, ``lambda p, q: (p == 1) & (q == 2)`` -- and not
-``and`` / ``or`` / ``in`` / ``int()``, which need a single value.
+``and`` / ``or`` / ``in`` / ``int()``, which need a single value.  A lambda
+always gives a dense selector, even where a declared predicate would not.
 
 The primitives accept Python lists and scalars too; a list is one row, and a
 scalar broadcasts to a full sequence.  A list of only ints or only floats
@@ -37,13 +51,12 @@ length 0 and an empty batch.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import operator
+from typing import Any, Callable, Optional, Union
 
 import numpy as np
 
 MAX_SEQ_LEN = 512
-
-Selector = np.ndarray  # (..., n, n), dtype bool
 
 
 class SequenceTooLongError(ValueError):
@@ -55,10 +68,87 @@ def check_length(n: int) -> None:
         raise SequenceTooLongError(f"sequence length {n} exceeds maximum {MAX_SEQ_LEN}")
 
 
+class _Positions(np.ndarray):
+    """The array ``indices(n)`` returns: a read-only view of 0..n-1.  Only
+    that view carries ``positions``; the views and results numpy derives from
+    it are plain sequences to ``select``."""
+
+    positions: int
+
+
+_ALL_POSITIONS = np.arange(MAX_SEQ_LEN).view(_Positions)
+_ALL_POSITIONS.flags.writeable = False
+
+
 def indices(n: int) -> np.ndarray:
-    """The positional sequence [0, 1, ..., n-1]."""
+    """The positional sequence [0, 1, ..., n-1], read-only."""
     check_length(n)
-    return np.arange(n)
+    idx = _ALL_POSITIONS[:max(n, 0)]
+    idx.positions = n
+    return idx
+
+
+class Predicate:
+    """A predicate whose structure ``select`` knows.  Called on arrays it is
+    the elementwise comparison it wraps, like any other predicate."""
+
+    def __init__(self, fn: Callable[[Any, Any], Any]):
+        self._fn = fn
+
+    def __call__(self, k: Any, q: Any) -> Any:
+        return self._fn(k, q)
+
+
+class Offset(Predicate):
+    """``k == q + d``: each query selects the key ``d`` positions after it."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __call__(self, k: Any, q: Any) -> Any:
+        return k == q + self.d
+
+
+Prefix = Predicate(operator.le)  # k <= q: each query selects itself and every key before it
+Equal = Predicate(operator.eq)  # k == q
+
+
+class Structured:
+    """A selector held as its structure, not as its n x n cells.
+
+    Query ``q`` selects key ``k`` when ``rel(k, q)`` holds (every key when
+    ``rel`` is None) and ``keys[..., k]`` is set (every key when ``keys`` is
+    None).  ``keys`` is a ``(..., n)`` bool mask, the same for every query;
+    its leading axes are the selector's batch.  ``shape`` and ``len`` are the
+    dense array's, and ``np.asarray`` builds that array.
+    """
+
+    __slots__ = ("n", "rel", "keys")
+
+    def __init__(self, n: int, rel: Optional[Predicate] = None,
+                 keys: Optional[np.ndarray] = None):
+        self.n, self.rel, self.keys = n, rel, keys
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        batch = () if self.keys is None else self.keys.shape[:-1]
+        return (*batch, self.n, self.n)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
+        idx = np.arange(self.n)
+        if self.rel is None:
+            sel = np.ones((self.n, self.n), dtype=bool)
+        else:
+            sel = np.asarray(self.rel(idx, idx[:, np.newaxis]), dtype=bool)
+        if self.keys is not None:
+            sel = sel & self.keys[..., np.newaxis, :]
+        return sel if dtype is None else sel.astype(dtype, copy=False)
+
+
+Selector = Union[np.ndarray, Structured]  # (..., n, n) bool cells
 
 
 def _array(x: Any, n: int) -> np.ndarray:
@@ -87,7 +177,7 @@ def _common_length(*xs: Any) -> int:
     raise ValueError("at least one argument must be a sequence")
 
 
-def _matrix(selector: Any) -> Selector:
+def _matrix(selector: Any) -> np.ndarray:
     sel = np.asarray(selector, dtype=bool)
     return sel if sel.ndim > 1 else sel.reshape(0, 0)  # [] is the empty selector
 
@@ -99,9 +189,19 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Sel
     (row) values; either may be a scalar, which broadcasts.  For example
     ``select(indices(n), indices(n), le)`` selects, at each position, every
     position at or before it -- the building block of running counts.
+
+    A declared ``Predicate`` gives a ``Structured`` selector when keys and
+    queries are both ``indices(n)``, and a key mask when the query is one
+    value; any other call gives the dense array.
     """
     n = _common_length(keys, queries)
     check_length(n)
+    if isinstance(predicate, Predicate):
+        if not isinstance(queries, (np.ndarray, list, tuple)):  # one value for every query
+            ks = _array(keys, n)
+            return Structured(n, keys=np.asarray(predicate(ks, _array(queries, n)), dtype=bool))
+        if getattr(keys, "positions", None) == n == getattr(queries, "positions", None):
+            return Structured(n, predicate)
     ks = _array(keys, n)
     qs = _array(queries, n)
     cols, rows = ks[..., np.newaxis, :], qs[..., np.newaxis]
@@ -114,9 +214,17 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Sel
 
 def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
     """Position-wise combination of selectors, e.g. ``combine(and_, a, b)``;
-    an ``(n, n)`` selector broadcasts over a batch."""
+    an ``(n, n)`` selector broadcasts over a batch.  ``np.logical_and`` of two
+    structured selectors with at most one relation between them stays
+    structured: that relation, and the key masks ANDed."""
     if not selectors:
         raise ValueError("combine needs at least one selector")
+    if op is np.logical_and and len(selectors) == 2:
+        a, b = selectors
+        if (isinstance(a, Structured) and isinstance(b, Structured) and a.n == b.n
+                and (a.rel is None or b.rel is None or a.rel is b.rel)):
+            keys = b.keys if a.keys is None else a.keys if b.keys is None else a.keys & b.keys
+            return Structured(a.n, a.rel or b.rel, keys)
     mats = [np.asarray(s, dtype=bool) for s in selectors]
     for m in mats:
         if m.shape[-2:] != mats[0].shape[-2:]:
@@ -125,7 +233,10 @@ def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
 
 
 def selector_width(selector: Selector) -> np.ndarray:
-    """Number of selected key positions for each query position."""
+    """Number of selected key positions for each query position; over a
+    prefix and a key mask, the running count of the mask."""
+    if isinstance(selector, Structured) and selector.rel is Prefix and selector.keys is not None:
+        return selector.keys.cumsum(axis=-1)
     return _matrix(selector).sum(axis=-1)
 
 
@@ -151,7 +262,7 @@ def _gather(vals: np.ndarray, first: np.ndarray) -> np.ndarray:
     return vals.take(first, -1) if first.ndim == 1 else np.take_along_axis(vals, first, -1)
 
 
-def _pool(sel: Selector, vals: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pool(sel: np.ndarray, vals: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out`` with each row whose selected values differ set to their mean."""
     code = vals if vals.dtype.kind in "biuf" else _codes(vals)
     mixed = (sel & (code[..., np.newaxis, :] != _gather(code, first)[..., np.newaxis])).any(axis=-1)
@@ -203,8 +314,12 @@ def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarra
     Each row first gathers the value at its first selected position; only
     when some row selects several positions are the rows compared, through
     integer codes of the values.  An ``(n, n)`` selector gathers the same
-    positions from every row of a batch.
+    positions from every row of a batch.  An ``Offset`` selector is read as a
+    slice, with the same values, defaults and dtype.
     """
+    if (isinstance(selector, Structured) and isinstance(selector.rel, Offset)
+            and selector.keys is None):
+        return _slide(_array(values, selector.n), selector.rel.d, default)
     sel = _matrix(selector)
     n = sel.shape[-1]
     vals = _array(values, n)
@@ -230,6 +345,24 @@ def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarra
     return np.where(hit, out, default)
 
 
+def _slide(vals: np.ndarray, d: int, default: Any) -> np.ndarray:
+    """``aggregate`` through ``Offset(d)``: query q takes the value at q + d,
+    and the queries whose q + d is off the edge take the default."""
+    n = vals.shape[-1]
+    lo, hi = min(max(-d, 0), n), max(min(n - d, n), 0)  # the queries with a key
+    if lo == 0 and hi == n:
+        return vals.copy()
+    if default is None:
+        default = _defaults(vals)
+    out = np.empty(vals.shape, dtype=vals.dtype if _holds(vals, default) else object)
+    if lo:
+        out[..., :lo] = default
+    if hi < n:
+        out[..., hi:] = default
+    out[..., lo:hi] = vals[..., lo + d:hi + d]
+    return out
+
+
 def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
     """``fn`` called once on the whole aligned sequences (scalars broadcast)."""
     n = _common_length(*seqs)
@@ -249,20 +382,20 @@ def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
 def shift_right(values: Any, default: Any = 0) -> np.ndarray:
     """values[i-1] at each position, via a relative-offset selector."""
     idx = indices(_common_length(values))
-    sel = select(idx, idx, lambda k, q: k == q - 1)
+    sel = select(idx, idx, Offset(-1))
     return aggregate(sel, values, default=default)
 
 
 def shift_left(values: Any, default: Any = 0) -> np.ndarray:
     """values[i+1] at each position."""
     idx = indices(_common_length(values))
-    sel = select(idx, idx, lambda k, q: k == q + 1)
+    sel = select(idx, idx, Offset(1))
     return aggregate(sel, values, default=default)
 
 
 def running_count(mask: Any) -> np.ndarray:
     """1-based count of mask hits up to and including each position."""
     idx = indices(_common_length(mask))
-    hits = select(mask, 1, lambda k, q: k == q)
-    upto = select(idx, idx, lambda k, q: k <= q)
+    hits = select(mask, 1, Equal)
+    upto = select(idx, idx, Prefix)
     return selector_width(combine(np.logical_and, hits, upto))

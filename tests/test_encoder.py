@@ -7,7 +7,7 @@ from flatsem import grammar as gr
 from flatsem import lexicon as lx
 from flatsem import oracle as orc
 from flatsem.decoder import decode_all
-from flatsem.fuzz import fuzz_generate
+from flatsem.fuzz import cp_chain_sentence, fuzz_generate
 from flatsem.seq import SequenceTooLongError
 
 
@@ -194,6 +194,29 @@ def test_analyze_shifts_each_sequence_once(lexicon, monkeypatch):
                             calls.append(_name) or _real(*a, **k))
     enc.analyze("a boy beside the tree painted the cake .", lexicon)
     assert sorted(calls) == ["shift_left", "shift_right", "shift_right", "shift_right"]
+
+
+def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
+    """Every selector the encoder asks for is structured and holds one cell
+    per key of each row, not n x n: on the longest sentence, and on a
+    600-row bucket analysed as one batch."""
+    made = []
+    real_select = enc.seq.select
+
+    def recording_select(*args, **kwargs):
+        made.append(real_select(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(enc.seq, "select", recording_select)
+    enc.analyze(cp_chain_sentence(169), lexicon)
+    assert len(made) == 6
+    sentence = "a boy beside the tree painted the cake .".split()
+    assert len(enc.analyze_all([sentence] * 600, lexicon)) == 600
+    assert len(made) == 12
+    assert made[-2].shape == (600, 9, 9)  # the running count's key mask, batched
+    for sel in made:
+        assert isinstance(sel, enc.seq.Structured)  # its n, its relation and its mask
+        assert sel.keys is None or sel.keys.shape == (*sel.shape[:-2], sel.n)
 
 
 def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flatsem import grammar as gr
-from flatsem.fuzz import fuzz_generate, pp_chain_sentence
+from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.oracle import lf_oracle
 
 
@@ -205,3 +205,77 @@ def test_tree_repr_and_equality_match_the_dataclass_form():
     assert node != gr.Tree("<np_prop>", (gr.Tree("<proper_noun>", word="emma", pos=1),))
     assert node != leaf and node != "<np_prop>"
     assert len({node, gr.Tree("<np_prop>", (leaf,))}) == 1
+
+
+def _reference_chart(token_classes):
+    """Completed spans of a textbook Earley recognizer over the grammar
+    dict: every item waiting on a nonterminal predicts all of its rules, with
+    no look at the next word.  A leaf span is recorded when an item waits on
+    that leaf and the word fills it, as ``_earley_chart`` records it."""
+    grammar = gr.COGS_INPUT_GRAMMAR_NO_TERMINALS
+    n = len(token_classes)
+    columns = [set() for _ in range(n + 1)]
+    columns[0] = {(gr.START, tuple(rhs), 0, 0) for rhs in grammar[gr.START]}
+    completed = {}
+    for i in range(n + 1):
+        agenda = list(columns[i])
+
+        def add(item):
+            if item not in columns[i]:
+                columns[i].add(item)
+                agenda.append(item)
+
+        while agenda:
+            lhs, rhs, dot, origin = agenda.pop()
+            if dot == len(rhs):
+                completed.setdefault((lhs, origin), set()).add(i)
+                for l2, r2, d2, o2 in list(columns[origin]):
+                    if d2 < len(r2) and r2[d2] == lhs:
+                        add((l2, r2, d2 + 1, o2))
+            elif grammar[rhs[dot]]:
+                for alt in grammar[rhs[dot]]:
+                    add((rhs[dot], tuple(alt), 0, i))
+            elif i < n and rhs[dot] in token_classes[i]:
+                completed[(rhs[dot], i)] = {i + 1}
+                columns[i + 1].add((lhs, rhs, dot + 1, origin))
+    return completed
+
+
+def _chart_inputs(lexicon):
+    """Every sequence of up to two tokens over one word of each lexicon row
+    class ("the" apart) and "."; seeded fuzzed sentences in both modes, each
+    with and without its period, and one-token mutants of them; and the
+    longest pp and cp chains."""
+    words = {}
+    for word in sorted(lexicon.entries):
+        words.setdefault("the" if word == "the" else lexicon._rows[word], word)
+    classes = [*words.values(), "."]
+    assert len(classes) == 31
+    yield []
+    for a in classes:
+        yield [a]
+        for b in classes:
+            yield [a, b]
+    rng = random.Random("charts")
+    vocabulary = [*sorted(lexicon.entries), "."]
+    for mode in ("uniform", "coverage"):
+        for tokens, _tree in fuzz_generate(150, lexicon, seed=17, pp_depth=3, cp_depth=3,
+                                           mode=mode):
+            yield tokens
+            yield tokens[:-1]
+            for _ in range(3):
+                yield _mutant(tokens, rng, vocabulary)
+    yield pp_chain_sentence(168)
+    yield cp_chain_sentence(169)
+
+
+def test_first_set_predictor_keeps_the_unfiltered_chart(lexicon):
+    """A rule is predicted only where its FIRST set meets the word's leaf
+    categories; the rules this drops could never scan, so the completed spans
+    equal those of a chart that predicts every rule."""
+    count = 0
+    for tokens in _chart_inputs(lexicon):
+        token_classes = [gr.leaf_classes(t, lexicon) for t in tokens]
+        assert gr._earley_chart(token_classes) == _reference_chart(token_classes), tokens
+        count += 1
+    assert count == 1 + 31 + 31 * 31 + 2 * 150 * 5 + 2

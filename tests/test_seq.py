@@ -306,3 +306,87 @@ def test_batched_primitives_equal_the_stack_of_row_calls(batch, data):
                                   x, y, operator.eq))):
         assert _each(seq.select(keys, queries, operator.eq), b, 2) == _per_row(
             fn, rows, reverse, row_ndim=2)
+
+
+# Structured selectors: each must behave exactly as its dense array, which the
+# same call with a lambda (or an operator) in place of the declared predicate
+# builds.
+
+_VALUES = {
+    "int": (st.integers(-3, 3), np.int64),
+    "float": (_HALVES, np.float64),
+    "bool": (st.booleans(), bool),
+    "object": (_ANY, object),
+}
+
+
+def _same(out, dense):
+    """Equal dtype, shape and values, each value with its Python type."""
+    assert out.dtype == dense.dtype and out.shape == dense.shape
+    assert _typed(out.ravel().tolist()) == _typed(dense.ravel().tolist())
+
+
+def _same_selector(sel, dense):
+    assert isinstance(sel, seq.Structured) and isinstance(dense, np.ndarray)
+    assert sel.shape == dense.shape and len(sel) == len(dense)
+    _same(np.asarray(sel), dense)
+    _same(np.asarray(sel, dtype=bool), dense)
+
+
+def _same_call(fn, sel, dense):
+    """``fn`` gives the same through the structured and the dense selector,
+    or raises ValueError through both."""
+    try:
+        expected = fn(dense)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fn(sel)
+    else:
+        _same(fn(sel), expected)
+
+
+@given(st.data())
+def test_structured_selectors_equal_their_dense_arrays(data):
+    n = data.draw(st.integers(0, 12), label="n")
+    batch = data.draw(st.sampled_from([(), (0,), (1,), (3,), (2, 2)]), label="batch")
+    size = int(np.prod(batch, dtype=int)) * n
+    elements, dtype = _VALUES[data.draw(st.sampled_from(sorted(_VALUES)), label="kind")]
+    values = np.empty(size, dtype=dtype)
+    values[:] = data.draw(st.lists(elements, min_size=size, max_size=size), label="values")
+    values = values.reshape(*batch, n)
+    if not batch and data.draw(st.booleans(), label="as a list"):
+        values = values.tolist()
+    default = data.draw(st.none() | st.integers(-2, 2) | st.just(""), label="default")
+    d = data.draw(st.integers(-n - 1, n + 1), label="offset")
+    mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size),
+                              label="mask"), dtype=np.int64).reshape(*batch, n)
+
+    idx, plain = seq.indices(n), np.arange(n)
+    offset = seq.select(idx, idx, seq.Offset(d))
+    dense_offset = seq.select(plain, plain, lambda k, q: k == q + d)
+    _same_selector(offset, dense_offset)
+    _same_call(lambda s: seq.aggregate(s, values, default), offset, dense_offset)
+
+    prefix = seq.select(idx, idx, seq.Prefix)
+    dense_prefix = seq.select(plain, plain, operator.le)
+    hits = seq.select(mask, 1, seq.Equal)
+    dense_hits = seq.select(mask, 1, lambda k, q: k == q)
+    low = seq.select(mask[..., ::-1], 0, seq.Prefix)  # k <= 0: the reversed mask's misses
+    dense_low = seq.select(mask[..., ::-1], 0, operator.le)
+    for sel, dense in ((prefix, dense_prefix), (hits, dense_hits), (low, dense_low)):
+        _same_selector(sel, dense)
+    for parts, dense_parts in (((hits, prefix), (dense_hits, dense_prefix)),
+                               ((prefix, hits), (dense_prefix, dense_hits)),
+                               ((offset, hits), (dense_offset, dense_hits)),
+                               ((hits, low), (dense_hits, dense_low)),
+                               ((prefix, prefix), (dense_prefix, dense_prefix))):
+        both = seq.combine(np.logical_and, *parts)
+        _same_selector(both, seq.combine(np.logical_and, *dense_parts))
+        _same(seq.selector_width(both), seq.selector_width(np.asarray(both)))
+        _same_call(lambda s: seq.aggregate(s, values, default), both, np.asarray(both))
+    # two relations, or another op, give the dense array
+    for parts in ((prefix, offset), (hits, prefix)):
+        dense = seq.combine(np.logical_or, *parts)
+        assert isinstance(dense, np.ndarray)
+        _same(dense, np.logical_or(*map(np.asarray, parts)))
+    assert isinstance(seq.combine(np.logical_and, prefix, offset), np.ndarray)
