@@ -16,17 +16,12 @@ from .grammar import (
     parse_sentence,
     tree_expansions,
 )
-from .encoder import InputAnalysis, analyze, analyze_all
+from .encoder import InputAnalysis, analyze, analyze_all, get_agent_side
 from .decoder import decode, decode_all
-from .oracle import (
-    augment_v_dat_p2,
-    classify_error,
-    get_agent_side,
-    lf_oracle,
-    predict_attraction_error,
-)
+from .oracle import augment_v_dat_p2, lf_oracle, predict_attraction_error
 from .logical_form import (
     Lf,
+    classify_error,
     clopper_pearson,
     parse_lf,
     semantic_exact_match,

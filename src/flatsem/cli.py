@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``run``       decode TSV splits, score them (semantic + string EM) and
-                tally each row's kind, e.g. attraction under the pp ablation
+* ``run``       decode TSV splits, judge each row once (its kind, e.g.
+                attraction under the pp ablation) and score the kinds'
+                tally (semantic + string EM)
 * ``coverage``  grammar-expansion coverage of splits or a sentence file
 * ``fuzz``      generate random in-grammar sentences (+ oracle forms)
 * ``augment``   emit pp-moved double-object dative rows
@@ -27,7 +28,7 @@ from . import decoder, fuzz, oracle
 # names straight from the module
 from .coverage import CoverageResult, CurveResult, ShuffleResult, row_expansions
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
-from .logical_form import ScoredRow, score_row, tally
+from .logical_form import HITS, ErrorReport, classify_error, tally
 from .seq import MAX_SEQ_LEN, SequenceTooLongError
 
 Row = tuple[str, str, str]  # sentence, logical form, category
@@ -97,21 +98,6 @@ UNDECODABLE = {
 }
 
 
-def _decode_split(rows: list[Row], lexicon: Lexicon,
-                  ablate: bool) -> list[tuple[Optional[str], Optional[str]]]:
-    """One ``decode_all`` call for the whole split: (prediction, None) for each
-    row that decodes, (None, kind) for one that cannot, with kind a key of
-    UNDECODABLE."""
-    decoded = []
-    for pred in decoder.decode_all([sentence for sentence, _, _ in rows], lexicon, ablate):
-        if isinstance(pred, str):
-            decoded.append((pred, None))
-        else:
-            decoded.append((None, next(kind for kind, (error, _) in UNDECODABLE.items()
-                                       if isinstance(pred, error))))
-    return decoded
-
-
 def _report_undecodable(source: str, kinds: Counter, what: str) -> int:
     """Note on stderr how many rows of a source ("split=NAME" or
     "source=NAME") could not be read; returns that count."""
@@ -135,29 +121,31 @@ def cmd_run(args) -> int:
         if not rows:
             failed += 1
             continue
-        decoded = _decode_split(rows, lexicon, args.ablate_no_pp_rule)
-        scored = [score_row(sentence, gold, pred)
-                  for (sentence, gold, _cat), (pred, _kind) in zip(rows, decoded)]
-        kinds: Counter = Counter()
-        for (sentence, gold, pred, sem, em), (_, failure) in zip(scored, decoded):
-            # a hit's kind comes from its scores; only a decoded miss is classified
-            report = None if failure or sem else oracle.classify_error(gold, pred)
-            kind = failure or ("exact" if em else "equivalent" if sem else report.kind)
-            kinds[kind] += 1
-            if not sem and shown < args.show:
+        judged = []  # (sentence, gold, prediction, kind) per row
+        preds = decoder.decode_all([sentence for sentence, _, _ in rows], lexicon,
+                                   args.ablate_no_pp_rule)
+        for (sentence, gold, _cat), pred in zip(rows, preds):
+            if isinstance(pred, str):
+                verdict = classify_error(gold, pred)
+            else:  # the decoder could not read the row: a miss of the error's kind
+                pred, verdict = None, ErrorReport(next(
+                    kind for kind, (error, _) in UNDECODABLE.items() if isinstance(pred, error)))
+            judged.append((sentence, gold, pred, verdict.kind))
+            if verdict.kind not in HITS and shown < args.show:
                 shown += 1
-                print(f"[{kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
-                      + (f"\n  {report.detail}" if report and report.detail else ""))
-        failed += _report_undecodable(f"split={name}", kinds, "scored as misses")
-        lines.append(tally(scored, name).format())
+                print(f"[{verdict.kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
+                      + (f"\n  {verdict.detail}" if verdict.detail else ""))
+        report = tally(judged, name)
+        failed += _report_undecodable(f"split={name}", report.kinds, "scored as misses")
+        lines.append(report.format())
         if name == "gen":
-            by_cat: dict[str, list[ScoredRow]] = {}
-            for (_s, _g, cat), row in zip(rows, scored):
+            by_cat: dict[str, list] = {}
+            for (_s, _g, cat), row in zip(rows, judged):
                 by_cat.setdefault(cat or "uncategorized", []).append(row)
             for cat in sorted(by_cat):
                 lines.append(tally(by_cat[cat], f"gen/{cat}").format())
         lines += [f"split={name} kind={kind} count={count} frac={count / len(rows):.4f}"
-                  for kind, count in sorted(kinds.items())]
+                  for kind, count in sorted(report.kinds.items())]
     if lines:
         print("\n".join(lines))
     if args.out:

@@ -1,9 +1,11 @@
 """Decoding: the logical form read off the flat analysis.
 
 ``build_plan`` reads one sentence's ``SentenceFacts`` off its flat analysis:
-the noun introductions, the pp attachments as nmod links, and one verb group
-per matched clause frame, with the relations its row of ``encoder.FRAMES``
-lists.  These are the same facts the tree oracle collects, and ``decode``
+the noun introductions, the pp attachments as nmod links, and per matched
+clause frame the verb's introduction and the relations its row of
+``encoder.FRAMES`` lists -- the ``Intro`` and ``Rel`` records that
+``logical_form.parse_lf`` reads back.  These are the same facts the tree
+oracle collects, and ``decode``
 serialises them through the same layout (``logical_form.serialize_facts``),
 the whole form in one pass; there is no per-token decoder step.
 ``decode_all`` does the same for many sentences, analysed in length buckets
@@ -12,8 +14,8 @@ and raises the error that ``decode_all`` leaves in an unreadable row's place.
 Nothing is cached between calls; each call analyses its sentences afresh.
 
 Role binding is positional, and each clause's roles are bound once, into
-five slots that both its verb group and, under "v_inf_taking", the
-infinitive's group read: ``SUBJ``, the nearest surviving noun left of the
+five slots that both its verb's relations and, under "v_inf_taking", the
+infinitive's read: ``SUBJ``, the nearest surviving noun left of the
 verb inside the clause; ``OBJ1`` and ``OBJ2``, the first and second surviving
 nouns right of it; ``V2``, the infinitive; ``NEXT_V``, the next clause's
 verb.  A frame's relations name the slot each role takes.  "Surviving"
@@ -28,7 +30,7 @@ from typing import Sequence
 
 from . import lexicon as lx
 from .encoder import FRAMES, Failure, InputAnalysis, analyze, analyze_all
-from .logical_form import Nmod, NounIntro, SentenceFacts, VerbGroup, serialize_facts
+from .logical_form import Intro, Rel, SentenceFacts, serialize_facts
 from .seq import SequenceTooLongError
 
 
@@ -36,8 +38,9 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
     """Read the facts of the logical form off the flat analysis."""
     mask = analysis.noun_mask if ablate else analysis.eligible
     facts = SentenceFacts(
-        [NounIntro(analysis.tokens[i], i, bool(analysis.star[i])) for i in analysis.noun_positions],
-        [Nmod(analysis.tokens[prep], head, obj) for prep, head, obj in analysis.pps])
+        [Intro(analysis.tokens[i], i, bool(analysis.star[i])) for i in analysis.noun_positions],
+        rels=[Rel(f"nmod . {analysis.tokens[prep]}", head, obj)
+              for prep, head, obj in analysis.pps])
     for idx, clause in enumerate(analysis.clauses):
         if clause.template is None:
             continue
@@ -53,10 +56,9 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
         if clause.second_verb_pos is not None:
             groups.append((clause.second_verb_pos, "v_inf"))
         for verb, template in groups:
-            facts.groups.append(VerbGroup(
-                lexicon.stem(analysis.tokens[verb]), verb,
-                [(name, verb, slots[slot]) for name, slot in FRAMES[template].relations
-                 if slots[slot] is not None]))
+            facts.verbs.append(Intro(lexicon.stem(analysis.tokens[verb]), verb))
+            facts.rels += [Rel(name, verb, slots[slot]) for name, slot in FRAMES[template].relations
+                           if slots[slot] is not None]
     return facts
 
 

@@ -10,10 +10,11 @@ Between primitives the sequences are numpy arrays; each field of
 summary of each sentence (clause spans, one verb frame per clause, pp
 attachments) is then read off its row of those flat vectors.  ``FRAMES`` is
 the one table of verb frames; a row holds only its name, the test that picks
-it and its relations.  What licenses a frame is the lexicon code of its leaf
-in ``grammar.CODE_LEAVES``, the table the parser reads, and its voice is that
-code's slot in ``lexicon.SLOT``: slot 2, the passive participle, wants "was"
-right before the verb.
+it and its relations, and ``get_agent_side`` reads off it which side of the
+verb a frame's agent binds.  What licenses a frame is the lexicon code of its
+leaf in ``grammar.CODE_LEAVES``, the table the parser reads, and its voice is
+that code's slot in ``lexicon.SLOT``: slot 2, the passive participle, wants
+"was" right before the verb.
 
 The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
@@ -210,6 +211,15 @@ FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
           lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and s.np_after(lx.BY),
           (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2"))),
 )}
+
+
+def get_agent_side(template: str) -> Optional[str]:
+    """'left' when the template's agent binds the subject, 'right' when it
+    sits after the verb (a by-phrase or a later object slot); None when the
+    frame has no agent at all."""
+    frame = FRAMES.get(template)
+    slot = dict(frame.relations).get("agent") if frame else None
+    return None if slot is None else "left" if slot == "SUBJ" else "right"
 
 
 def match_template(emb: lx.Embedded, span: tuple[int, int],

@@ -71,12 +71,12 @@ def fuzz_generate(n: int,
                   pp_depth: int = 2,
                   cp_depth: int = 2,
                   mode: str = "uniform",
-                  require: Optional[Callable[[Tree], bool]] = None,
-                  max_tries: Optional[int] = None) -> list[tuple[list[str], Tree]]:
+                  require: Optional[Callable[[Tree], bool]] = None) -> list[tuple[list[str], Tree]]:
     """n random sentences as (tokens-with-period, tree) pairs.
 
     ``require`` keeps only trees satisfying a predicate (rejection sampling);
-    the try budget guards against predicates the grammar can barely satisfy.
+    a budget of ``max(1000, 500 * n)`` tries guards against predicates the
+    grammar can barely satisfy.
     """
     if lexicon is None:
         lexicon = lx.default_lexicon()
@@ -86,7 +86,7 @@ def fuzz_generate(n: int,
     covered: Optional[set] = set() if mode == "coverage" else None
     out: list[tuple[list[str], Tree]] = []
     tries = 0
-    budget = max_tries if max_tries is not None else max(1000, 500 * n)
+    budget = max(1000, 500 * n)
     while len(out) < n:
         tries += 1
         if tries > budget:

@@ -1,8 +1,10 @@
-"""The logical form: its layout, parsing, equality notions, and split scoring.
+"""The logical form: its records, layout and parsing, and the verdict on a prediction.
 
-Logical-form layout.  ``SentenceFacts`` holds what a sentence asserts -- noun
-introductions, nmod links and verb groups -- and ``serialize_facts`` lays them
-out; the tree oracle and the flat decoder both serialise through it:
+Records.  A form is made of ``Intro`` records (a noun's or a verb's
+introduction) and ``Rel`` records (an nmod link, named ``nmod . prep``, or a
+role relation such as ``agent``).  The tree oracle and the flat decoder both
+write them into ``SentenceFacts``, ``serialize_facts`` lays them out, and
+``parse_lf`` reads the same records back into an ``Lf``:
 
 * every noun is introduced in sentence order, ``[*] label ( idx ) ;`` with a
   star when its determiner is "the";
@@ -20,11 +22,14 @@ Two ways to compare a prediction with gold:
   and every relation must map consistently under one global bijection.
   Two forms that differ only in conjunct order match without a search.
 
-Scoring a split reports both, with an exact (Clopper-Pearson) 95% interval
-on the semantic accuracy.  Its bounds are the binomial tail's roots in p, in
-numpy: P(X >= k) = alpha/2 for the lower one and P(X <= k) = alpha/2 for the
-upper one, X ~ Binomial(n, p).  Each tail is summed in log space and bisected
-on p to the last float; at k = 0 and k = n the open bound has a closed form.
+``classify_error`` is the one verdict on a row: ``exact`` or ``equivalent``
+for a hit, ``attraction`` or ``other`` for a miss.  ``tally`` sums the
+rows' kinds into a split's report, which gives both accuracies with an exact
+(Clopper-Pearson) 95% interval on the semantic one.  Its bounds are the
+binomial tail's roots in p, in numpy: P(X >= k) = alpha/2 for the lower one
+and P(X <= k) = alpha/2 for the upper one, X ~ Binomial(n, p).  Each tail is
+summed in log space and bisected on p to the last float; at k = 0 and k = n
+the open bound has a closed form.
 """
 
 from __future__ import annotations
@@ -33,64 +38,22 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NounIntro:
-    label: str
-    pos: int
-    star: bool
-
-
-@dataclass(frozen=True)
-class Nmod:
-    prep: str
-    head_pos: int
-    obj_pos: int
-
-
-@dataclass
-class VerbGroup:
-    stem: str
-    pos: int
-    relations: list[tuple[str, int, int]] = field(default_factory=list)  # (name, verb, argument)
-
-
-@dataclass
-class SentenceFacts:
-    intros: list[NounIntro] = field(default_factory=list)
-    nmods: list[Nmod] = field(default_factory=list)
-    groups: list[VerbGroup] = field(default_factory=list)
-
-
-def serialize_facts(facts: SentenceFacts) -> str:
-    """The form: the noun introductions joined by ";", then the body joined by "AND"."""
-    intros = [f"{'* ' if i.star else ''}{i.label} ( {i.pos} )"
-              for i in sorted(facts.intros, key=lambda i: i.pos)]
-    body = [(m.head_pos, f"nmod . {m.prep} ( {m.head_pos} , {m.obj_pos} )") for m in facts.nmods]
-    for g in facts.groups:
-        body.append((g.pos, f"{g.stem} ( {g.pos} )"))
-        body += [(g.pos, f"{name} ( {left} , {right} )") for name, left, right in g.relations]
-    body.sort(key=lambda item: item[0])
-    return " ; ".join(intros + [" AND ".join(c for _, c in body)] if body else intros)
 
 
 class LfParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Intro:
+class Intro(NamedTuple):
     label: str
     idx: int
     star: bool = False
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(NamedTuple):
     name: str  # "agent", "ccomp", ..., or "nmod . in"
     left: int
     right: int
@@ -100,6 +63,26 @@ class Rel:
 class Lf:
     unary: list[Intro] = field(default_factory=list)
     binary: list[Rel] = field(default_factory=list)
+
+
+@dataclass
+class SentenceFacts:
+    nouns: list[Intro] = field(default_factory=list)
+    verbs: list[Intro] = field(default_factory=list)
+    rels: list[Rel] = field(default_factory=list)  # nmod links and role relations
+
+
+def serialize_facts(facts: SentenceFacts) -> str:
+    """The form: the noun introductions joined by ";", then the body joined by "AND".
+
+    A body conjunct sits at its left index, a verb's introduction before the
+    relations that share it, each kind in the order the facts list them."""
+    nouns = [f"{'* ' if i.star else ''}{i.label} ( {i.idx} )"
+             for i in sorted(facts.nouns, key=lambda i: i.idx)]
+    body = [(v.idx, f"{v.label} ( {v.idx} )") for v in facts.verbs]
+    body += [(r.left, f"{r.name} ( {r.left} , {r.right} )") for r in facts.rels]
+    body.sort(key=lambda item: item[0])
+    return " ; ".join(nouns + [" AND ".join(c for _, c in body)] if body else nouns)
 
 
 def _conjuncts(text: str) -> list[list[str]]:
@@ -152,6 +135,12 @@ def string_exact_match(a: str, b: str) -> bool:
     return a.split() == b.split()
 
 
+def _same_conjuncts(a: str, b: str) -> bool:
+    """The same conjuncts in any order: the identity renaming maps one onto
+    the other."""
+    return sorted(map(tuple, _conjuncts(a))) == sorted(map(tuple, _conjuncts(b)))
+
+
 def _signature(lf: Lf, idx: int) -> tuple:
     """Degree fingerprint of an index: preserved by any valid bijection."""
     sig = [(r.name, "L") for r in lf.binary if r.left == idx]
@@ -167,8 +156,7 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
     when one of them parses.  Any other pair is parsed, its indices are
     bucketed by what a renaming must preserve, and a backtracking search
     looks for the renaming."""
-    if (isinstance(a, str) and isinstance(b, str)
-            and sorted(map(tuple, _conjuncts(a))) == sorted(map(tuple, _conjuncts(b)))):
+    if isinstance(a, str) and isinstance(b, str) and _same_conjuncts(a, b):
         try:
             parse_lf(a)
         except LfParseError:
@@ -193,11 +181,8 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
 
     if any(len(set(i.idx for i in lf.unary)) != len(lf.unary) for lf in (lfa, lfb)):
         # duplicate introductions of one index: fall back to literal equality
-        ua = sorted((i.label, i.idx, i.star) for i in lfa.unary)
-        ub = sorted((i.label, i.idx, i.star) for i in lfb.unary)
-        ba = sorted((r.name, r.left, r.right) for r in lfa.binary)
-        bb = sorted((r.name, r.left, r.right) for r in lfb.binary)
-        return ua == ub and ba == bb
+        return (sorted(lfa.unary) == sorted(lfb.unary)
+                and sorted(lfa.binary) == sorted(lfb.binary))
 
     ba, bb = buckets(lfa), buckets(lfb)
     if set(ba) != set(bb) or any(len(ba[k]) != len(bb[k]) for k in ba):
@@ -208,8 +193,7 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
         for i in idxs:
             candidates[i] = bb[key]
 
-    brels = Counter((r.name, r.left, r.right) for r in lfb.binary)
-    arels = [(r.name, r.left, r.right) for r in lfa.binary]
+    brels = Counter(lfb.binary)
 
     # Backtracking assignment, most-constrained index first; each mapped
     # index immediately accounts for every relation it completes, so wrong
@@ -227,7 +211,7 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
                 continue
             mapping[i] = j
             used.add(j)
-            completed = [(n, mapping[l], mapping[r]) for n, l, r in arels
+            completed = [(n, mapping[l], mapping[r]) for n, l, r in lfa.binary
                          if (l == i or r == i) and l in mapping and r in mapping]
             counts = Counter(completed)
             if all(counts[key1] <= brels[key1] for key1 in counts):
@@ -242,6 +226,57 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
         return False
 
     return extend(0)
+
+
+# The kinds `tally` counts as semantic hits.  An `exact` row is a string match,
+# so it counts even when the form does not parse, where
+# `semantic_exact_match` would say False.
+HITS = ("exact", "equivalent")
+
+
+@dataclass
+class ErrorReport:
+    kind: str  # exact | equivalent | attraction | other, or why no form was read
+    detail: str = ""
+    differing: list[tuple[str, str]] = field(default_factory=list)
+
+
+def classify_error(expected: str, actual: str) -> ErrorReport:
+    """The verdict on a prediction: its kind, and for a miss what differs.
+
+    The cheapest test runs first.  A string match is ``exact``; the same
+    conjuncts in another order are ``equivalent`` once one side parses.  Any
+    other pair is parsed once per side and searched once for a renaming.
+    "attraction" is the signature mistake of dropping the pp filter: atom
+    sets identical except one role conjunct whose right argument moved.
+    """
+    if string_exact_match(expected, actual):
+        return ErrorReport("exact")
+    try:
+        if _same_conjuncts(expected, actual):
+            parse_lf(expected)
+            return ErrorReport("equivalent")
+        exp, act = parse_lf(expected), parse_lf(actual)
+    except LfParseError as e:
+        return ErrorReport("other", detail=f"unparseable: {e}")
+    if semantic_exact_match(exp, act):
+        return ErrorReport("equivalent")
+    # plain tuples, which the detail prints
+    exp_bin, act_bin = set(map(tuple, exp.binary)), set(map(tuple, act.binary))
+    if sorted(exp.unary) == sorted(act.unary) and len(exp.binary) == len(act.binary):
+        missing = sorted(exp_bin - act_bin)
+        extra = sorted(act_bin - exp_bin)
+        if len(missing) == 1 and len(extra) == 1:
+            (en, el, er), (an, al, ar) = missing[0], extra[0]
+            if en == an and el == al and er != ar:
+                return ErrorReport(
+                    "attraction",
+                    detail=f"{en} ( {el} , {er} ) became {an} ( {al} , {ar} )",
+                    differing=[(f"{en} ( {el} , {er} )", f"{an} ( {al} , {ar} )")],
+                )
+        return ErrorReport("other", detail=f"role conjuncts differ: -{missing} +{extra}",
+                           differing=[(str(missing), str(extra))])
+    return ErrorReport("other", detail="introduced instances differ")
 
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -283,10 +318,20 @@ KEEP_FAILURES = 20  # missed rows a SplitReport keeps, in order
 @dataclass
 class SplitReport:
     name: str
-    n: int
-    sem_hits: int
-    em_hits: int
+    kinds: Counter = field(default_factory=Counter)  # rows per kind
     failures: list[tuple[str, str, Optional[str]]] = field(default_factory=list)  # (sentence, gold, pred)
+
+    @property
+    def n(self) -> int:
+        return sum(self.kinds.values())
+
+    @property
+    def sem_hits(self) -> int:
+        return sum(self.kinds[kind] for kind in HITS)
+
+    @property
+    def em_hits(self) -> int:
+        return self.kinds["exact"]
 
     @property
     def sem(self) -> float:
@@ -308,25 +353,12 @@ class SplitReport:
                 f"ci_low={lo:.4f} ci_high={hi:.4f}")
 
 
-# (sentence, gold, prediction, semantic hit, string hit)
-ScoredRow = tuple[str, str, Optional[str], bool, bool]
-
-
-def score_row(sentence: str, gold: str, pred: Optional[str]) -> ScoredRow:
-    """Compare one prediction with its gold; ``None`` (no prediction) misses."""
-    if pred is None:
-        return sentence, gold, pred, False, False
-    em = string_exact_match(gold, pred)
-    return sentence, gold, pred, em or semantic_exact_match(gold, pred), em
-
-
-def tally(scored: Iterable[ScoredRow], name: str = "split") -> SplitReport:
-    """Sum scored rows into a report, keeping the first ``KEEP_FAILURES`` misses."""
-    report = SplitReport(name, 0, 0, 0)
-    for sentence, gold, pred, sem, em in scored:
-        report.n += 1
-        report.sem_hits += sem
-        report.em_hits += em
-        if not sem and len(report.failures) < KEEP_FAILURES:
+def tally(rows: Iterable[tuple[str, str, Optional[str], str]], name: str = "split") -> SplitReport:
+    """Sum (sentence, gold, prediction, kind) rows into a report, keeping the
+    first ``KEEP_FAILURES`` misses."""
+    report = SplitReport(name)
+    for sentence, gold, pred, kind in rows:
+        report.kinds[kind] += 1
+        if kind not in HITS and len(report.failures) < KEEP_FAILURES:
             report.failures.append((sentence, gold, pred))
     return report

@@ -1,32 +1,21 @@
-"""Tree-based reference translator and error/augmentation analyses.
+"""Tree-based reference translator and the analyses that read trees.
 
 ``lf_oracle`` derives the logical form from a parse tree by ordinary
 compositional walking -- no sequence tricks -- and is the ground truth the
-flat decoder is measured against.  The walk collects ``SentenceFacts``, which
-``logical_form.serialize_facts`` lays out exactly as the decoder's own facts.
-The same tree view powers the attraction-error predictor and the
-dative-argument-order augmentation.
+flat decoder is measured against.  The walk collects ``SentenceFacts``, the
+``Intro`` and ``Rel`` records that ``logical_form.serialize_facts`` lays out
+exactly as the decoder's own facts.  The same tree view powers the
+attraction-error predictor and the dative-argument-order augmentation.
+Everything here reads trees; judging a prediction is ``logical_form``'s.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import lexicon as lx
-from .encoder import FRAMES
 from .grammar import Tree, parse_sentence
-from .logical_form import (Nmod, NounIntro, SentenceFacts, VerbGroup, parse_lf,
-                           semantic_exact_match, serialize_facts)
-
-
-def get_agent_side(template: str) -> Optional[str]:
-    """'left' when the template's agent binds the subject, 'right' when it
-    sits after the verb (a by-phrase or a later object slot); None when the
-    frame has no agent at all."""
-    frame = FRAMES.get(template)
-    slot = dict(frame.relations).get("agent") if frame else None
-    return None if slot is None else "left" if slot == "SUBJ" else "right"
+from .logical_form import Intro, Rel, SentenceFacts, serialize_facts
 
 
 def _np(node: Tree, facts: SentenceFacts) -> int:
@@ -36,62 +25,69 @@ def _np(node: Tree, facts: SentenceFacts) -> int:
         return _np(node.children[0], facts)
     if node.symbol == "<np_prop>":
         leaf = node.children[0]
-        facts.intros.append(NounIntro(leaf.word, leaf.pos, False))
+        facts.nouns.append(Intro(leaf.word, leaf.pos))
         return leaf.pos
     if node.symbol == "<np_det>":
         det, noun = node.children
-        facts.intros.append(NounIntro(noun.word, noun.pos, det.word == "the"))
+        facts.nouns.append(Intro(noun.word, noun.pos, det.word == "the"))
         return noun.pos
     if node.symbol == "<np_pp>":
         head_det, prep, inner = node.children
         head = _np(head_det, facts)
-        facts.nmods.append(Nmod(prep.word, head, _np(inner, facts)))
+        facts.rels.append(Rel(f"nmod . {prep.word}", head, _np(inner, facts)))
         return head
     raise ValueError(f"not an np node: {node.symbol}")
 
 
+def _verb(leaf: Tree, facts: SentenceFacts, stem: Callable[[str], str],
+          *roles: tuple[str, int]) -> int:
+    """Add a verb's introduction and its first role relations to ``facts``;
+    returns the verb's position."""
+    facts.verbs.append(Intro(stem(leaf.word), leaf.pos))
+    facts.rels += [Rel(name, leaf.pos, arg) for name, arg in roles]
+    return leaf.pos
+
+
 def _walk_start(node: Tree, facts: SentenceFacts, stem: Callable[[str], str]) -> Tree:
     """Populate facts for one clause (and its embeddings); returns the
-    clause's main verb leaf.  Every clause shape starts with its subject np."""
+    clause's main verb leaf.  Every clause shape starts with its subject np.
+    A verb's relations are added in emission order, each once its argument
+    has been walked."""
     clause = node.children[0]  # <s1>..<s4> or <vp_internal>
     kind = clause.symbol
     subj = _np(clause.children[0], facts)
 
     if kind == "<vp_internal>":
         verb = clause.children[1]
-        facts.groups.append(VerbGroup(stem(verb.word), verb.pos, [("theme", verb.pos, subj)]))
+        _verb(verb, facts, stem, ("theme", subj))
         return verb
 
     if kind == "<s4>":
         v_main, _to, v_inf = clause.children[1].children
-        facts.groups.append(VerbGroup(stem(v_main.word), v_main.pos, [
-            ("agent", v_main.pos, subj), ("xcomp", v_main.pos, v_inf.pos)]))
-        facts.groups.append(VerbGroup(stem(v_inf.word), v_inf.pos, [
-            ("agent", v_inf.pos, subj)]))
+        _verb(v_main, facts, stem, ("agent", subj), ("xcomp", v_inf.pos))
+        _verb(v_inf, facts, stem, ("agent", subj))
         return v_main
 
     if kind == "<s1>":
         vp = clause.children[1]
         if vp.children[0].is_leaf and len(vp.children) == 1:
             verb = vp.children[0]  # <v_unerg> or <v_trans_omissible_p1>
-            facts.groups.append(VerbGroup(stem(verb.word), verb.pos, [("agent", verb.pos, subj)]))
+            _verb(verb, facts, stem, ("agent", subj))
             return verb
         inner = vp.children[0]
         verb = inner.children[0]
-        V = verb.pos
-        group = VerbGroup(stem(verb.word), V, [("agent", V, subj)])
-        facts.groups.append(group)
+        V = _verb(verb, facts, stem, ("agent", subj))
         if inner.symbol in ("<vp_external1>", "<vp_external2>", "<vp_external3>"):
-            group.relations.append(("theme", V, _np(inner.children[1], facts)))
+            facts.rels.append(Rel("theme", V, _np(inner.children[1], facts)))
         elif inner.symbol == "<vp_external5>":
             embedded = _walk_start(inner.children[2], facts, stem)
-            group.relations.append(("ccomp", V, embedded.pos))
+            facts.rels.append(Rel("ccomp", V, embedded.pos))
         elif inner.symbol == "<vp_external6>":
-            group.relations.append(("theme", V, _np(inner.children[1], facts)))
-            group.relations.append(("recipient", V, _np(inner.children[2].children[1], facts)))
+            facts.rels.append(Rel("theme", V, _np(inner.children[1], facts)))
+            facts.rels.append(Rel("recipient", V, _np(inner.children[2].children[1], facts)))
         elif inner.symbol == "<vp_external7>":
-            group.relations.append(("recipient", V, _np(inner.children[1], facts)))
-            group.relations.append(("theme", V, _np(inner.children[2], facts)))
+            facts.rels.append(Rel("recipient", V, _np(inner.children[1], facts)))
+            facts.rels.append(Rel("theme", V, _np(inner.children[2], facts)))
         else:
             raise ValueError(f"unexpected vp_external child {inner.symbol}")
         return verb
@@ -99,26 +95,22 @@ def _walk_start(node: Tree, facts: SentenceFacts, stem: Callable[[str], str]) ->
     if kind == "<s2>":
         vp = clause.children[2].children[0]  # <vp_passiveN>
         verb = vp.children[0]
-        V = verb.pos
-        group = VerbGroup(stem(verb.word), V, [("theme", V, subj)])
+        V = _verb(verb, facts, stem, ("theme", subj))
         rest = vp.children[1:]
         if vp.symbol in ("<vp_passive7>", "<vp_passive8>"):
-            group.relations.append(("recipient", V, _np(rest[0].children[1], facts)))
+            facts.rels.append(Rel("recipient", V, _np(rest[0].children[1], facts)))
             rest = rest[1:]
         if rest:  # remaining shape is <by> <np>
-            group.relations.append(("agent", V, _np(rest[1], facts)))
-        facts.groups.append(group)
+            facts.rels.append(Rel("agent", V, _np(rest[1], facts)))
         return verb
 
     if kind == "<s3>":
         vp = clause.children[2].children[0]  # <vp_passive_dat1|2>
         verb = vp.children[0]
-        V = verb.pos
-        group = VerbGroup(stem(verb.word), V, [("recipient", V, subj)])
-        group.relations.append(("theme", V, _np(vp.children[1], facts)))
+        V = _verb(verb, facts, stem, ("recipient", subj))
+        facts.rels.append(Rel("theme", V, _np(vp.children[1], facts)))
         if vp.symbol == "<vp_passive_dat2>":
-            group.relations.append(("agent", V, _np(vp.children[3], facts)))
-        facts.groups.append(group)
+            facts.rels.append(Rel("agent", V, _np(vp.children[3], facts)))
         return verb
 
     raise ValueError(f"unexpected clause {kind}")
@@ -170,47 +162,6 @@ def predict_attraction_error(tree: Tree | str, lexicon: lx.Lexicon | None = None
     noun_positions = [leaf.pos for leaf in _subject_np(tree).leaves()
                       if leaf.symbol in ("<common_noun>", "<proper_noun>")]
     return max(noun_positions)
-
-
-@dataclass
-class ErrorReport:
-    kind: str  # exact | equivalent | attraction | other
-    detail: str = ""
-    differing: list[tuple[str, str]] = field(default_factory=list)
-
-
-def classify_error(expected: str, actual: str) -> ErrorReport:
-    """Compare gold and predicted logical forms.
-
-    "attraction" is the signature mistake of dropping the pp filter: atom
-    sets identical except one role conjunct whose right argument moved.
-    """
-    if expected.split() == actual.split():
-        return ErrorReport("exact")
-    try:
-        exp, act = parse_lf(expected), parse_lf(actual)
-    except ValueError as e:
-        return ErrorReport("other", detail=f"unparseable: {e}")
-    if semantic_exact_match(expected, actual):
-        return ErrorReport("equivalent")
-    exp_un = sorted((i.label, i.idx, i.star) for i in exp.unary)
-    act_un = sorted((i.label, i.idx, i.star) for i in act.unary)
-    exp_bin = {(r.name, r.left, r.right) for r in exp.binary}
-    act_bin = {(r.name, r.left, r.right) for r in act.binary}
-    if exp_un == act_un and len(exp.binary) == len(act.binary):
-        missing = sorted(exp_bin - act_bin)
-        extra = sorted(act_bin - exp_bin)
-        if len(missing) == 1 and len(extra) == 1:
-            (en, el, er), (an, al, ar) = missing[0], extra[0]
-            if en == an and el == al and er != ar:
-                return ErrorReport(
-                    "attraction",
-                    detail=f"{en} ( {el} , {er} ) became {an} ( {al} , {ar} )",
-                    differing=[(f"{en} ( {el} , {er} )", f"{an} ( {al} , {ar} )")],
-                )
-        return ErrorReport("other", detail=f"role conjuncts differ: -{missing} +{extra}",
-                           differing=[(str(missing), str(extra))])
-    return ErrorReport("other", detail="introduced instances differ")
 
 
 AUGMENTED_CATEGORY = "v_dat_p2_pp_moved_to_recipient"

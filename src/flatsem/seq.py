@@ -51,6 +51,7 @@ length 0 and an empty batch.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Any, Callable, Optional, Union
 
@@ -214,11 +215,14 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Sel
 
 def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
     """Position-wise combination of selectors, e.g. ``combine(and_, a, b)``;
-    an ``(n, n)`` selector broadcasts over a batch.  ``np.logical_and`` of two
+    more than two fold pairwise from the left, and no operand is written to.
+    An ``(n, n)`` selector broadcasts over a batch.  ``np.logical_and`` of two
     structured selectors with at most one relation between them stays
     structured: that relation, and the key masks ANDed."""
     if not selectors:
         raise ValueError("combine needs at least one selector")
+    if len(selectors) > 2:
+        return functools.reduce(lambda a, b: combine(op, a, b), selectors)
     if op is np.logical_and and len(selectors) == 2:
         a, b = selectors
         if (isinstance(a, Structured) and isinstance(b, Structured) and a.n == b.n

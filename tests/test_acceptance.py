@@ -14,11 +14,11 @@ import pytest
 from flatsem.cli import load_tsv
 from flatsem.coverage import coverage, coverage_curve, shuffle_experiment
 from flatsem.decoder import decode, decode_all
-from flatsem.encoder import analyze
+from flatsem.encoder import analyze, get_agent_side
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.logical_form import (
+    classify_error,
     clopper_pearson,
-    score_row,
     semantic_exact_match,
     string_exact_match,
     tally,
@@ -26,8 +26,6 @@ from flatsem.logical_form import (
 from flatsem.oracle import (
     AUGMENTED_CATEGORY,
     augment_v_dat_p2,
-    classify_error,
-    get_agent_side,
     lf_oracle,
     matrix_template,
     predict_attraction_error,
@@ -48,11 +46,13 @@ RUNTIME_BUDGET_S = 60.0
 
 
 def _score(rows, name):
-    """Score rows as ``flatsem run`` does: one ``decode_all`` call, and a row
-    the decoder cannot read scored as a miss."""
+    """Score rows as ``flatsem run`` does: one ``decode_all`` call, each row
+    judged by ``classify_error``, and a row the decoder cannot read scored as
+    a miss."""
     t0 = time.perf_counter()
     preds = decode_all([sentence for sentence, _, _ in rows])
-    report = tally((score_row(sentence, gold, pred if isinstance(pred, str) else None)
+    report = tally(((sentence, gold, pred, classify_error(gold, pred).kind)
+                    if isinstance(pred, str) else (sentence, gold, None, "undecodable")
                     for (sentence, gold, _), pred in zip(rows, preds)), name)
     return report, time.perf_counter() - t0
 

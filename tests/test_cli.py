@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from flatsem import decoder, oracle
+from flatsem import cli, decoder, logical_form
 from flatsem.cli import load_tsv, main, write_tsv
 from flatsem.coverage import coverage, coverage_curve, shuffle_experiment
 from flatsem.fuzz import fuzz_generate, pp_chain_sentence
@@ -349,26 +349,36 @@ def test_run_tallies_attraction(tmp_path, capsys):
 
 
 def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
-    """A hit is ``exact`` or ``equivalent`` by its scores; only a miss the
-    decoder read goes through ``classify_error``."""
+    """Each row's kind, and so its scores, comes from one ``classify_error``
+    call, which parses nothing for a string match, one side for a reordered
+    equivalent and each side once for a miss, and runs at most one renaming
+    search."""
     sentence = "a boy painted the girl"
     gold = GOLDEN[sentence]
     head, body = gold.split(" ; ")[:-1], gold.split(" ; ")[-1]
     reordered = " ; ".join([*head, " AND ".join(reversed(body.split(" AND ")))])
     write_tsv(tmp_path / "dev.tsv", [(sentence, gold, "x"), (sentence, reordered, "x"),
                                      (sentence, "boy ( 1 )", "x")])
-    classified = []
-    real_classify = oracle.classify_error
+    counts = Counter()
+    per_row = []
+    for name in ("parse_lf", "semantic_exact_match"):
+        real = getattr(logical_form, name)
+        monkeypatch.setattr(logical_form, name,
+                            lambda *a, _real=real, _name=name: counts.update([_name]) or _real(*a))
+    real_classify = cli.classify_error
 
     def counting_classify(expected, actual):
-        classified.append(expected)
-        return real_classify(expected, actual)
+        counts.clear()
+        report = real_classify(expected, actual)
+        per_row.append((report.kind, counts["parse_lf"], counts["semantic_exact_match"]))
+        return report
 
-    monkeypatch.setattr(oracle, "classify_error", counting_classify)
+    monkeypatch.setattr(cli, "classify_error", counting_classify)
     assert main(["run", "--data", str(tmp_path), "--split", "dev", "--show", "5"]) == 0
+    assert per_row == [("exact", 0, 0), ("equivalent", 1, 0), ("other", 2, 1)]
     lines = capsys.readouterr().out.splitlines()
-    assert classified == ["boy ( 1 )"]
     assert lines[:2] == [f"[other] {sentence}", "  gold: boy ( 1 )"]
+    assert lines[-4] == "split=dev n=3 sem=0.6667 em=0.3333 ci_low=0.0943 ci_high=0.9916"
     assert lines[-3:] == ["split=dev kind=equivalent count=1 frac=0.3333",
                           "split=dev kind=exact count=1 frac=0.3333",
                           "split=dev kind=other count=1 frac=0.3333"]

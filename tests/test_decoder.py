@@ -77,9 +77,10 @@ def test_repeated_decodes_keep_ablation_variants_apart(lexicon):
 def test_flat_facts_equal_tree_facts(lexicon):
     """The flat analysis and the tree walk assert the same facts."""
     def by_position(facts):
-        return (sorted(facts.intros, key=lambda i: i.pos),
-                sorted(facts.nmods, key=lambda m: m.head_pos),
-                sorted(facts.groups, key=lambda g: g.pos))
+        # a verb's relations keep their emission order under the stable sort
+        return (sorted(facts.nouns, key=lambda i: i.idx),
+                sorted(facts.verbs, key=lambda v: v.idx),
+                sorted(facts.rels, key=lambda r: r.left))
 
     for tokens, _tree in fuzz_generate(300, lexicon, seed=8, pp_depth=3, cp_depth=3):
         flat = dec.build_plan(analyze(tokens, lexicon), lexicon)

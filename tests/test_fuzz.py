@@ -65,7 +65,7 @@ def test_require_filters_trees(lexicon):
 
 def test_impossible_require_exhausts_budget(lexicon):
     with pytest.raises(RuntimeError):
-        fuzz_generate(1, lexicon, seed=0, require=lambda t: False, max_tries=30)
+        fuzz_generate(1, lexicon, seed=0, require=lambda t: False)
 
 
 @pytest.mark.parametrize("depth", [1, 4, 9])

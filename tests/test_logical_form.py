@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import beta
 
 from flatsem import logical_form as lf
-from flatsem.oracle import lf_oracle
-from flatsem.fuzz import fuzz_generate, pp_chain_sentence
+from flatsem.decoder import build_plan
+from flatsem.encoder import analyze
+from flatsem.grammar import parse_sentence
+from flatsem.oracle import lf_oracle, sentence_facts
+from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 
 from corpora import GOLDEN
 
@@ -30,6 +34,24 @@ def test_parse_lf_roundtrip():
     assert [(r.name, r.left, r.right) for r in parsed.binary] == [
         ("agent", 2, 1), ("theme", 2, 4),
     ]
+
+
+@pytest.mark.parametrize("corpus", ["uniform", "coverage", "chains"])
+def test_parse_lf_reads_back_the_records_written(corpus, lexicon):
+    """The decoder (with and without the ablation) and the oracle write the
+    same ``Intro`` and ``Rel`` records that ``parse_lf`` reads back."""
+    if corpus == "chains":
+        sentences = [pp_chain_sentence(168), cp_chain_sentence(169)]  # up to 511 tokens
+    else:
+        sentences = [tokens for tokens, _ in fuzz_generate(
+            150, lexicon, seed=21, pp_depth=3, cp_depth=3, mode=corpus)]
+    for tokens in sentences:
+        analysis = analyze(tokens, lexicon)
+        for facts in (build_plan(analysis, lexicon), build_plan(analysis, lexicon, ablate=True),
+                      sentence_facts(parse_sentence(tokens, lexicon), lexicon)):
+            parsed = lf.parse_lf(lf.serialize_facts(facts))
+            assert Counter(parsed.unary) == Counter(facts.nouns + facts.verbs), tokens
+            assert Counter(parsed.binary) == Counter(facts.rels), tokens
 
 
 def test_parse_lf_keeps_nmod_preposition():
@@ -170,8 +192,9 @@ def test_tally_counts_and_format():
         "s3": TRANSITIVE.replace("boy", "dog"),       # miss
         "s4": TRANSITIVE,                            # string match
     }
-    report = lf.tally((lf.score_row(s, TRANSITIVE, pred) for s, pred in answers.items()),
-                      name="demo")
+    report = lf.tally(((s, TRANSITIVE, pred, lf.classify_error(TRANSITIVE, pred).kind)
+                       for s, pred in answers.items()), name="demo")
+    assert report.kinds == {"exact": 2, "equivalent": 1, "other": 1}
     assert (report.n, report.sem_hits, report.em_hits) == (4, 3, 2)
     assert report.sem == pytest.approx(0.75)
     assert report.em == pytest.approx(0.5)
@@ -183,7 +206,7 @@ def test_tally_counts_and_format():
 
 
 def test_tally_failure_cap():
-    report = lf.tally([lf.score_row(f"s{k}", TRANSITIVE, "junk ( 0 )") for k in range(30)])
+    report = lf.tally([(f"s{k}", TRANSITIVE, "junk ( 0 )", "other") for k in range(30)])
     assert (report.n, report.sem_hits) == (30, 0)
     assert [s for s, _, _ in report.failures] == [f"s{k}" for k in range(20)]
 

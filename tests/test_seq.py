@@ -30,6 +30,22 @@ def test_combine_and():
     assert diag.tolist() == [[q == k for k in range(4)] for q in range(4)]
 
 
+def test_combine_folds_three_operands_and_writes_to_none():
+    rng = np.random.default_rng(0)
+    idx = seq.indices(6)
+    dense = tuple(rng.random((6, 6)) < 0.5 for _ in range(3))
+    structured = (seq.select(idx, idx, seq.Prefix),
+                  seq.select(np.array([1, 0, 1, 1, 0, 1]), 1, seq.Equal),
+                  seq.select(np.array([1, 1, 0, 1, 0, 0]), 1, seq.Equal))
+    for operands in (dense, structured, (dense[0], structured[1], dense[2])):
+        before = [np.asarray(x).copy() for x in operands]
+        out = seq.combine(np.logical_and, *operands)
+        assert np.array_equal(np.asarray(out), (before[0] & before[1]) & before[2])
+        assert all(np.array_equal(np.asarray(x), b) for x, b in zip(operands, before))
+        assert all(out is not x for x in operands)
+    assert isinstance(seq.combine(np.logical_and, *structured), seq.Structured)
+
+
 def test_selector_width_counts_rows():
     sel = seq.select(seq.indices(5), seq.indices(5), operator.lt)
     assert seq.selector_width(sel).tolist() == [0, 1, 2, 3, 4]
