@@ -11,10 +11,10 @@ summary of each sentence (clause spans, one verb frame per clause, pp
 attachments) is then read off its row of those flat vectors.  ``FRAMES`` is
 the one table of verb frames; a row holds only its name, the test that picks
 it and its relations, and ``get_agent_side`` reads off it which side of the
-verb a frame's agent binds.  What licenses a frame is the lexicon code of its
-leaf in ``grammar.CODE_LEAVES``, the table the parser reads, and its voice is
-that code's slot in ``lexicon.SLOT``: slot 2, the passive participle, wants
-"was" right before the verb.
+verb a frame's agent binds.  What licenses a frame is its leaf's lexicon code
+in ``grammar.LEAF_CODE``, the inverse of the table the parser reads, and its
+voice is that code's slot in ``lexicon.SLOT``: slot 2, the passive
+participle, wants "was" right before the verb.
 
 The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import lexicon as lx
 from . import seq
-from .grammar import CODE_LEAVES
+from .grammar import LEAF_CODE
 
 
 @dataclass
@@ -166,9 +166,6 @@ class Frame:
     relations: tuple[tuple[str, str], ...]
 
 
-# leaf name -> the lexicon code a word needs to fill it; a frame's licence
-_LICENCE = {leaf.strip("<>"): code for code, leaves in CODE_LEAVES.items() for leaf in leaves}
-
 # Every verb frame; a clause takes the first row that fits.  "v_inf" only
 # holds the relations of the infinitive under "v_inf_taking".
 FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
@@ -240,7 +237,7 @@ def match_template(emb: lx.Embedded, span: tuple[int, int],
     was = V > start and emb.pos[V - 1] == lx.WAS
     site = _Site(emb, np_start, np_head, V, end)
     for frame in FRAMES.values():  # a row's test runs only if the verb carries its licence
-        code = _LICENCE[frame.name]
+        code = LEAF_CODE[f"<{frame.name}>"]
         if code in slots and (lx.SLOT[code] == 2) == was and frame.test(site):
             second = V + 2 if ("xcomp", "V2") in frame.relations else None
             return ClauseInfo(start, end, V, frame.name, second)

@@ -17,19 +17,12 @@ from typing import Callable, Optional
 
 from . import lexicon as lx
 from .grammar import (
-    CODE_LEAVES,
     COGS_INPUT_GRAMMAR_NO_TERMINALS as GRAMMAR,
+    LEAF_CODE,
     START,
     Tree,
     expansion_key,
 )
-
-# leaf grammar symbol -> lexicon category to sample words from
-LEAF_CATEGORY: dict[str, str] = {
-    leaf: lx.CODE_CATEGORIES[code]
-    for code, leaves in CODE_LEAVES.items()
-    for leaf in leaves
-}
 
 
 class _Gen:
@@ -42,7 +35,8 @@ class _Gen:
     def expand(self, symbol: str, pp_budget: int, cp_budget: int) -> Tree:
         alts = GRAMMAR[symbol]
         if not alts:
-            word = self.rng.choice(self.lexicon.words_for(LEAF_CATEGORY[symbol]))
+            category = lx.CODE_CATEGORIES[LEAF_CODE[symbol]]
+            word = self.rng.choice(self.lexicon.words_for(category))
             pos = len(self.words)
             self.words.append(word)
             return Tree(symbol, word=word, pos=pos)

@@ -143,6 +143,9 @@ CODE_LEAVES: dict[int, tuple[str, ...]] = {
     lx.V_UNACC_PP: ("<v_unacc_pp_p1>", "<v_unacc_pp_p2>"),
 }
 
+# Leaf category -> the one lexicon code a word needs to fill it.
+LEAF_CODE: dict[str, int] = {leaf: code for code, leaves in CODE_LEAVES.items() for leaf in leaves}
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Tree:

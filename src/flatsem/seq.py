@@ -4,7 +4,7 @@ Everything downstream (masks, running counts, template matching) is phrased in
 terms of a handful of operations over aligned sequences:
 
 * ``select``        builds an attention-style boolean selector matrix
-* ``aggregate``     pools values through a selector (mean pooling)
+* ``aggregate``     gathers each row's selected value, or the mean of numbers
 * ``selector_width``counts selected positions per row
 * ``elementwise``   position-wise map over aligned sequences
 * ``combine``       position-wise map over selectors
@@ -16,8 +16,8 @@ are a batch of same-length rows, each row an independent input, as a
 Transformer layer runs a batch of inputs at once.  A selector built from
 batched sequences is ``(..., n, n)``; one that does not depend on the data,
 such as a shift's ``Offset(-1)`` over ``indices(n)``, stays ``(n, n)`` and
-broadcasts over the batch.  Every primitive on a batch equals the stack of its
-calls on the rows.
+broadcasts over the batch.  Every primitive on a batch gives the values of
+the stack of its calls on the rows, in the dtype numpy gives that stack.
 
 Most selectors are numpy ``bool`` arrays.  A few patterns are held by their
 structure instead, as a ``Structured`` selector, so that they cost O(n), not
@@ -42,11 +42,12 @@ ops must therefore be elementwise -- ``operator.le``,
 ``and`` / ``or`` / ``in`` / ``int()``, which need a single value.  A lambda
 always gives a dense selector, even where a declared predicate would not.
 
-The primitives accept Python lists and scalars too; a list is one row, and a
-scalar broadcasts to a full sequence.  A list of only ints or only floats
-becomes a numeric array; any other list (mixed types, bools, strings) an
-object array, so every value keeps its Python type.  Every primitive accepts
-length 0 and an empty batch.
+A sequence holds one kind of value: numbers (int or float), bools, or other
+objects such as tokens, in an object array.  The primitives accept Python
+lists and scalars too; a list is one row, and a scalar broadcasts to a full
+sequence.  Each becomes the array numpy makes of it when that holds numbers
+or bools, and an object array of the same values otherwise.  Every primitive
+accepts length 0 and an empty batch.
 """
 
 from __future__ import annotations
@@ -153,17 +154,15 @@ Selector = Union[np.ndarray, Structured]  # (..., n, n) bool cells
 
 
 def _array(x: Any, n: int) -> np.ndarray:
-    """``x`` as an array whose last axis has length ``n``; a scalar broadcasts."""
+    """``x`` as an array whose last axis has length ``n``; a scalar broadcasts.
+    A list or scalar becomes numpy's array of it when that holds numbers or
+    bools, and an object array of the same values otherwise."""
     if not isinstance(x, np.ndarray):
-        if not isinstance(x, (list, tuple)):
-            return np.full(n, x, dtype=None if type(x) in (int, float) else object)
-        kinds = set(map(type, x))
-        if kinds == {int}:
-            x = np.array(x, dtype=np.int64)
-        elif kinds == {float}:
-            x = np.array(x, dtype=np.float64)
-        else:
-            x = np.fromiter(x, dtype=object, count=len(x))
+        arr = np.asarray(x) if isinstance(x, (list, tuple)) else np.full(n, x)
+        if arr.dtype.kind not in "biuf":  # tokens, strings, anything else
+            arr = np.empty(arr.shape, dtype=object)
+            arr[...] = x
+        x = arr
     if x.shape[-1] != n:
         raise ValueError(f"length mismatch: {x.shape[-1]} vs {n}")
     return x
@@ -244,82 +243,37 @@ def selector_width(selector: Selector) -> np.ndarray:
     return _matrix(selector).sum(axis=-1)
 
 
-def _numeric(vals: np.ndarray) -> bool:
-    """Every value is an int or a float, and none is a bool."""
-    if vals.dtype != object:
-        return vals.dtype.kind in "iuf"
-    return all(issubclass(t, (int, float)) and not issubclass(t, bool)
-               for t in set(map(type, vals.ravel())))
-
-
-def _codes(vals: np.ndarray) -> np.ndarray:
-    """One integer code per distinct value; 1, 1.0 and True are one value."""
-    codes: dict[Any, int] = {}
-    flat = vals.ravel()
-    return np.fromiter((codes.setdefault(v, len(codes)) for v in flat),
-                       dtype=np.intp, count=len(flat)).reshape(vals.shape)
-
-
-def _gather(vals: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """The value at each row's ``first`` position: the same positions for
-    every row of a batch when ``first`` is 1-D, each row its own otherwise."""
-    return vals.take(first, -1) if first.ndim == 1 else np.take_along_axis(vals, first, -1)
-
-
-def _pool(sel: np.ndarray, vals: np.ndarray, first: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` with each row whose selected values differ set to their mean."""
-    code = vals if vals.dtype.kind in "biuf" else _codes(vals)
-    mixed = (sel & (code[..., np.newaxis, :] != _gather(code, first)[..., np.newaxis])).any(axis=-1)
-    if not mixed.any():
-        return out
-    seqs = mixed.any(axis=-1)  # the sequences of the batch that hold a mixed row
-    pooled = vals[seqs]
-    if not _numeric(pooled):
-        raise ValueError("aggregate over distinct symbolic values is undefined")
-    sums = np.matmul(sel if sel.ndim == 2 else sel[seqs],
-                     pooled.astype(np.float64)[..., np.newaxis])[..., 0]
-    mean = sums[mixed[seqs]] / np.broadcast_to(np.count_nonzero(sel, axis=-1), mixed.shape)[mixed]
-    whole = np.isfinite(mean) & (mean == np.trunc(mean))
-    if out.dtype.kind == "i" and whole.all():
-        out[mixed] = mean
-        return out
-    means = mean.astype(object)
-    means[whole] = mean[whole].astype(np.int64).astype(object)
-    out = out.astype(object)
-    out[mixed] = means
-    return out
-
-
-def _defaults(vals: np.ndarray) -> Any:
-    """The empty-row value of each row: 0 for a row of numbers, else ""."""
-    if vals.ndim == 1 or vals.dtype != object:
-        return 0 if _numeric(vals) else ""
-    rows = vals.reshape(-1, vals.shape[-1])
-    return np.array([0 if _numeric(row) else "" for row in rows],
-                    dtype=object).reshape(*vals.shape[:-1], 1)
-
-
-def _holds(out: np.ndarray, value: Any) -> bool:
-    """``out``'s dtype keeps ``value`` with its Python type."""
-    kind = {int: "i", float: "f"}.get(type(value))
-    return out.dtype == object or out.dtype.kind == kind
+def _fill(vals: np.ndarray, default: Any) -> tuple[Any, np.dtype]:
+    """The value an empty row of ``vals`` takes, and the dtype that holds it
+    beside them.  The value is ``default``, or when that is None 0 for a
+    numeric sequence and "" for any other.  A number beside numbers, or a
+    bool beside bools, gives numpy's common dtype of the two; any other pair
+    gives object."""
+    kind = vals.dtype.kind
+    if default is None:
+        default = 0 if kind in "iuf" else ""
+    if kind in "biuf":
+        fill = np.asarray(default).dtype
+        if fill.kind == kind == "b" or (kind != "b" and fill.kind in "iuf"):
+            return default, np.promote_types(vals.dtype, fill)
+    return default, np.dtype(object)
 
 
 def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarray:
-    """Mean-pool ``values`` through ``selector``.
+    """RASP's aggregate: each query row gathers the value at its selected key.
 
-    Numeric values average; a query row that selects nothing yields 0 (or
-    ``default`` when given).  Non-numeric values only support the
-    unique-selection pattern: every selected value must be identical, and an
-    empty row yields "" (or ``default``).  A row whose selected values are all
-    equal passes the first of them through unchanged; averages that come out
-    whole are returned as ints so masks stay integer-typed.
+    A row that selects several keys holding one value passes that value on.
+    Where they differ, numbers take their mean (the two cases are Tracr's
+    categorical and numerical aggregates) -- an int sequence stays int
+    when every mean of the call is whole, and becomes float otherwise -- and
+    any other values raise ``ValueError``.  A row that selects nothing takes
+    ``default``, or 0 for a numeric sequence and "" for any other; the result
+    keeps its dtype when the default is a number beside numbers or a bool
+    beside bools, and is an object array otherwise.
 
-    Each row first gathers the value at its first selected position; only
-    when some row selects several positions are the rows compared, through
-    integer codes of the values.  An ``(n, n)`` selector gathers the same
-    positions from every row of a batch.  An ``Offset`` selector is read as a
-    slice, with the same values, defaults and dtype.
+    An ``(n, n)`` selector gathers the same positions from every row of a
+    batch.  An ``Offset`` selector is read as a slice, with the same values,
+    defaults and dtype.
     """
     if (isinstance(selector, Structured) and isinstance(selector.rel, Offset)
             and selector.keys is None):
@@ -327,26 +281,26 @@ def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarra
     sel = _matrix(selector)
     n = sel.shape[-1]
     vals = _array(values, n)
-    first = sel.argmax(axis=-1) if n else np.zeros(sel.shape[:-1], dtype=np.intp)
-    if sel.ndim == 2:
-        hit = sel[np.arange(n), first]  # argmax lands on a selected cell unless the row is empty
-    else:  # a selector per row: each row gathers its own positions
+    if sel.ndim > 2:  # a selector per row: each row gathers its own positions
         shape = np.broadcast_shapes(sel.shape[:-1], vals.shape)
         sel = np.broadcast_to(sel, (*shape, n))
         vals = np.broadcast_to(vals, shape)
-        first = np.broadcast_to(first, shape)
-        hit = np.take_along_axis(sel, first[..., np.newaxis], -1)[..., 0]
-    out = _gather(vals, first)
-    hits = np.count_nonzero(hit)
-    if np.count_nonzero(sel) > hits:  # some row selects several positions
-        out = _pool(sel, vals, first, out)
-    if hits == hit.size:
+    first = sel.argmax(axis=-1) if n else np.zeros(sel.shape[:-1], dtype=np.intp)
+    out = vals.take(first, -1) if sel.ndim == 2 else np.take_along_axis(vals, first, -1)
+    differ = (sel & (vals[..., np.newaxis, :] != out[..., np.newaxis])).any(axis=-1)
+    if differ.any():
+        if vals.dtype.kind not in "iuf":
+            raise ValueError("aggregate over distinct non-numeric values is undefined")
+        sums = np.matmul(sel, vals[..., np.newaxis].astype(np.float64))[..., 0]
+        mean = sums[differ] / np.broadcast_to(np.count_nonzero(sel, axis=-1), differ.shape)[differ]
+        if (mean != np.trunc(mean)).any():
+            out = out.astype(np.float64, copy=False)
+        out[differ] = mean
+    hit = sel.any(axis=-1)
+    if hit.all():
         return out
-    if default is None:
-        default = _defaults(vals)
-    if not _holds(out, default):
-        out = out.astype(object)
-    return np.where(hit, out, default)
+    default, dtype = _fill(out, default)
+    return np.where(hit, out.astype(dtype, copy=False), default)
 
 
 def _slide(vals: np.ndarray, d: int, default: Any) -> np.ndarray:
@@ -356,9 +310,8 @@ def _slide(vals: np.ndarray, d: int, default: Any) -> np.ndarray:
     lo, hi = min(max(-d, 0), n), max(min(n - d, n), 0)  # the queries with a key
     if lo == 0 and hi == n:
         return vals.copy()
-    if default is None:
-        default = _defaults(vals)
-    out = np.empty(vals.shape, dtype=vals.dtype if _holds(vals, default) else object)
+    default, dtype = _fill(vals, default)
+    out = np.empty(vals.shape, dtype=dtype)
     if lo:
         out[..., :lo] = default
     if hi < n:

@@ -1,5 +1,7 @@
+import inspect
 import random
 
+import numpy as np
 import pytest
 
 from flatsem import encoder as enc
@@ -7,7 +9,7 @@ from flatsem import grammar as gr
 from flatsem import lexicon as lx
 from flatsem import oracle as orc
 from flatsem.decoder import decode_all
-from flatsem.fuzz import cp_chain_sentence, fuzz_generate
+from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.seq import SequenceTooLongError
 
 
@@ -155,8 +157,8 @@ def test_length_cap(lexicon):
 
 def _frame_leaves():
     """The grammar's verb-frame leaves, without brackets, with their codes."""
-    return {leaf.strip("<>"): code for code, leaves in gr.CODE_LEAVES.items()
-            for leaf in leaves if leaf.startswith("<v_")}
+    return {leaf.strip("<>"): code for leaf, code in gr.LEAF_CODE.items()
+            if leaf.startswith("<v_")}
 
 
 def test_frame_table_names_the_grammar_verb_frames():
@@ -169,7 +171,7 @@ BINDER_SLOTS = {"SUBJ", "OBJ1", "OBJ2", "V2", "NEXT_V"}  # what build_plan binds
 
 def test_frame_rows_have_a_licence_and_name_binder_slots():
     # a row holds only its test and relations; its licence is its leaf's code
-    # in CODE_LEAVES, a verb code whose lexicon slot gives the frame's voice
+    # in LEAF_CODE, a verb code whose lexicon slot gives the frame's voice
     leaves = _frame_leaves()
     for name, frame in enc.FRAMES.items():
         assert name in leaves and leaves[name] in lx.SLOT, name
@@ -217,6 +219,38 @@ def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
     for sel in made:
         assert isinstance(sel, enc.seq.Structured)  # its n, its relation and its mask
         assert sel.keys is None or sel.keys.shape == (*sel.shape[:-2], sel.n)
+
+
+def test_the_encoder_sends_seq_one_kind_per_sequence(lexicon, monkeypatch):
+    """``seq`` holds one kind of value per sequence.  Every sequence argument
+    of a primitive call, the calls inside ``seq`` included, is an int64, bool
+    or object array, or a scalar: on fuzzed corpora of both modes and the
+    longest chains through ``analyze_all``, and on one row through
+    ``analyze``."""
+    sent = []
+    for name in ("select", "aggregate", "elementwise", "shift_right", "shift_left",
+                 "running_count"):
+        real = getattr(enc.seq, name)
+
+        def spy(*args, _real=real, _signature=inspect.signature(real), **kwargs):
+            for param, arg in _signature.bind(*args, **kwargs).arguments.items():
+                if param == "seqs":
+                    sent.extend(arg)
+                elif param in ("keys", "queries", "values", "mask"):
+                    sent.append(arg)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(enc.seq, name, spy)
+    corpus = [tokens for mode in ("uniform", "coverage")
+              for tokens, _tree in fuzz_generate(200, lexicon, seed=5, mode=mode)]
+    corpus += [pp_chain_sentence(168), cp_chain_sentence(169)]
+    assert all(isinstance(a, enc.InputAnalysis) for a in enc.analyze_all(corpus, lexicon))
+    enc.analyze("a boy beside the tree painted the cake .", lexicon)
+    for arg in sent:
+        assert (isinstance(arg, np.ndarray) and arg.dtype in (np.int64, bool, object)
+                or np.isscalar(arg)), arg
+    assert {arg.dtype.name if isinstance(arg, np.ndarray) else "scalar" for arg in sent} == {
+        "int64", "bool", "object", "scalar"}
 
 
 def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):

@@ -119,12 +119,26 @@ def test_aggregate_matches_plain_mean(values, rng):
         assert out[q] == pytest.approx(expected)
 
 
-@given(st.lists(st.integers(-3, 3) | st.sampled_from(["the", "boy"]), min_size=1, max_size=64),
-       st.integers(-9, 9) | st.just(""))
+# Each sequence holds one kind of value: ints, floats whose sums are exact,
+# bools or strings.
+
+_HALVES = st.integers(-6, 6).map(lambda i: i / 2)
+_KINDS = {
+    "int": (st.integers(-3, 3), np.int64),
+    "float": (_HALVES, np.float64),
+    "bool": (st.booleans(), bool),
+    "str": (st.sampled_from(["the", "boy", ""]), object),
+}
+_ONE_KIND = st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.lists(_KINDS[kind][0], min_size=1, max_size=64))
+_DEFAULTS = st.none() | st.integers(-2, 2) | _HALVES | st.booleans() | st.sampled_from(["", "-"])
+
+
+@given(_ONE_KIND, st.integers(-9, 9) | st.just(""))
 def test_shifts_and_running_count_match_plain_lists(values, default):
     assert seq.shift_right(values, default=default).tolist() == [default] + values[:-1]
     assert seq.shift_left(values, default=default).tolist() == values[1:] + [default]
-    mask = [int(v == "the") for v in values]
+    mask = [int(bool(v)) for v in values]
     assert seq.running_count(mask).tolist() == [sum(mask[:i + 1]) for i in range(len(mask))]
 
 
@@ -141,8 +155,8 @@ def test_every_primitive_accepts_length_zero():
     assert seq.running_count([]).tolist() == []
 
 
-# Plain-Python definitions of the primitives, position by position.  Values
-# compare as Python compares them, so 1, 1.0 and True are one value.
+# Plain-Python definitions of the primitives, position by position.  A result
+# holds its values as one sequence of them would: ``_one_kind``.
 
 def _plain(xs):
     return xs.tolist() if hasattr(xs, "tolist") else list(xs)
@@ -152,26 +166,34 @@ def _typed(xs):
     return [(type(v), v) for v in xs]
 
 
-def _numeric(values):
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+def _one_kind(xs, kind):
+    """``xs`` as a result from a sequence of ``kind`` holds them: numbers all
+    floats when that kind or one of them is float, else ints; any other mix
+    keeps each value's type."""
+    if all(type(v) in (int, float) for v in xs) and (kind == "float" or float in map(type, xs)):
+        return [float(v) for v in xs]
+    return xs
 
 
-def _ref_aggregate(sel, values, default=None):
-    if default is None:
-        default = 0 if _numeric(values) else ""
-    out = []
+def _ref_aggregate(sel, values, kind, default=None):
+    """Each row's first selected value when the selected values agree, else
+    their mean when they are numbers (an int only when every mean of the
+    call is whole); an empty row takes the default."""
+    numeric = kind in ("int", "float")
+    picks = []
     for row in sel:
         picked = [v for v, hit in zip(values, row) if hit]
-        if not picked:
-            out.append(default)
-        elif all(v == picked[0] for v in picked):
-            out.append(picked[0])
-        elif not _numeric(values):
-            raise ValueError("distinct symbolic values")
+        if not picked or all(v == picked[0] for v in picked):
+            picks.append(picked[:1])
+        elif not numeric:
+            raise ValueError("distinct non-numeric values")
         else:
             mean = sum(picked) / len(picked)
-            out.append(int(mean) if mean.is_integer() else mean)
-    return out
+            picks.append([int(mean) if kind == "int" and mean.is_integer() else mean])
+    gathered = iter(_one_kind([pick[0] for pick in picks if pick], kind))
+    if default is None:
+        default = 0 if numeric else ""
+    return _one_kind([next(gathered) if pick else default for pick in picks], kind)
 
 
 def _ref_running_count(mask):
@@ -180,13 +202,6 @@ def _ref_running_count(mask):
         total += m
         out.append(total)
     return out
-
-
-_HALVES = st.integers(-6, 6).map(lambda i: i / 2)  # floats whose sums are exact
-_ANY = (st.integers(-3, 3) | _HALVES | st.booleans() | st.sampled_from(["the", "boy", ""])
-        | st.sampled_from([1, 1.0, True]))
-_SEQS = (st.lists(st.integers(-3, 3), max_size=64) | st.lists(_HALVES, max_size=64)
-         | st.lists(st.integers(-3, 3) | _HALVES, max_size=64) | st.lists(_ANY, max_size=64))
 
 
 @st.composite
@@ -203,14 +218,14 @@ def _selectors(draw, n):
 
 @given(st.data())
 def test_primitives_match_plain_python(data):
-    values = data.draw(_SEQS, label="values")
+    kind = data.draw(st.sampled_from(sorted(_KINDS)), label="kind")
+    values = data.draw(st.lists(_KINDS[kind][0], max_size=64), label="values")
     n = len(values)
     sel = data.draw(_selectors(n), label="selector")
-    default = data.draw(st.none() | st.integers(-2, 2) | st.sampled_from(["", "-"]),
-                        label="default")
+    default = data.draw(_DEFAULTS, label="default")
 
     try:
-        expected = _ref_aggregate(sel, values, default)
+        expected = _ref_aggregate(sel, values, kind, default)
     except ValueError:
         with pytest.raises(ValueError):
             seq.aggregate(sel, values, default)
@@ -227,114 +242,91 @@ def test_primitives_match_plain_python(data):
 
     fill = 0 if default is None else default
     assert _typed(_plain(seq.shift_right(values, default=fill))) == _typed(
-        ([fill] + values)[:n])
+        _one_kind(([fill] + values)[:n], kind))
     assert _typed(_plain(seq.shift_left(values, default=fill))) == _typed(
-        (values + [fill])[1:])
+        _one_kind((values + [fill])[1:], kind))
 
-    mask = [int(v == "the" or v == 1) for v in values]
+    mask = [int(bool(v)) for v in values]
     assert _plain(seq.running_count(mask)) == _ref_running_count(mask)
 
 
-# Batches: a (B, n) stack of rows must give the stack of the per-row calls,
-# under a selector shared by every row (n x n) or one selector per row.
-
-def _stack(rows, n):
-    """Rows stacked as the primitives would convert one of them: int64 or
-    float64 when every value is an int or every one a float, object otherwise."""
-    kinds = {type(v) for row in rows for v in row}
-    dtype = {frozenset([int]): np.int64, frozenset([float]): np.float64}.get(
-        frozenset(kinds), object)
-    out = np.empty((len(rows), n), dtype=dtype)
-    for b, row in enumerate(rows):
-        out[b, :] = row
-    return out
-
-
-_ROWS = st.sampled_from([st.integers(-3, 3), _HALVES, st.integers(-3, 3) | _HALVES, _ANY])
-
+# Batches: a (B, n) stack of rows must give the values of the stack of the
+# per-row calls, in that stack's dtype, under a selector shared by every row
+# (n x n) or one selector per row.
 
 @st.composite
 def _batches(draw):
-    """B rows of length n, each row drawn from its own kind of value."""
+    """B rows of length n, all of one kind of value, as a (B, n) array."""
+    elements, dtype = _KINDS[draw(st.sampled_from(sorted(_KINDS)), label="kind")]
     n = draw(st.integers(0, 64), label="n")
     b = draw(st.integers(0, 4), label="B")
-    return [draw(st.lists(draw(_ROWS), min_size=n, max_size=n)) for _ in range(b)], n
+    values = draw(st.lists(elements, min_size=b * n, max_size=b * n), label="values")
+    return np.array(values, dtype=dtype).reshape(b, n)
 
 
-def _each(out, rows, row_ndim=1):
-    """Each row of a batched result, as ``_typed`` lists (a selector as nested
-    lists); an unbatched result stands for every one of ``rows`` rows."""
-    out = np.broadcast_to(out, (rows, *out.shape[out.ndim - row_ndim:]))
-    return [_typed(_plain(row)) if row_ndim == 1 else row.tolist() for row in out]
-
-
-def _per_row(fn, *columns, row_ndim=1):
+def _rows(fn, *columns):
     """``fn`` on each row's arguments, one column of arguments per parameter,
-    as ``_each`` gives them, or ValueError when a row raises it."""
+    or ValueError when a row raises it."""
     try:
-        return [_typed(_plain(out)) if row_ndim == 1 else out.tolist()
-                for out in (fn(*args) for args in zip(*columns))]
+        return [np.asarray(fn(*args)) for args in zip(*columns)]
     except ValueError:
         return ValueError
 
 
+def _stacks(out, outs, row_ndim=1):
+    """``out`` holds the values of the stack of the row results ``outs``, in
+    the dtype numpy gives that stack; an unbatched ``out`` stands for every
+    row."""
+    out = np.broadcast_to(out, (len(outs), *out.shape[out.ndim - row_ndim:]))
+    if outs:
+        assert out.dtype == np.stack(outs).dtype
+    assert [row.tolist() for row in out] == [row.tolist() for row in outs]
+
+
 @given(_batches(), st.data())
-def test_batched_primitives_equal_the_stack_of_row_calls(batch, data):
-    rows, n = batch
-    b = len(rows)
-    stacked = _stack(rows, n)
+def test_batched_primitives_equal_the_stack_of_row_calls(stacked, data):
+    b, n = stacked.shape
+    rows = list(stacked)
     shared = np.array(data.draw(_selectors(n), label="shared selector"), dtype=bool).reshape(n, n)
     own = np.array([data.draw(_selectors(n), label="row selector") for _ in rows],
                    dtype=bool).reshape(b, n, n)
-    default = data.draw(st.none() | st.integers(-2, 2) | st.sampled_from(["", "-"]),
-                        label="default")
+    default = data.draw(_DEFAULTS, label="default")
 
     for sel, sels in ((shared, [shared] * b), (own, list(own))):
-        expected = _per_row(lambda s, v: seq.aggregate(s, v, default), sels, rows)
+        expected = _rows(lambda s, v: seq.aggregate(s, v, default), sels, rows)
         if expected is ValueError:
             with pytest.raises(ValueError):
                 seq.aggregate(sel, stacked, default)
         else:
-            assert _each(seq.aggregate(sel, stacked, default), b) == expected
-        assert _each(seq.selector_width(sel), b) == _per_row(seq.selector_width, sels)
-        assert _each(seq.combine(operator.and_, sel, shared), b, 2) == _per_row(
-            lambda s: seq.combine(operator.and_, s, shared), sels, row_ndim=2)
+            _stacks(seq.aggregate(sel, stacked, default), expected)
+        _stacks(seq.selector_width(sel), _rows(seq.selector_width, sels))
+        _stacks(seq.combine(operator.and_, sel, shared),
+                _rows(lambda s: seq.combine(operator.and_, s, shared), sels), 2)
 
-    reverse = [row[::-1] for row in rows]
-    assert _each(seq.elementwise(operator.eq, stacked, _stack(reverse, n)), b) == _per_row(
-        lambda x, y: seq.elementwise(operator.eq, x, y), rows, reverse)
-    assert _each(seq.elementwise(operator.mul, stacked, 2), b) == _per_row(
-        lambda x: seq.elementwise(operator.mul, x, 2), rows)
+    reverse = stacked[:, ::-1]
+    _stacks(seq.elementwise(operator.eq, stacked, reverse),
+            _rows(lambda x, y: seq.elementwise(operator.eq, x, y), rows, reverse))
+    _stacks(seq.elementwise(operator.mul, stacked, 2),
+            _rows(lambda x: seq.elementwise(operator.mul, x, 2), rows))
 
     fill = 0 if default is None else default
     for shift in (seq.shift_right, seq.shift_left):
-        assert _each(shift(stacked, default=fill), b) == _per_row(
-            lambda x: shift(x, default=fill), rows)
+        _stacks(shift(stacked, default=fill), _rows(lambda x: shift(x, default=fill), rows))
 
-    masks = [[int(v == "the" or v == 1) for v in row] for row in rows]
-    assert _each(seq.running_count(_stack(masks, n)), b) == _per_row(seq.running_count, masks)
+    masks = stacked.astype(bool).astype(np.int64)
+    _stacks(seq.running_count(masks), _rows(seq.running_count, masks))
 
     # batched keys or queries against unbatched ones, and a broadcast scalar
     idx = seq.indices(n)
     for keys, queries, fn in ((stacked, idx, lambda x, y: seq.select(x, idx, operator.eq)),
                               (1, stacked, lambda x, y: seq.select(1, x, operator.eq)),
-                              (stacked, _stack(reverse, n), lambda x, y: seq.select(
-                                  x, y, operator.eq))):
-        assert _each(seq.select(keys, queries, operator.eq), b, 2) == _per_row(
-            fn, rows, reverse, row_ndim=2)
+                              (stacked, reverse, lambda x, y: seq.select(x, y, operator.eq))):
+        _stacks(seq.select(keys, queries, operator.eq), _rows(fn, rows, reverse), 2)
 
 
 # Structured selectors: each must behave exactly as its dense array, which the
 # same call with a lambda (or an operator) in place of the declared predicate
 # builds.
-
-_VALUES = {
-    "int": (st.integers(-3, 3), np.int64),
-    "float": (_HALVES, np.float64),
-    "bool": (st.booleans(), bool),
-    "object": (_ANY, object),
-}
-
 
 def _same(out, dense):
     """Equal dtype, shape and values, each value with its Python type."""
@@ -366,13 +358,13 @@ def test_structured_selectors_equal_their_dense_arrays(data):
     n = data.draw(st.integers(0, 12), label="n")
     batch = data.draw(st.sampled_from([(), (0,), (1,), (3,), (2, 2)]), label="batch")
     size = int(np.prod(batch, dtype=int)) * n
-    elements, dtype = _VALUES[data.draw(st.sampled_from(sorted(_VALUES)), label="kind")]
+    elements, dtype = _KINDS[data.draw(st.sampled_from(sorted(_KINDS)), label="kind")]
     values = np.empty(size, dtype=dtype)
     values[:] = data.draw(st.lists(elements, min_size=size, max_size=size), label="values")
     values = values.reshape(*batch, n)
     if not batch and data.draw(st.booleans(), label="as a list"):
         values = values.tolist()
-    default = data.draw(st.none() | st.integers(-2, 2) | st.just(""), label="default")
+    default = data.draw(_DEFAULTS, label="default")
     d = data.draw(st.integers(-n - 1, n + 1), label="offset")
     mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size),
                               label="mask"), dtype=np.int64).reshape(*batch, n)
