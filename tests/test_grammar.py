@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -205,6 +206,12 @@ def test_tree_repr_and_equality_match_the_dataclass_form():
     assert node != gr.Tree("<np_prop>", (gr.Tree("<proper_noun>", word="emma", pos=1),))
     assert node != leaf and node != "<np_prop>"
     assert len({node, gr.Tree("<np_prop>", (leaf,))}) == 1
+    for field, value in [("symbol", "<np>"), ("children", ()), ("word", "ava"), ("pos", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(node, field, value)
+        with pytest.raises(AttributeError):
+            delattr(leaf, field)
+    assert node == gr.Tree("<np_prop>", (gr.Tree("<proper_noun>", word="emma", pos=0),))
 
 
 def _reference_chart(token_classes):
@@ -239,6 +246,48 @@ def _reference_chart(token_classes):
                 completed[(rhs[dot], i)] = {i + 1}
                 columns[i + 1].add((lhs, rhs, dot + 1, origin))
     return completed
+
+
+def _reference_parse(tokens, lexicon):
+    """First parse by textbook top-down extraction from ``_reference_chart``:
+    a node takes the first listed rule whose children split its span, and
+    each child takes its shortest span that lets the rest match.  It
+    recurses once per tree level (or more), so deep trees need a raised
+    recursion limit."""
+    grammar = gr.COGS_INPUT_GRAMMAR_NO_TERMINALS
+    if tokens and tokens[-1] == ".":
+        tokens = tokens[:-1]
+    if not tokens:
+        return None
+    token_classes = [gr.leaf_classes(t, lexicon) for t in tokens]
+    completed = _reference_chart(token_classes)
+
+    def ends(sym, i):
+        if grammar[sym]:
+            return completed.get((sym, i), set())
+        return {i + 1} if i < len(tokens) and sym in token_classes[i] else set()
+
+    def split(rhs, i, j):
+        if not rhs:
+            return [] if i == j else None
+        for end in sorted(ends(rhs[0], i)):
+            rest = split(rhs[1:], end, j) if end <= j else None
+            if rest is not None:
+                return [(rhs[0], i, end), *rest]
+        return None
+
+    def build(sym, i, j):
+        if not grammar[sym]:
+            return gr.Tree(sym, word=tokens[i], pos=i)
+        for rhs in grammar[sym]:
+            kids = split(rhs, i, j)
+            if kids is not None:
+                return gr.Tree(sym, tuple(build(*kid) for kid in kids))
+        raise AssertionError(f"no rule of {sym} splits [{i}, {j})")
+
+    if len(tokens) not in completed.get((gr.START, 0), ()):
+        return None
+    return build(gr.START, 0, len(tokens))
 
 
 def _chart_inputs(lexicon):
@@ -279,3 +328,20 @@ def test_first_set_predictor_keeps_the_unfiltered_chart(lexicon):
         assert gr._earley_chart(token_classes) == _reference_chart(token_classes), tokens
         count += 1
     assert count == 1 + 31 + 31 * 31 + 2 * 150 * 5 + 2
+
+
+def test_parse_equals_the_textbook_extraction(lexicon):
+    """``parse_sentence`` gives the tree (or the None) of a textbook
+    recognizer and top-down extraction on every chart input, the 509- and
+    511-token chains included."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        parsed = 0
+        for tokens in _chart_inputs(lexicon):
+            tree = gr.parse_sentence(tokens, lexicon)
+            assert tree == _reference_parse(tokens, lexicon), tokens
+            parsed += tree is not None
+    finally:
+        sys.setrecursionlimit(limit)
+    assert parsed == 728
