@@ -1,4 +1,4 @@
-"""Input grammar (category-level, no terminals) and a chart parser over it.
+"""Input grammar (category-level, no terminals) and a parser over it.
 
 The grammar generates every sentence shape of the task's English fragment at
 the category level; words are supplied by the lexicon.  Unlike the training
@@ -9,33 +9,25 @@ subjects, which is exactly what the structural-generalization splits exploit.
 Nonterminals wear angle brackets.  Leaf categories (empty right-hand sides)
 are matched against words through their lexicon codes; an ambiguous verb form
 offers every positional variant its codes allow and the parser settles the
-rest.  Parses are deterministic: ambiguity resolves to the first listed
-expansion.
+rest.
 
-Parsing is Earley recognition (Earley 1970) followed by tree extraction.
-The grammar is compiled once, at import, into tables, with prediction
-compiled ahead of time as Aycock & Horspool (2002) propose.  A rule with its
-dot at one place is a dotted-rule id, read through two tables (the symbol
-after the dot, the rule's left-hand side), and chart items are
-``(dotted rule, origin)`` int pairs.  Each chart column keeps its
-items in lists keyed by the symbol they wait on, so a completed span advances
-only the items waiting on its symbol at its origin.  A nonterminal is
-predicted at most once per column, through its left-corner closure for each
-leaf category of the word there: the dot-0 items of the rules reached through
-first children whose FIRST set (the leaf categories their spans can start
-with) holds that leaf.  The rules a closure leaves out could never scan
-there, so the chart holds the spans of one that predicts every rule.  The
-chart's product is the map of completed spans ``(symbol, start) -> {ends}``.
-Extraction reads that map top down and breadth first: each node takes the
-first of its rules that fits its span, and within the rule each child takes
-its shortest span that lets the rest match.  Nothing recurses per tree level,
-so every sentence up to ``MAX_SEQ_LEN`` tokens parses at Python's default
-recursion limit.
+Every recursive rule recurs only in last position (``<np_pp>``'s ``<np>``,
+``<vp_external5>``'s ``<start>``), so the language is regular.  A leftmost
+derivation read one leaf at a time keeps a stack of pending symbols, and
+expanding the top never pushes it past five symbols: 50 stacks besides the
+empty one are reachable.  They are compiled at import into a table of moves:
+for each stack and each leaf category, the next stacks and the rules expanded
+on the way to reading that leaf.  ``parse_sentence`` walks the table left to
+right, keeping each live stack once with one back-pointer, and reads the one
+accepting run backwards into the tree.  The grammar is unambiguous over leaf
+strings and over the lexicon's word classes (a test pins both), so no choice
+between parses ever arises.  The parse never recurses, so no sentence length
+meets Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import lexicon as lx
 
@@ -264,211 +256,67 @@ def leaf_classes(word: str, lexicon: lx.Lexicon) -> frozenset[str]:
     return frozenset().union(*[_CODE_CLASSES[code] for code in codes])
 
 
-# The grammar compiled once into tables.  Rule r rewrites _LHS[r] as _RHS[r];
-# _RULES_OF lists a nonterminal's rules in their listed order.
-_LHS: tuple[str, ...] = tuple(
-    lhs for lhs, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() for _ in alts)
-_RHS: tuple[tuple[str, ...], ...] = tuple(
-    tuple(rhs) for alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.values() for rhs in alts)
-_RULES_OF: dict[str, tuple[int, ...]] = {
-    sym: tuple(r for r, lhs in enumerate(_LHS) if lhs == sym)
-    for sym, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() if alts
-}
+# A stack of pending symbols is a tuple with its top last.  A move reads one
+# leaf: it is (next stack id, rules expanded on the way), each rule a
+# (left-hand side, right-hand side) pair, in the order a leftmost derivation
+# expands them.
+_Rule = tuple[str, tuple[str, ...]]
+_Move = tuple[int, tuple[_Rule, ...]]
 
-# Dotted rules: rule r with its dot before child k has id _DOT0[r] + k, so
-# moving the dot over a child adds one.  _NEXT[d] is the symbol after the dot,
-# None once the rule is complete, and _DOT_LHS[d] the rule's left-hand side.
-_DOT0: tuple[int, ...] = tuple(r + sum(map(len, _RHS[:r])) for r in range(len(_RHS)))
-_NEXT: tuple[Optional[str], ...] = tuple(
-    sym for rhs in _RHS for sym in (*rhs, None))
-_DOT_LHS: tuple[str, ...] = tuple(
-    lhs for lhs, rhs in zip(_LHS, _RHS) for _ in range(len(rhs) + 1))
+_EMPTY_STACK, _START_STACK = 0, 1  # stack ids of () (accept) and (START,)
 
 
-def _first_sets() -> dict[str, frozenset[str]]:
-    """Each symbol's FIRST set: the leaf categories its derivations can start
-    with (a leaf's is itself), grown to a fixed point over the rules."""
-    first = {sym: set() if alts else {sym}
-             for sym, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items()}
+def _check_tail_recursion(grammar: dict[str, list[list[str]]]) -> None:
+    """Raise ValueError if a nonterminal derives itself anywhere but in last
+    position of a rule: the stacks of pending symbols would have no bound."""
+    derives = {sym: {c for rhs in alts for c in rhs} for sym, alts in grammar.items()}
     grown = True
-    while grown:
+    while grown:  # to a fixed point: derives[s] holds every symbol s derives
         grown = False
-        for lhs, rhs in zip(_LHS, _RHS):
-            if not first[rhs[0]] <= first[lhs]:
-                first[lhs] |= first[rhs[0]]
+        for reach in derives.values():
+            more = set().union(*(derives[c] for c in reach)) - reach
+            if more:
+                reach |= more
                 grown = True
-    return {sym: frozenset(leaves) for sym, leaves in first.items()}
+    for lhs, alts in grammar.items():
+        for rhs in alts:
+            for sym in rhs[:-1]:
+                if sym == lhs or lhs in derives[sym]:
+                    raise ValueError(f"{lhs} recurs before the end of {expansion_key(lhs, rhs)}")
 
 
-def _left_corner_closures() -> dict[str, dict[str, tuple[tuple[str, int], ...]]]:
-    """nonterminal -> leaf -> the dot-0 items predicting the nonterminal
-    makes in a column whose word fills that leaf, as (first child, dotted id).
+def _compile_moves(grammar: dict[str, list[list[str]]]) -> tuple[dict[str, tuple[_Move, ...]], ...]:
+    """The grammar's stack automaton: ``moves[s][leaf]`` lists the moves from
+    stack id s that read leaf.  Stack ids 0 and 1 are the empty stack (accept)
+    and ``(START,)``; the others number the stacks in the order reached."""
+    _check_tail_recursion(grammar)
 
-    They are the rules reached from the nonterminal through first children
-    whose FIRST set holds the leaf; a rule whose FIRST set misses it could
-    never scan there.  A leaf outside the nonterminal's FIRST set has no
-    entry.
-    """
-    first = _first_sets()
-    closures: dict[str, dict[str, tuple[tuple[str, int], ...]]] = {}
-    for sym in _RULES_OF:
-        closures[sym] = {}
-        for leaf in first[sym]:
-            items: list[tuple[str, int]] = []
-            reached, stack = {sym}, [sym]
-            while stack:
-                for r in _RULES_OF[stack.pop()]:
-                    child = _RHS[r][0]
-                    if leaf in first[child]:
-                        items.append((child, _DOT0[r]))
-                        if child in _RULES_OF and child not in reached:
-                            reached.add(child)
-                            stack.append(child)
-            closures[sym][leaf] = tuple(items)
-    return closures
+    def reads(sym: str) -> list[tuple[str, tuple[str, ...], tuple[_Rule, ...]]]:
+        # (leaf, symbols pushed above the rest of the stack, rules) for each
+        # way sym's leftmost leaf is reached, down a chain of first children;
+        # the check above leaves no cycle on such a chain but one of unit
+        # rules, which would make the grammar infinitely ambiguous
+        if not grammar[sym]:
+            return [(sym, (), ())]
+        return [(leaf, (*reversed(rhs[1:]), *pushed), ((sym, tuple(rhs)), *rules))
+                for rhs in grammar[sym] for leaf, pushed, rules in reads(rhs[0])]
 
-
-_CLOSURE = _left_corner_closures()
-
-
-def _predict(wait: dict[str, list[tuple[int, int]]], sym: str,
-             classes: frozenset[str], i: int) -> None:
-    """Predict nonterminal sym in column i: put the dot-0 items of its
-    left-corner closure for each leaf category of the column's word into the
-    column's waiting lists, each under its rule's first child."""
-    closure = _CLOSURE[sym]
-    for leaf in classes:
-        for child, dot in closure.get(leaf, ()):
-            waiters = wait.get(child)
-            if waiters is None:
-                wait[child] = [(dot, i)]
-            else:
-                waiters.append((dot, i))
+    stacks: list[tuple[str, ...]] = [(), (START,)]
+    ids = {stack: k for k, stack in enumerate(stacks)}
+    moves: list[dict[str, tuple[_Move, ...]]] = []
+    for stack in stacks:  # grows while it is walked
+        table: dict[str, list[_Move]] = {}
+        for leaf, pushed, rules in reads(stack[-1]) if stack else ():
+            nxt = stack[:-1] + pushed
+            if nxt not in ids:
+                ids[nxt] = len(stacks)
+                stacks.append(nxt)
+            table.setdefault(leaf, []).append((ids[nxt], rules))
+        moves.append({leaf: tuple(options) for leaf, options in table.items()})
+    return tuple(moves)
 
 
-def _earley_chart(token_classes: list[frozenset[str]]) -> dict[tuple[str, int], set[int]]:
-    """Earley recognition; returns completed spans (symbol, start) -> {ends}.
-
-    Items are ``(dotted rule, origin)`` int pairs, read through ``_NEXT`` and
-    ``_DOT_LHS``.  Each column keeps its items in waiting lists keyed by the
-    symbol after the dot.  The first item to wait on a nonterminal predicts
-    it: ``_predict`` puts the dot-0 items of its left-corner closures straight
-    into the waiting lists.  An item waiting on a leaf category the word does
-    not fill can never scan, so it is dropped.  The completer advances the
-    waiters on the completed symbol at its origin, once per completed span,
-    and after a column is closed the scanner advances the waiters on each
-    leaf category its word fills.  The scanner moves dots over leaves and the
-    completer over nonterminals, so their items never coincide and only the
-    completer's need a seen check.  The grammar has no epsilon rules, so
-    nothing completes over an empty span and a column's waiters are all known
-    before any completion looks them up.  The last column has no word and
-    predicts nothing.  The completed spans are those of a chart that
-    predicts every rule.  A dot-0 item that two closures in one column share
-    would wait twice, which costs time only: spans are sets and the
-    completer's items are deduplicated.
-    """
-    n = len(token_classes)
-    completed: dict[tuple[str, int], set[int]] = {}
-    waiting: list[dict[str, list[tuple[int, int]]]] = []
-    agenda: list[tuple[int, int]] = []
-    next_sym, dot_lhs, closures = _NEXT, _DOT_LHS, _CLOSURE
-    for i in range(n + 1):
-        classes = token_classes[i] if i < n else frozenset()
-        wait: dict[str, list[tuple[int, int]]] = {}
-        waiting.append(wait)
-        if i == 0:
-            _predict(wait, START, classes, 0)
-        seen: set[tuple[int, int]] = set()  # advanced by the completer in this column
-        while agenda:
-            item = agenda.pop()
-            dot, origin = item
-            sym = next_sym[dot]
-            if sym is not None:
-                waiters = wait.get(sym)
-                if waiters is not None:
-                    waiters.append(item)
-                elif sym in closures:
-                    wait[sym] = [item]
-                    _predict(wait, sym, classes, i)
-                elif sym in classes:  # a leaf the word fills; any other never scans
-                    wait[sym] = [item]
-                continue
-            lhs = dot_lhs[dot]
-            ends = completed.get((lhs, origin))
-            if ends is None:
-                completed[(lhs, origin)] = {i}
-            elif i in ends:
-                continue  # this span is already completed, its waiters advanced
-            else:
-                ends.add(i)
-            for d, o in waiting[origin].get(lhs, ()):  # completer
-                nxt = (d + 1, o)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    agenda.append(nxt)
-        if i < n:
-            for leaf in classes:  # scanner
-                waiters = wait.get(leaf)
-                if waiters:
-                    completed[(leaf, i)] = {i + 1}
-                    agenda += [(d + 1, o) for d, o in waiters]
-    return completed
-
-
-def _bounds(rhs: tuple[str, ...], k: int, i: int, j: int, completed) -> Optional[list[int]]:
-    """Boundaries [i, ..., j] of the first split of [i, j) among rhs[k:]:
-    each earlier child takes its shortest span that lets the rest match.
-    None when no split matches.  Recursion depth is at most len(rhs)."""
-    ends = completed.get((rhs[k], i), ())
-    if k == len(rhs) - 1:
-        return [i, j] if j in ends else None
-    for end in sorted(ends):
-        if end >= j:
-            break
-        rest = _bounds(rhs, k + 1, end, j, completed)
-        if rest is not None:
-            return [i, *rest]
-    return None
-
-
-def _extract(tokens: list[str], completed) -> Tree:
-    """First parse of the tokens from START, trying expansions in listed order.
-
-    Every child span, leaves included, is read from the completed spans: a
-    split the chart's items walked through has all of its children's spans
-    recorded there.  A unit rule fits when its child completes the node's
-    span, one lookup.  Nodes are expanded breadth first into a flat list, so
-    a node's children sit side by side after it, and trees are then built
-    from the end of the list back: Python's stack stays shallow at any
-    sentence length.
-    """
-    nodes = [(START, 0, len(tokens))]
-    kids: list[Optional[slice]] = []
-    for sym, i, j in nodes:  # grows while it is walked
-        rules = _RULES_OF.get(sym)
-        if rules is None:
-            kids.append(None)
-            continue
-        for r in rules:
-            rhs = _RHS[r]
-            if len(rhs) == 1:
-                if j in completed.get((rhs[0], i), ()):
-                    kids.append(slice(len(nodes), len(nodes) + 1))
-                    nodes.append((rhs[0], i, j))
-                    break
-            else:
-                bounds = _bounds(rhs, 0, i, j, completed)
-                if bounds is not None:
-                    kids.append(slice(len(nodes), len(nodes) + len(rhs)))
-                    nodes += zip(rhs, bounds, bounds[1:])
-                    break
-    trees: list[Tree] = [None] * len(nodes)  # type: ignore[list-item]
-    for k in range(len(nodes) - 1, -1, -1):
-        sym, i, _ = nodes[k]
-        children = kids[k]
-        trees[k] = (Tree(sym, (), tokens[i], i) if children is None
-                    else Tree(sym, tuple(trees[children])))
-    return trees[0]
+_MOVES = _compile_moves(COGS_INPUT_GRAMMAR_NO_TERMINALS)
 
 
 def parse_sentence(tokens: list[str], lexicon: lx.Lexicon | None = None) -> Optional[Tree]:
@@ -488,7 +336,33 @@ def parse_sentence(tokens: list[str], lexicon: lx.Lexicon | None = None) -> Opti
         tokens = tokens[:-1]
     if not tokens:
         return None
-    completed = _earley_chart([leaf_classes(t, lexicon) for t in tokens])
-    if len(tokens) not in completed.get((START, 0), ()):
+    token_classes = [leaf_classes(t, lexicon) for t in tokens]
+    # steps[i]: each stack live after token i -> (stack before it, rules, leaf)
+    steps: list[dict[int, tuple[int, tuple[_Rule, ...], str]]] = []
+    live: Iterable[int] = (_START_STACK,)
+    for classes in token_classes:
+        step: dict[int, tuple[int, tuple[_Rule, ...], str]] = {}
+        for stack in live:
+            for leaf, options in _MOVES[stack].items():
+                if leaf in classes:
+                    for nxt, rules in options:
+                        if nxt not in step:
+                            step[nxt] = (stack, rules, leaf)
+        if not step:
+            return None
+        steps.append(step)
+        live = step
+    if _EMPTY_STACK not in live:
         return None
-    return _extract(tokens, completed)
+    # The accepting run read backwards is the tree's preorder reversed: each
+    # node comes after its subtree, so its children are the top of ``built``.
+    built: list[Tree] = []
+    stack = _EMPTY_STACK
+    for i in range(len(tokens) - 1, -1, -1):
+        stack, rules, leaf = steps[i][stack]
+        built.append(Tree(leaf, (), tokens[i], i))
+        for lhs, rhs in reversed(rules):
+            children = tuple(reversed(built[-len(rhs):]))
+            del built[-len(rhs):]
+            built.append(Tree(lhs, children))
+    return built[0]

@@ -244,15 +244,17 @@ class ErrorReport:
 def classify_error(expected: str, actual: str) -> ErrorReport:
     """The verdict on a prediction: its kind, and for a miss what differs.
 
-    The cheapest test runs first.  A string match is ``exact``; the same
-    conjuncts in another order are ``equivalent`` once one side parses.  Any
-    other pair is parsed once per side and searched once for a renaming.
-    "attraction" is the signature mistake of dropping the pp filter: atom
-    sets identical except one role conjunct whose right argument moved.
+    The cheapest test runs first.  A string match is ``exact``, and the same
+    conjuncts in another order are ``equivalent``, once one side parses: a
+    malformed string matches nothing, itself included.  Any other pair is
+    parsed once per side and searched once for a renaming.  "attraction" is
+    the signature mistake of dropping the pp filter: atom sets identical
+    except one role conjunct whose right argument moved.
     """
-    if string_exact_match(expected, actual):
-        return ErrorReport("exact")
     try:
+        if string_exact_match(expected, actual):
+            parse_lf(expected)
+            return ErrorReport("exact")
         if _same_conjuncts(expected, actual):
             parse_lf(expected)
             return ErrorReport("equivalent")

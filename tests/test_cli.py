@@ -350,7 +350,7 @@ def test_run_tallies_attraction(tmp_path, capsys):
 
 def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
     """Each row's kind, and so its scores, comes from one ``classify_error``
-    call, which parses nothing for a string match, one side for a reordered
+    call, which parses one side for a string match or a reordered
     equivalent and each side once for a miss, and runs at most one renaming
     search."""
     sentence = "a boy painted the girl"
@@ -375,7 +375,7 @@ def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "classify_error", counting_classify)
     assert main(["run", "--data", str(tmp_path), "--split", "dev", "--show", "5"]) == 0
-    assert per_row == [("exact", 0, 0), ("equivalent", 1, 0), ("other", 2, 1)]
+    assert per_row == [("exact", 1, 0), ("equivalent", 1, 0), ("other", 2, 1)]
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"[other] {sentence}", "  gold: boy ( 1 )"]
     assert lines[-4] == "split=dev n=3 sem=0.6667 em=0.3333 ci_low=0.0943 ci_high=0.9916"

@@ -175,21 +175,41 @@ def test_mutant_parses_are_well_formed(depth, mode, lexicon):
 
 
 def test_deep_trees_compare_hash_and_print(lexicon):
-    """Equality, hashing and repr walk a 510-token tree without recursing."""
-    sentence = pp_chain_sentence(168)
-    tree = gr.parse_sentence(sentence, lexicon)
-    same = gr.parse_sentence(sentence, lexicon)
-    assert tree is not same
-    assert tree == same and hash(tree) == hash(same)
-    assert tree != gr.parse_sentence(pp_chain_sentence(167), lexicon)
-    other_word = gr.parse_sentence(sentence[:-2] + ["table", "."], lexicon)
-    assert tree != other_word  # equal shape, one leaf word differs
-    text = repr(tree)
-    assert text.startswith("Tree(symbol='<start>', children=(Tree(symbol='<s1>', children=(")
-    assert text.count("Tree(") == 1021
-    assert text.count("word='on'") == 56
-    assert [leaf.pos for leaf in tree.leaves()] == list(range(509))
-    assert len(list(tree.find_all("<np_pp>"))) == 168
+    """Parsing, equality, hashing and repr walk the 509- and 511-token trees
+    without recursing: they run with the recursion limit far below its
+    default."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        sentence = pp_chain_sentence(168)
+        tree = gr.parse_sentence(sentence, lexicon)
+        same = gr.parse_sentence(sentence, lexicon)
+        assert tree is not same
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != gr.parse_sentence(pp_chain_sentence(167), lexicon)
+        other_word = gr.parse_sentence(sentence[:-2] + ["table", "."], lexicon)
+        assert tree != other_word  # equal shape, one leaf word differs
+        text = repr(tree)
+        assert text.startswith("Tree(symbol='<start>', children=(Tree(symbol='<s1>', children=(")
+        assert text.count("Tree(") == 1021
+        assert text.count("word='on'") == 56
+        assert [leaf.pos for leaf in tree.leaves()] == list(range(509))
+        assert len(list(tree.find_all("<np_pp>"))) == 168
+
+        sentence = cp_chain_sentence(169)
+        tree = gr.parse_sentence(sentence, lexicon)
+        same = gr.parse_sentence(sentence, lexicon)
+        assert tree is not same
+        assert tree == same and hash(tree) == hash(same)
+        assert tree != gr.parse_sentence(cp_chain_sentence(168), lexicon)
+        text = repr(tree)
+        assert text.startswith("Tree(symbol='<start>', children=(Tree(symbol='<s1>', children=(")
+        assert text.count("Tree(") == 1528
+        assert text.count("word='that'") == 169
+        assert [leaf.pos for leaf in tree.leaves()] == list(range(510))
+        assert len(list(tree.find_all("<start>"))) == 170
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_repr_and_equality_match_the_dataclass_form():
@@ -218,7 +238,7 @@ def _reference_chart(token_classes):
     """Completed spans of a textbook Earley recognizer over the grammar
     dict: every item waiting on a nonterminal predicts all of its rules, with
     no look at the next word.  A leaf span is recorded when an item waits on
-    that leaf and the word fills it, as ``_earley_chart`` records it."""
+    that leaf and the word fills it."""
     grammar = gr.COGS_INPUT_GRAMMAR_NO_TERMINALS
     n = len(token_classes)
     columns = [set() for _ in range(n + 1)]
@@ -290,15 +310,41 @@ def _reference_parse(tokens, lexicon):
     return build(gr.START, 0, len(tokens))
 
 
-def _chart_inputs(lexicon):
-    """Every sequence of up to two tokens over one word of each lexicon row
-    class ("the" apart) and "."; seeded fuzzed sentences in both modes, each
-    with and without its period, and one-token mutants of them; and the
-    longest pp and cp chains."""
+def _derivations(max_len):
+    """The leaf string of every leftmost derivation of START with at most
+    max_len leaves, read off the grammar dict: each pending symbol yields at
+    least one leaf, so a form longer than max_len is dropped."""
+    grammar = gr.COGS_INPUT_GRAMMAR_NO_TERMINALS
+    forms = [((), (gr.START,))]
+    while forms:
+        leaves, pending = forms.pop()
+        if not pending:
+            yield leaves
+            continue
+        sym, rest = pending[0], pending[1:]
+        if not grammar[sym]:
+            forms.append(((*leaves, sym), rest))
+            continue
+        for rhs in grammar[sym]:
+            if len(leaves) + len(rhs) + len(rest) <= max_len:
+                forms.append((leaves, (*rhs, *rest)))
+
+
+def _row_class_words(lexicon):
+    """One word of each lexicon row class, "the" apart from "a"."""
     words = {}
     for word in sorted(lexicon.entries):
         words.setdefault("the" if word == "the" else lexicon._rows[word], word)
-    classes = [*words.values(), "."]
+    return list(words.values())
+
+
+def _chart_inputs(lexicon):
+    """Every sequence of up to two tokens over one word of each lexicon row
+    class ("the" apart) and "."; seeded fuzzed sentences in both modes, each
+    with and without its period, and one-token mutants of them; every
+    derivation of up to 12 tokens, with one word for each leaf; and the
+    longest pp and cp chains."""
+    classes = [*_row_class_words(lexicon), "."]
     assert len(classes) == 31
     yield []
     for a in classes:
@@ -314,20 +360,14 @@ def _chart_inputs(lexicon):
             yield tokens[:-1]
             for _ in range(3):
                 yield _mutant(tokens, rng, vocabulary)
+    word_of = {}
+    for word in sorted(lexicon.entries):
+        for leaf in gr.leaf_classes(word, lexicon):
+            word_of.setdefault(leaf, word)
+    for leaves in _derivations(12):
+        yield [word_of[leaf] for leaf in leaves]
     yield pp_chain_sentence(168)
     yield cp_chain_sentence(169)
-
-
-def test_first_set_predictor_keeps_the_unfiltered_chart(lexicon):
-    """A rule is predicted only where its FIRST set meets the word's leaf
-    categories; the rules this drops could never scan, so the completed spans
-    equal those of a chart that predicts every rule."""
-    count = 0
-    for tokens in _chart_inputs(lexicon):
-        token_classes = [gr.leaf_classes(t, lexicon) for t in tokens]
-        assert gr._earley_chart(token_classes) == _reference_chart(token_classes), tokens
-        count += 1
-    assert count == 1 + 31 + 31 * 31 + 2 * 150 * 5 + 2
 
 
 def test_parse_equals_the_textbook_extraction(lexicon):
@@ -337,11 +377,95 @@ def test_parse_equals_the_textbook_extraction(lexicon):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 10_000))
     try:
-        parsed = 0
+        count = parsed = 0
         for tokens in _chart_inputs(lexicon):
             tree = gr.parse_sentence(tokens, lexicon)
             assert tree == _reference_parse(tokens, lexicon), tokens
+            count += 1
             parsed += tree is not None
     finally:
         sys.setrecursionlimit(limit)
-    assert parsed == 728
+    assert count == 1 + 31 + 31 * 31 + 2 * 150 * 5 + 1_141 + 2
+    assert parsed == 728 + 1_141
+
+
+def _subset_dfa(alphabet):
+    """Subset construction over the stack automaton ``gr._MOVES``, reading
+    symbols that each stand for a set of leaves (``alphabet``: symbol ->
+    leaves).  Returns each state's moves (symbol -> state; the empty subset,
+    a dead state, is left out) and which states accept.  State 0 is the
+    start."""
+    start = frozenset([gr._START_STACK])
+    index, subsets, delta = {start: 0}, [start], []
+    for subset in subsets:  # grows while it is walked
+        row = {}
+        for symbol, leaves in alphabet.items():
+            target = frozenset(nxt for stack in subset for leaf in leaves
+                               for nxt, _rules in gr._MOVES[stack].get(leaf, ()))
+            if target:
+                if target not in index:
+                    index[target] = len(subsets)
+                    subsets.append(target)
+                row[symbol] = index[target]
+        delta.append(row)
+    return delta, [gr._EMPTY_STACK in subset for subset in subsets]
+
+
+def _path_counts(edges, accepting, max_len, start=0):
+    """Accepting paths from start of length 0..max_len, where edges[q] lists
+    q's successors, one entry per edge."""
+    counts, ways = [], {start: 1}
+    for _ in range(max_len + 1):
+        counts.append(sum(n for q, n in ways.items() if accepting[q]))
+        nxt = {}
+        for q, n in ways.items():
+            for r in edges[q]:
+                nxt[r] = nxt.get(r, 0) + n
+        ways = nxt
+    return counts
+
+
+def test_grammar_is_unambiguous_and_counts_its_derivations(lexicon):
+    """Each side of each comparison counts the paths of a finite automaton,
+    so its counts obey a linear recurrence as long as its state count; two
+    such sequences that agree at every length up to the sum of the two
+    counts agree at every length.
+
+    - Derivations (accepting paths through the moves) equal distinct leaf
+      strings (the subset automaton over leaves): every leaf string has one
+      tree.
+    - Pairs of an accepted row-class string and a leaf reading of it equal
+      accepted row-class strings: every sentence has one leaf reading, so
+      the parser never chooses between parses.
+    """
+    stack_edges = [[nxt for options in moves.values() for nxt, _rules in options]
+                   for moves in gr._MOVES]
+    leaves = {leaf for moves in gr._MOVES for leaf in moves}
+    leaf_delta, leaf_accepting = _subset_dfa({leaf: {leaf} for leaf in leaves})
+    max_len = len(gr._MOVES) + len(leaf_delta)
+    derivations = _path_counts(stack_edges, [s == gr._EMPTY_STACK for s in range(len(gr._MOVES))],
+                               max_len, start=gr._START_STACK)
+    strings = _path_counts([list(row.values()) for row in leaf_delta], leaf_accepting, max_len)
+    assert derivations == strings
+    assert [sum(derivations[:n + 1]) for n in (12, 16, 20, 24, 28)] == [
+        1_141, 4_910, 19_408, 74_815, 285_936]
+
+    classes = {word: gr.leaf_classes(word, lexicon) for word in _row_class_words(lexicon)}
+    assert len(classes) == 30
+    row_delta, row_accepting = _subset_dfa(classes)
+    max_len = len(leaf_delta) + len(row_delta)
+    readings = _path_counts(
+        [[row[leaf] for word_leaves in classes.values() for leaf in word_leaves if leaf in row]
+         for row in leaf_delta], leaf_accepting, max_len)
+    sentences = _path_counts([list(row.values()) for row in row_delta], row_accepting, max_len)
+    assert readings == sentences
+
+
+@pytest.mark.parametrize("rhs", [
+    ["<np_det>", "<np>", "<pp>"],  # <np> recurs in a middle position
+    ["<np>", "<pp>", "<np_det>"],  # left recursion
+])
+def test_compile_refuses_recursion_before_the_last_position(rhs):
+    grammar = {**gr.COGS_INPUT_GRAMMAR_NO_TERMINALS, "<np_pp>": [rhs]}
+    with pytest.raises(ValueError, match="<np_pp> recurs before the end of"):
+        gr._compile_moves(grammar)

@@ -77,6 +77,14 @@ def test_string_exact_match_ignores_spacing_only():
     assert not lf.string_exact_match("a ( 1 )", "a ( 2 )")
 
 
+def test_a_string_match_is_exact_only_when_it_parses():
+    assert lf.classify_error(TRANSITIVE, TRANSITIVE).kind == "exact"
+    report = lf.classify_error("a ( 1", "a ( 1")
+    assert report.kind == "other"
+    assert report.detail.startswith("unparseable: ")
+    assert not lf.semantic_exact_match("a ( 1", "a ( 1")
+
+
 def test_sem_accepts_renumbering():
     shifted = renumber(TRANSITIVE, lambda i: i + 100)
     assert lf.semantic_exact_match(TRANSITIVE, shifted)
