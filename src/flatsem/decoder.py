@@ -12,6 +12,9 @@ the whole form in one pass; there is no per-token decoder step.
 by ``encoder.analyze_all``; ``decode`` takes the same path with one sentence
 and raises the error that ``decode_all`` leaves in an unreadable row's place.
 Nothing is cached between calls; each call analyses its sentences afresh.
+The encoder's mask tables (``seq.Table``) are constants, not a cache: each
+holds every cell of its domain from import on, and no call adds to or
+changes them, so a call's result never depends on the calls before it.
 
 Role binding is positional, and each clause's roles are bound once, into
 five slots that both its verb's relations and, under "v_inf_taking", the

@@ -1,22 +1,31 @@
 """Flat input analysis: everything the decoder needs, no trees involved.
 
 All per-position evidence is computed with the sequence primitives --
-selectors, aggregations, widths -- over the five code sequences and their
-shifted copies, each shift made once per batch.  ``analyze_all`` groups its
-sentences by length and runs each group through the primitives at once, as
-a (sentences, positions) batch; ``analyze`` is its one-sentence case.
-Between primitives the sequences are numpy arrays; each field of
-``InputAnalysis`` becomes a plain list once, at the end.  The structural
-summary of each sentence (clause spans, one verb frame per clause, pp
-attachments) is then read off its row of those flat vectors.  ``FRAMES`` is
-the one table of verb frames; a row holds only its name, the test that picks
-it and its relations, and ``get_agent_side`` reads off it which side of the
-verb a frame's agent binds.  What licenses a frame is its leaf's lexicon code
-in ``grammar.LEAF_CODE``, the inverse of the table the parser reads, and its
-voice is that code's slot in ``lexicon.SLOT``: slot 2, the passive
-participle, wants "was" right before the verb.
+selectors, aggregations, widths, position-wise maps -- over the five code
+sequences and their shifted copies, each shift made once per batch.
+``analyze_all`` groups its sentences by length and runs each group through
+the primitives at once, as a (sentences, positions) batch; ``analyze`` is
+its one-sentence case.  Between primitives the sequences are numpy arrays;
+each field of ``InputAnalysis`` becomes a plain list once, at the end.  The
+structural summary of each sentence (clause spans, one verb frame per
+clause, pp attachments) is then read off its row of those flat vectors.
+``FRAMES`` is the one table of verb frames; a row holds only its name, the
+test that picks it and its relations, and ``get_agent_side`` reads off it
+which side of the verb a frame's agent binds.  What licenses a frame is its
+leaf's lexicon code in ``grammar.LEAF_CODE``, the inverse of the table the
+parser reads, and its voice is that code's slot in ``lexicon.SLOT``: slot 2,
+the passive participle, wants "was" right before the verb.
 
-The load-bearing vector is ``no_pp_np_mask``: it knocks out any noun that is
+The position-wise masks over lexicon codes are ``seq.Table`` lookup tables,
+Tracr's categorical MLPs: ``NOUN`` over a token's code, ``NP_HEAD`` and
+``NP_START`` over it and its left or right neighbour's, ``NO_PP_NP`` over
+it and the two codes before it, and ``CLAUSE_BOUNDARY`` over a token's
+slot-3 code and the next token's code.  Each rule is written once, as the
+table's lambda, and evaluated over every code in ``range(lexicon.N_CODES)``
+at import; ``seq.elementwise`` of a table is one gather.  The star (a noun
+behind "the") is ``NOUN`` and a test of the word before, by identity.
+
+The load-bearing vector is ``NO_PP_NP``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
 common noun two positions after, behind its determiner).  Role binding only
 considers nouns that survive this mask, which is what keeps "a boy beside the
@@ -65,36 +74,34 @@ class InputAnalysis:
         return [i for i in range(self.n_eff) if self.noun_mask[i]]
 
 
-def noun_mask(pos: np.ndarray) -> np.ndarray:
-    return seq.elementwise(lambda p: (p == lx.COMMON_NOUN) | (p == lx.PROPER_NOUN), pos)
+# The position-wise masks, each a lookup table over every lexicon code, pair
+# or triple of codes.
+NOUN = seq.Table(lambda p: (p == lx.COMMON_NOUN) | (p == lx.PROPER_NOUN), lx.N_CODES)
+
+# Last token of a noun phrase core: determined common noun, or name.
+NP_HEAD = seq.Table(
+    lambda p, pr: ((p == lx.COMMON_NOUN) & (pr == lx.DET)) | (p == lx.PROPER_NOUN), lx.N_CODES)
+
+# First token of a noun phrase: determiner before a common noun, or name.
+NP_START = seq.Table(
+    lambda p, nx: ((p == lx.DET) & (nx == lx.COMMON_NOUN)) | (p == lx.PROPER_NOUN), lx.N_CODES)
+
+# False at nouns sitting inside a prepositional phrase, True everywhere else.
+NO_PP_NP = seq.Table(
+    lambda p, p1, p2: ~(((p == lx.PROPER_NOUN) & (p1 == lx.PP))
+                        | ((p == lx.COMMON_NOUN) & (p2 == lx.PP))), lx.N_CODES)
+
+# A clause ends at a clause-taking verb right before "that".
+CLAUSE_BOUNDARY = seq.Table(lambda v3, nx: (v3 == lx.V_CP_TAKING) & (nx == lx.THAT), lx.N_CODES)
 
 
-def np_head_mask(pos: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Last token of a noun phrase core: determined common noun, or name."""
-    return seq.elementwise(
-        lambda p, pr: ((p == lx.COMMON_NOUN) & (pr == lx.DET)) | (p == lx.PROPER_NOUN),
-        pos, prev)
-
-
-def np_start_mask(pos: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """First token of a noun phrase: determiner before a common noun, or name."""
-    return seq.elementwise(
-        lambda p, nx: ((p == lx.DET) & (nx == lx.COMMON_NOUN)) | (p == lx.PROPER_NOUN),
-        pos, nxt)
-
-
-def no_pp_np_mask(pos: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> np.ndarray:
-    """False at nouns sitting inside a prepositional phrase, True everywhere else."""
-    return seq.elementwise(
-        lambda p, p1, p2: ~(((p == lx.PROPER_NOUN) & (p1 == lx.PP))
-                            | ((p == lx.COMMON_NOUN) & (p2 == lx.PP))),
-        pos, prev, prev2)
-
-
-def star_mask(pos: np.ndarray, prev_word: np.ndarray) -> np.ndarray:
-    return seq.elementwise(
-        lambda p, w: ((p == lx.COMMON_NOUN) | (p == lx.PROPER_NOUN)) & (w == "the"),
-        pos, prev_word)
+def _hits(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """The rows and positions of a mask's set cells, in order; a lone row is 1-D."""
+    if mask.ndim == 1:
+        (cols,) = mask.nonzero()
+        return [0] * len(cols), cols.tolist()
+    rows, cols = mask.nonzero()
+    return rows.tolist(), cols.tolist()
 
 
 def pp_attachments(pos: np.ndarray, nxt: np.ndarray,
@@ -105,13 +112,13 @@ def pp_attachments(pos: np.ndarray, nxt: np.ndarray,
     The modified noun always immediately precedes its preposition; the object
     head is the name right after it, or the noun behind the determiner.
     """
-    n = pos.shape[-1]
-    hits = np.flatnonzero(pos == lx.PP)
-    names = nxt.ravel()[hits] == lx.PROPER_NOUN
+    prep = pos == lx.PP
+    hit_rows, hits = _hits(prep)
     pps: list[list[tuple[int, int, int]]] = [[] for _ in range(rows)]
-    for hit, name in zip(hits.tolist(), names.tolist()):
-        row, i = divmod(hit, n)
-        pps[row].append((i, i - 1, i + 1 if name else i + 2))
+    if hits:
+        names = (nxt[prep] == lx.PROPER_NOUN).tolist()
+        for row, i, name in zip(hit_rows, hits, names):
+            pps[row].append((i, i - 1, i + 1 if name else i + 2))
     return pps
 
 
@@ -123,13 +130,9 @@ def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
     The complementizer belongs to neither span; the matrix clause ends at its
     verb.  A sentence without clause embedding is one span.
     """
-    boundary = seq.elementwise(
-        lambda v3, nx: (v3 == lx.V_CP_TAKING) & (nx == lx.THAT), vmap3, nxt)
-    n = boundary.shape[-1]
     spans: list[list[tuple[int, int]]] = [[] for _ in n_eff]
     starts = [0] * len(n_eff)
-    for hit in np.flatnonzero(boundary).tolist():
-        row, i = divmod(hit, n)
+    for row, i in zip(*_hits(seq.elementwise(CLAUSE_BOUNDARY, vmap3, nxt))):
         if i < n_eff[row]:
             spans[row].append((starts[row], i + 1))
             starts[row] = i + 2
@@ -151,6 +154,12 @@ class _Site(NamedTuple):
         """The token ``offset`` after the verb is in the clause and has this code."""
         return self.verb + offset < self.end and self.emb.pos[self.verb + offset] == code
 
+    def infinitive(self) -> Optional[int]:
+        """The position two after the verb, when it is in the clause and
+        carries the infinitive's code in slot 1."""
+        j = self.verb + 2
+        return j if j < self.end and self.emb.vmap1[j] == lx.V_INF else None
+
     def np_after(self, code: int) -> bool:
         """Some token after the verb has this code and a noun phrase right behind it."""
         return any(self.emb.pos[j] == code and j + 1 < self.end and self.np_start[j + 1]
@@ -162,7 +171,8 @@ class Frame:
     name: str  # the grammar's leaf category, without brackets
     test: Callable[[_Site], bool]  # positional test that picks this variant
     # (role, slot) in emission order; SUBJ binds left of the verb, OBJ1/OBJ2
-    # right of it, V2 is the infinitive at +2, NEXT_V the embedded clause's verb
+    # right of it, V2 is the infinitive at +2 (``_Site.infinitive``), NEXT_V
+    # the embedded clause's verb
     relations: tuple[tuple[str, str], ...]
 
 
@@ -173,7 +183,7 @@ FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
           lambda s: s.verb + 1 < len(s.emb) and s.emb.pos[s.verb + 1] == lx.THAT,
           (("agent", "SUBJ"), ("ccomp", "NEXT_V"))),
     Frame("v_inf_taking",
-          lambda s: s.at(1, lx.TO) and s.verb + 2 < s.end and s.emb.vmap1[s.verb + 2] == lx.V_INF,
+          lambda s: s.at(1, lx.TO) and s.infinitive() is not None,
           (("agent", "SUBJ"), ("xcomp", "V2"))),
     Frame("v_inf", lambda s: False, (("agent", "SUBJ"),)),
     Frame("v_unerg", lambda s: True, (("agent", "SUBJ"),)),
@@ -219,6 +229,14 @@ def get_agent_side(template: str) -> Optional[str]:
     return None if slot is None else "left" if slot == "SUBJ" else "right"
 
 
+# Each row's licence, its leaf's code; and the rows in order, with their
+# licences, split by voice: under True the rows whose licence sits in slot 2
+# of lexicon.SLOT, the passive participle's.
+_LICENCE = {name: LEAF_CODE[f"<{name}>"] for name in FRAMES}
+_LICENSED = {passive: [(name, code) for name, code in _LICENCE.items()
+                       if (lx.SLOT[code] == 2) == passive] for passive in (False, True)}
+
+
 def match_template(emb: lx.Embedded, span: tuple[int, int],
                    np_start: list[int], np_head: list[int]) -> ClauseInfo:
     """The clause with its verb, the first token carrying a verb code, and
@@ -226,21 +244,21 @@ def match_template(emb: lx.Embedded, span: tuple[int, int],
     whose voice fits and whose test passes.  A row whose licence sits in
     slot 2 of ``lexicon.SLOT``, the passive participle's, fits only when "was"
     stands right before the verb, and any other row only when it does not.
-    At most one row fits an in-grammar clause."""
+    At most one row fits an in-grammar clause.  A frame's ``V2`` binds only
+    to an infinitive inside the clause (``_Site.infinitive``)."""
     start, end = span
     for V in range(start, end):
-        if emb.vmap1[V] or emb.vmap2[V] or emb.vmap3[V] or emb.vmap4[V]:
+        if emb.pos[V] in lx.SLOT:  # a word's primary code is a verb code when it has one
             break
     else:
         return ClauseInfo(start, end, -1, None)
     slots = (emb.vmap1[V], emb.vmap2[V], emb.vmap3[V], emb.vmap4[V])
     was = V > start and emb.pos[V - 1] == lx.WAS
     site = _Site(emb, np_start, np_head, V, end)
-    for frame in FRAMES.values():  # a row's test runs only if the verb carries its licence
-        code = LEAF_CODE[f"<{frame.name}>"]
-        if code in slots and (lx.SLOT[code] == 2) == was and frame.test(site):
-            second = V + 2 if ("xcomp", "V2") in frame.relations else None
-            return ClauseInfo(start, end, V, frame.name, second)
+    for name, code in _LICENSED[was]:  # a row's test runs only if the verb carries its licence
+        if code in slots and FRAMES[name].test(site):
+            second = site.infinitive() if ("xcomp", "V2") in FRAMES[name].relations else None
+            return ClauseInfo(start, end, V, name, second)
     return ClauseInfo(start, end, V, None)
 
 
@@ -251,7 +269,6 @@ def _embed(tokens: list[str] | str, lexicon: lx.Lexicon) -> lx.Embedded:
     """The five code sequences of a sentence, lowercased; raises ``Failure``."""
     if isinstance(tokens, str):
         tokens = tokens.split()
-    tokens = [t.lower() for t in tokens]
     seq.check_length(len(tokens))
     return lexicon.embed(tokens)
 
@@ -322,13 +339,14 @@ def _analyze_batch(embs: list[lx.Embedded]) -> list[InputAnalysis]:
     nxt = seq.shift_left(pos)
     prev_word = seq.shift_right(_stack([emb.tokens for emb in embs], object), default="")
 
-    nm = noun_mask(pos)
-    nopp = no_pp_np_mask(pos, prev, prev2)
+    nm = seq.elementwise(NOUN, pos)
+    nopp = seq.elementwise(NO_PP_NP, pos, prev, prev2)
     eligible = seq.elementwise(lambda a, b: a * b, nm, nopp)
     ordinals = seq.elementwise(lambda c, e: c * e, seq.running_count(eligible), eligible)
+    star = seq.elementwise(lambda noun, w: noun & (w == "the"), nm, prev_word)
     # the InputAnalysis fields from noun_mask to star, one row of lists per sentence
-    masks = [nm, np_head_mask(pos, prev), np_start_mask(pos, nxt), nopp, eligible, ordinals,
-             star_mask(pos, prev_word)]
+    masks = [nm, seq.elementwise(NP_HEAD, pos, prev), seq.elementwise(NP_START, pos, nxt), nopp,
+             eligible, ordinals, star]
     fields = np.array(masks, dtype=np.int64).reshape(
         len(masks), len(embs), pos.shape[-1]).swapaxes(0, 1).tolist()
     spans = clause_spans(_stack([emb.vmap3 for emb in embs], np.int64), nxt, n_eff)

@@ -51,6 +51,7 @@ V_INF = 17
 V_DAT = 18
 V_DAT_PP = 19
 V_UNACC_PP = 20
+N_CODES = 21  # every code above lies in range(N_CODES)
 
 CATEGORY_CODES = {
     "det": DET,
@@ -152,19 +153,21 @@ class Lexicon:
         return self._by_cat.get(category, ())
 
     def embed(self, tokens: list[str]) -> Embedded:
-        """Token list -> five aligned code sequences.
+        """Token list -> the lowercased tokens and their five aligned code
+        sequences.
 
         "." is structural filler (all zeros).  Unknown words raise
-        LexiconError -- there is no unknown-word token.
+        LexiconError, naming the first one lowercased -- there is no
+        unknown-word token.
         """
+        words = list(map(str.lower, tokens))
         try:
-            rows = list(map(self._rows.__getitem__, map(str.lower, tokens)))
+            rows = list(map(self._rows.__getitem__, words))
         except KeyError:
-            known = list(map(self._rows.__contains__, map(str.lower, tokens)))
-            word = tokens[known.index(False)]
+            word = next(word for word in words if word not in self._rows)
             raise LexiconError(f"word not in lexicon: {word!r}") from None
         pos, v1, v2, v3, v4 = map(list, zip(*rows)) if rows else ([], [], [], [], [])
-        return Embedded(list(tokens), pos, v1, v2, v3, v4)
+        return Embedded(words, pos, v1, v2, v3, v4)
 
 
 def load_lexicon(path: str | Path) -> Lexicon:

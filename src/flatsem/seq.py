@@ -9,6 +9,9 @@ terms of a handful of operations over aligned sequences:
 * ``elementwise``   position-wise map over aligned sequences
 * ``combine``       position-wise map over selectors
 
+and one declared map, ``Table``, a position-wise map over categorical codes
+held as its lookup table.
+
 As in RASP, a selector stands for an attention matrix: n x n ``bool`` cells,
 ``sel[q, k]`` meaning query position ``q`` attends to key position ``k``.  A
 sequence is a numpy array whose last axis is the position; any axes before it
@@ -41,6 +44,21 @@ ops must therefore be elementwise -- ``operator.le``,
 ``lambda k, q: k == q - 1``, ``lambda p, q: (p == 1) & (q == 2)`` -- and not
 ``and`` / ``or`` / ``in`` / ``int()``, which need a single value.  A lambda
 always gives a dense selector, even where a declared predicate would not.
+Each primitive converts and checks its arguments once, and passes an array
+that needs no conversion on as it is; the length cap, ``MAX_SEQ_LEN``,
+holds on every path.
+
+A ``Table(rule, size)`` declares a position-wise map over categorical codes,
+such as the lexicon's categories.  Its domain is every combination of the
+codes ``0 .. size - 1``, one per argument of ``rule``: ``size ** k`` cells
+for ``k`` sequences.  ``rule`` is evaluated once, on that whole grid, when
+the table is made -- at import for a module-level table -- and
+``elementwise(table, *codes)`` is then one gather from its values.  That is
+Tracr's categorical MLP: a map over finite categorical inputs compiles to a
+lookup table of its input space.  The table is a constant, not a cache: it
+holds every cell of its domain before the first call, and no call changes
+it.  A code outside the domain is the caller's error (numpy would wrap a
+negative one round), so a table is only fed codes known to lie in it.
 
 A sequence holds one kind of value: numbers (int or float), bools, or other
 objects such as tokens, in an object array.  The primitives accept Python
@@ -53,6 +71,7 @@ accepts length 0 and an empty batch.
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
 from typing import Any, Callable, Optional, Union
 
@@ -86,7 +105,7 @@ def indices(n: int) -> np.ndarray:
     """The positional sequence [0, 1, ..., n-1], read-only."""
     check_length(n)
     idx = _ALL_POSITIONS[:max(n, 0)]
-    idx.positions = n
+    idx.positions = len(idx)
     return idx
 
 
@@ -113,6 +132,7 @@ class Offset(Predicate):
 
 Prefix = Predicate(operator.le)  # k <= q: each query selects itself and every key before it
 Equal = Predicate(operator.eq)  # k == q
+_BEHIND, _AHEAD = Offset(-1), Offset(1)  # the shifts' selectors: the key one before, one after
 
 
 class Structured:
@@ -178,8 +198,12 @@ def _common_length(*xs: Any) -> int:
 
 
 def _matrix(selector: Any) -> np.ndarray:
+    """The dense cells of a selector, at most ``MAX_SEQ_LEN`` keys wide."""
     sel = np.asarray(selector, dtype=bool)
-    return sel if sel.ndim > 1 else sel.reshape(0, 0)  # [] is the empty selector
+    if sel.ndim < 2:
+        return sel.reshape(0, 0)  # [] is the empty selector
+    check_length(sel.shape[-1])
+    return sel
 
 
 def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Selector:
@@ -192,16 +216,23 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Sel
 
     A declared ``Predicate`` gives a ``Structured`` selector when keys and
     queries are both ``indices(n)``, and a key mask when the query is one
-    value; any other call gives the dense array.
+    value, compared with the keys as it is; any other call gives the dense
+    array.
     """
+    if isinstance(predicate, Predicate):
+        n = getattr(keys, "positions", None)
+        if n is not None and getattr(queries, "positions", None) == n:  # checked by indices
+            return Structured(n, predicate)
+        if not isinstance(queries, (np.ndarray, list, tuple)):  # one value for every query
+            n = _common_length(keys)
+            check_length(n)
+            ks = _array(keys, n)
+            mask = np.asarray(predicate(ks, queries), dtype=bool)
+            if mask.shape != ks.shape:  # a predicate that ignores its keys
+                mask = np.broadcast_to(mask, ks.shape).copy()
+            return Structured(n, keys=mask)
     n = _common_length(keys, queries)
     check_length(n)
-    if isinstance(predicate, Predicate):
-        if not isinstance(queries, (np.ndarray, list, tuple)):  # one value for every query
-            ks = _array(keys, n)
-            return Structured(n, keys=np.asarray(predicate(ks, _array(queries, n)), dtype=bool))
-        if getattr(keys, "positions", None) == n == getattr(queries, "positions", None):
-            return Structured(n, predicate)
     ks = _array(keys, n)
     qs = _array(queries, n)
     cols, rows = ks[..., np.newaxis, :], qs[..., np.newaxis]
@@ -229,6 +260,7 @@ def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
             keys = b.keys if a.keys is None else a.keys if b.keys is None else a.keys & b.keys
             return Structured(a.n, a.rel or b.rel, keys)
     mats = [np.asarray(s, dtype=bool) for s in selectors]
+    check_length(mats[0].shape[-1] if mats[0].ndim else 0)
     for m in mats:
         if m.shape[-2:] != mats[0].shape[-2:]:
             raise ValueError("selector size mismatch")
@@ -248,15 +280,25 @@ def _fill(vals: np.ndarray, default: Any) -> tuple[Any, np.dtype]:
     beside them.  The value is ``default``, or when that is None 0 for a
     numeric sequence and "" for any other.  A number beside numbers, or a
     bool beside bools, gives numpy's common dtype of the two; any other pair
-    gives object."""
-    kind = vals.dtype.kind
+    gives object.  A bool beside bools, or an int that fits beside int64,
+    keeps the sequence's dtype: that is the common dtype already."""
+    dtype = vals.dtype
+    kind = dtype.kind
     if default is None:
         default = 0 if kind in "iuf" else ""
-    if kind in "biuf":
-        fill = np.asarray(default).dtype
-        if fill.kind == kind == "b" or (kind != "b" and fill.kind in "iuf"):
-            return default, np.promote_types(vals.dtype, fill)
-    return default, np.dtype(object)
+    if kind not in "biuf":
+        return default, _OBJECT
+    if ((type(default) is bool and kind == "b")
+            or (type(default) is int and dtype is _INT64 and _INT64_MIN <= default <= _INT64_MAX)):
+        return default, dtype
+    fill = np.asarray(default).dtype
+    if fill.kind == kind == "b" or (kind != "b" and fill.kind in "iuf"):
+        return default, np.promote_types(dtype, fill)
+    return default, _OBJECT
+
+
+_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarray:
@@ -307,30 +349,60 @@ def _slide(vals: np.ndarray, d: int, default: Any) -> np.ndarray:
     """``aggregate`` through ``Offset(d)``: query q takes the value at q + d,
     and the queries whose q + d is off the edge take the default."""
     n = vals.shape[-1]
-    lo, hi = min(max(-d, 0), n), max(min(n - d, n), 0)  # the queries with a key
-    if lo == 0 and hi == n:
+    if d == 0 or n == 0:  # every query has its key
         return vals.copy()
     default, dtype = _fill(vals, default)
     out = np.empty(vals.shape, dtype=dtype)
-    if lo:
-        out[..., :lo] = default
-    if hi < n:
-        out[..., hi:] = default
-    out[..., lo:hi] = vals[..., lo + d:hi + d]
+    if d < 0:  # the first -d queries have no key
+        k = min(-d, n)
+        out[..., :k] = default
+        out[..., k:] = vals[..., :n - k]
+    else:  # nor have the last d
+        k = max(n - d, 0)
+        out[..., k:] = default
+        out[..., :k] = vals[..., d:]
     return out
 
 
+class Table:
+    """A position-wise map over the codes ``0 .. size - 1`` held as its
+    values: ``values[c1, ..., ck] == rule(c1, ..., ck)``, read-only.
+    Called on code sequences, it gathers their cells (see the module
+    docstring)."""
+
+    __slots__ = ("size", "values")
+
+    def __init__(self, rule: Callable[..., Any], size: int):
+        grid = np.indices((size,) * len(inspect.signature(rule).parameters))
+        self.size = size
+        self.values = np.broadcast_to(rule(*grid), grid.shape[1:])  # a read-only view
+
+    def __call__(self, *codes: Any) -> Any:
+        return self.values[codes]
+
+
 def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
-    """``fn`` called once on the whole aligned sequences (scalars broadcast)."""
-    n = _common_length(*seqs)
-    check_length(n)
-    arrays = [_array(s, n) for s in seqs]
-    out = np.asarray(fn(*arrays))
-    shape = (n,)
-    for a in arrays:
-        if a.ndim > 1:  # a batch: the shape the sequences broadcast to
-            shape = np.broadcast(*arrays).shape
+    """``fn`` called once on the whole aligned sequences (scalars broadcast).
+    Arrays of one shape go to ``fn`` as they are; a ``Table`` as ``fn`` is
+    one gather."""
+    shape = seqs[0].shape if seqs and isinstance(seqs[0], np.ndarray) else ()
+    for s in seqs:
+        if not isinstance(s, np.ndarray) or s.shape != shape:
+            shape = ()
             break
+    if shape:  # arrays of one shape are aligned already
+        check_length(shape[-1])
+        arrays = seqs
+    else:
+        n = _common_length(*seqs)
+        check_length(n)
+        arrays = [_array(s, n) for s in seqs]
+        shape = (n,)
+        for a in arrays:
+            if a.ndim > 1:  # a batch: the shape the sequences broadcast to
+                shape = np.broadcast(*arrays).shape
+                break
+    out = np.asarray(fn(*arrays))
     if out.shape != shape:  # a function that ignores some of its arguments
         out = np.broadcast_to(out, shape).copy()
     return out
@@ -339,15 +411,13 @@ def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
 def shift_right(values: Any, default: Any = 0) -> np.ndarray:
     """values[i-1] at each position, via a relative-offset selector."""
     idx = indices(_common_length(values))
-    sel = select(idx, idx, Offset(-1))
-    return aggregate(sel, values, default=default)
+    return aggregate(select(idx, idx, _BEHIND), values, default=default)
 
 
 def shift_left(values: Any, default: Any = 0) -> np.ndarray:
     """values[i+1] at each position."""
     idx = indices(_common_length(values))
-    sel = select(idx, idx, Offset(1))
-    return aggregate(sel, values, default=default)
+    return aggregate(select(idx, idx, _AHEAD), values, default=default)
 
 
 def running_count(mask: Any) -> np.ndarray:

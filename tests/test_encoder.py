@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ from flatsem import encoder as enc
 from flatsem import grammar as gr
 from flatsem import lexicon as lx
 from flatsem import oracle as orc
-from flatsem.decoder import decode_all
+from flatsem.decoder import decode, decode_all
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.seq import SequenceTooLongError
 
@@ -264,7 +266,7 @@ def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
     assert all(len(sets) == 1 for sets in code_sets.values())
     assert len({frozenset(entry.codes) for entry in lexicon.entries.values()}) == 29
     # the words the encoder cannot tell apart: one class per row, with "the"
-    # apart, since star_mask reads it by identity
+    # apart, since the star reads it by identity
     classes = {}
     for word in [*lexicon.entries, "."]:
         classes.setdefault("the" if word == "the" else lexicon._rows[word], []).append(word)
@@ -285,3 +287,86 @@ def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
     # and "the" is read by identity: "a" in its place drops the star
     assert enc.analyze("the cake burned .", lexicon).star == [0, 1, 0, 0]
     assert enc.analyze("a cake burned .", lexicon).star == [0, 0, 0, 0]
+
+
+def test_v2_binds_only_an_infinitive_inside_the_clause(lexicon, monkeypatch):
+    """``V2`` is bound from the clause, not left to the frame test: with
+    "v_inf_taking"'s test passing everywhere, a clause with no infinitive two
+    after the verb still decodes, and its form has no xcomp."""
+    frame = enc.FRAMES["v_inf_taking"]
+    monkeypatch.setitem(enc.FRAMES, "v_inf_taking", dataclasses.replace(frame, test=lambda s: True))
+    for sentence in ("emma wanted .", "emma wanted the cake ."):
+        (clause,) = enc.analyze(sentence, lexicon).clauses
+        assert (clause.template, clause.second_verb_pos) == ("v_inf_taking", None), sentence
+        for ablate in (False, True):
+            form = decode(sentence, lexicon, ablate=ablate)
+            assert "xcomp" not in form and "agent ( 1 , 0 )" in form, sentence
+            assert decode_all([sentence], lexicon, ablate=ablate) == [form]
+    assert enc.analyze("emma wanted to call .", lexicon).clauses[0].second_verb_pos == 3
+
+
+# Each mask table stated again in plain Python, one code per argument.
+PLAIN_MASKS = {
+    "NOUN": lambda p: p == lx.COMMON_NOUN or p == lx.PROPER_NOUN,
+    "NP_HEAD": lambda p, pr: (p == lx.COMMON_NOUN and pr == lx.DET) or p == lx.PROPER_NOUN,
+    "NP_START": lambda p, nx: (p == lx.DET and nx == lx.COMMON_NOUN) or p == lx.PROPER_NOUN,
+    "NO_PP_NP": lambda p, p1, p2: not ((p == lx.PROPER_NOUN and p1 == lx.PP)
+                                       or (p == lx.COMMON_NOUN and p2 == lx.PP)),
+    "CLAUSE_BOUNDARY": lambda v3, nx: v3 == lx.V_CP_TAKING and nx == lx.THAT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAIN_MASKS))
+def test_mask_tables_are_exact_over_their_domain(name, lexicon):
+    """Every cell of the table is its plain rule, and every code an
+    embedding can hold -- any lexicon's rows, and the filler the shifts bring
+    in at the edges -- lies in the table's domain, so no gather reads off
+    it or wraps round."""
+    table, plain = getattr(enc, name), PLAIN_MASKS[name]
+    arity = len(inspect.signature(plain).parameters)
+    assert table.size == lx.N_CODES
+    assert table.values.shape == (lx.N_CODES,) * arity and table.values.dtype == bool
+    cells = list(itertools.product(range(lx.N_CODES), repeat=arity))
+    assert len(cells) == lx.N_CODES ** arity
+    assert [bool(table.values[codes]) for codes in cells] == [plain(*codes) for codes in cells]
+    domain = set(range(table.size))
+    assert {lx.FILLER, *lx.CATEGORY_CODES.values()} <= domain  # what a lexicon row can hold
+    assert {code for row in lexicon._rows.values() for code in row} <= domain
+
+
+def test_the_mask_tables_hold_about_ten_kilobytes():
+    tables = [getattr(enc, name) for name in PLAIN_MASKS]
+    assert sum(table.values.nbytes for table in tables) == 21 + 3 * 21 ** 2 + 21 ** 3
+
+
+# The calls into seq that one analysis makes: one 9-token sentence, and a
+# 600-row bucket of it, which runs through each primitive once as a batch.
+CALL_BUDGET = {
+    "indices": 5,  # the four shifts and the running count
+    "select": 6,  # an offset per shift, and the running count's key mask and prefix
+    "aggregate": 4,  # one per shift, read as a slice
+    "combine": 1,
+    "selector_width": 1,
+    "elementwise": 8,  # five mask tables, eligible, ordinals and the star
+    "shift_right": 3,
+    "shift_left": 1,
+    "running_count": 1,
+}
+
+
+def test_one_analysis_makes_a_fixed_number_of_primitive_calls(lexicon, monkeypatch):
+    calls = dict.fromkeys(CALL_BUDGET, 0)
+    for name in CALL_BUDGET:
+        real = getattr(enc.seq, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(enc.seq, name, counting)
+    sentence = "a boy beside the tree painted the cake .".split()
+    enc.analyze(sentence, lexicon)
+    assert calls == CALL_BUDGET
+    calls.update(dict.fromkeys(calls, 0))
+    assert len(enc.analyze_all([sentence] * 600, lexicon)) == 600
+    assert calls == CALL_BUDGET

@@ -398,3 +398,65 @@ def test_structured_selectors_equal_their_dense_arrays(data):
         assert isinstance(dense, np.ndarray)
         _same(dense, np.logical_or(*map(np.asarray, parts)))
     assert isinstance(seq.combine(np.logical_and, prefix, offset), np.ndarray)
+
+
+# The length cap holds on every path of every primitive: a row as a list or an
+# array, and a batch of rows.
+
+def _too_long(shape_of_rows):
+    n = seq.MAX_SEQ_LEN + 1
+    values = np.ones((*shape_of_rows, n), dtype=np.int64)
+    return values, np.broadcast_to(np.eye(n, dtype=bool), (*shape_of_rows, n, n))
+
+
+@pytest.mark.parametrize("form", ["list row", "array row", "array batch", "list batch"])
+def test_every_primitive_caps_the_length(form):
+    values, selector = _too_long((2,) if "batch" in form else ())
+    if form.startswith("list"):
+        values, selector = values.tolist(), selector.tolist()
+    calls = {
+        "select": lambda: seq.select(values, values, operator.eq),
+        "select with a declared predicate": lambda: seq.select(values, values, seq.Offset(1)),
+        "select of one query value": lambda: seq.select(values, 1, seq.Equal),
+        "aggregate": lambda: seq.aggregate(selector, values),
+        "selector_width": lambda: seq.selector_width(selector),
+        "combine": lambda: seq.combine(np.logical_and, selector, selector),
+        "elementwise": lambda: seq.elementwise(operator.add, values, values),
+        "elementwise with a scalar": lambda: seq.elementwise(operator.add, values, 1),
+        "shift_right": lambda: seq.shift_right(values),
+        "shift_left": lambda: seq.shift_left(values),
+        "running_count": lambda: seq.running_count(values),
+    }
+    if form == "list batch":  # a list is one row: a list of lists is a selector, not a batch
+        calls = {name: call for name, call in calls.items()
+                 if name in ("aggregate", "selector_width", "combine")}
+    for name, call in calls.items():
+        with pytest.raises(seq.SequenceTooLongError):
+            call()
+            pytest.fail(name)
+
+
+def test_the_longest_sequences_pass_the_cap():
+    n = seq.MAX_SEQ_LEN
+    values = np.arange(n)
+    assert seq.shift_right(values)[-1] == n - 2
+    assert seq.running_count(values > 0)[-1] == n - 1
+    assert seq.selector_width(np.eye(n, dtype=bool)).sum() == n
+
+
+# A Table is its rule, evaluated once over the grid of codes.
+
+def test_table_gathers_what_its_rule_computes():
+    rule = lambda a, b: (a == 2) | ((a + b) % 3 == 0)  # noqa: E731
+    table = seq.Table(rule, 5)
+    assert table.values.shape == (5, 5) and table.values.dtype == bool
+    assert not table.values.flags.writeable
+    rng = np.random.default_rng(0)
+    for shape in ((0,), (7,), (3, 7), (0, 7)):
+        a, b = rng.integers(0, 5, shape), rng.integers(0, 5, shape)
+        _same(seq.elementwise(table, a, b), seq.elementwise(rule, a, b))
+    _same(seq.elementwise(table, [0, 2, 4], 1), seq.elementwise(rule, [0, 2, 4], 1))
+    one = seq.Table(lambda a: a * 2, 4)
+    assert one.values.tolist() == [0, 2, 4, 6]
+    assert seq.Table(lambda a, b: True, 2).values.tolist() == [[True, True]] * 2  # broadcast
+    assert seq.elementwise(one, np.array([[3, 0], [1, 1]])).tolist() == [[6, 0], [2, 2]]
