@@ -10,8 +10,9 @@ each consumed row advances the example counter whether or not it parses, so
 All three reports are folds over one pass, ``row_expansions``, which gives
 every row its set of expansion keys.  The parser reads a word only through
 its leaf classes (``grammar.leaf_classes``), so rows with one word-class
-sequence share a key set, and the pass parses once per such sequence:
-"the boy saw emma ." and "a cat ate liam ." are one parse.
+sequence share a key set, and the pass walks the parser's automaton once per
+such sequence, reading the keys off the run without building a tree:
+"the boy saw emma ." and "a cat ate liam ." are one walk.
 ``CoverageResult.from_rows`` unions the key sets, ``CurveResult.from_rows``
 counts the union row by row, and ``ShuffleResult.from_rows`` finds where
 that count first reaches the universe over random row orders -- in numpy,
@@ -32,16 +33,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import lexicon as lx
-from .grammar import all_expansion_keys, leaf_classes, parse_sentence, tree_expansions
+from .grammar import all_expansion_keys, class_expansions, leaf_classes
 
 
 def row_expansions(sentences: Iterable[str | list[str]],
                    lexicon: lx.Lexicon | None = None) -> list[frozenset[str]]:
     """The expansion keys of each row's parse, empty for a row that does not
-    parse or holds a word outside the lexicon.  Rows are parsed once per
+    parse or holds a word outside the lexicon.  The parser walks once per
     distinct word-class sequence, as rows that differ only in words of the
     same leaf classes have one parse shape; a row outside the lexicon is not
-    parsed.  A lone string is no list of sentences, and raises ``TypeError``."""
+    walked.  A lone string is no list of sentences, and raises ``TypeError``."""
     if isinstance(sentences, str):
         raise TypeError("row_expansions takes a list of sentences, not one string")
     if lexicon is None:
@@ -58,8 +59,7 @@ def row_expansions(sentences: Iterable[str | list[str]],
             out.append(frozenset())
             continue
         if shape not in by_shape:
-            tree = parse_sentence(s, lexicon)
-            by_shape[shape] = frozenset(tree_expansions(tree)) if tree is not None else frozenset()
+            by_shape[shape] = class_expansions(shape)
         out.append(by_shape[shape])
     return out
 

@@ -17,17 +17,19 @@ derivation read one leaf at a time keeps a stack of pending symbols, and
 expanding the top never pushes it past five symbols: 50 stacks besides the
 empty one are reachable.  They are compiled at import into a table of moves:
 for each stack and each leaf category, the next stacks and the rules expanded
-on the way to reading that leaf.  ``parse_sentence`` walks the table left to
-right, keeping each live stack once with one back-pointer, and reads the one
-accepting run backwards into the tree.  The grammar is unambiguous over leaf
-strings and over the lexicon's word classes (a test pins both), so no choice
-between parses ever arises.  The parse never recurses, so no sentence length
-meets Python's recursion limit.
+on the way to reading that leaf.  One walk over the table, left to right,
+keeps each live stack once with one back-pointer and reads back the one
+accepting run, each token's leaf and the rules expanded before it:
+``parse_sentence`` builds the tree from it, ``class_expansions`` reads the
+expansion keys off its rules.  The grammar is unambiguous over leaf strings
+and over the lexicon's word classes (a test pins both), so no choice between
+parses ever arises.  Nothing recurses, so no sentence length meets Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lexicon as lx
 
@@ -234,8 +236,7 @@ def expansion_key(lhs: str, rhs: list[str] | tuple[str, ...]) -> str:
 
 
 def all_expansion_keys() -> frozenset[str]:
-    return frozenset(expansion_key(lhs, rhs)
-                     for lhs, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() for rhs in alts)
+    return frozenset(_RULE_KEYS.values())
 
 
 def tree_expansions(tree: Tree) -> set[str]:
@@ -262,6 +263,10 @@ def leaf_classes(word: str, lexicon: lx.Lexicon) -> frozenset[str]:
 # expands them.
 _Rule = tuple[str, tuple[str, ...]]
 _Move = tuple[int, tuple[_Rule, ...]]
+_Step = tuple[tuple[_Rule, ...], str]  # a token's rules expanded and leaf read
+_RULE_KEYS: dict[_Rule, str] = {  # all_expansion_keys and class_expansions read these
+    (lhs, tuple(rhs)): expansion_key(lhs, rhs)
+    for lhs, alts in COGS_INPUT_GRAMMAR_NO_TERMINALS.items() for rhs in alts}
 
 _EMPTY_STACK, _START_STACK = 0, 1  # stack ids of () (accept) and (START,)
 
@@ -319,6 +324,42 @@ def _compile_moves(grammar: dict[str, list[list[str]]]) -> tuple[dict[str, tuple
 _MOVES = _compile_moves(COGS_INPUT_GRAMMAR_NO_TERMINALS)
 
 
+def _accepting_run(token_classes: Sequence[frozenset[str]]) -> Optional[list[_Step]]:
+    """The one accepting run of ``_MOVES`` over a sequence of leaf-class
+    sets, read backwards: for each token, last first, the rules expanded on
+    the way to it and the leaf it fills.  None when no run accepts, as for an
+    empty sequence."""
+    # steps[i]: each stack live after token i -> (stack before it, rules, leaf)
+    steps: list[dict[int, tuple[int, tuple[_Rule, ...], str]]] = []
+    live: Iterable[int] = (_START_STACK,)
+    for classes in token_classes:
+        step: dict[int, tuple[int, tuple[_Rule, ...], str]] = {}
+        for stack in live:
+            moves = _MOVES[stack]
+            for leaf in classes:
+                for nxt, rules in moves.get(leaf, ()):
+                    if nxt not in step:
+                        step[nxt] = (stack, rules, leaf)
+        if not step:
+            return None
+        steps.append(step)
+        live = step
+    if _EMPTY_STACK not in live:
+        return None
+    stack, run = _EMPTY_STACK, []
+    for step in reversed(steps):
+        stack, rules, leaf = step[stack]
+        run.append((rules, leaf))
+    return run
+
+
+def class_expansions(token_classes: Sequence[frozenset[str]]) -> frozenset[str]:
+    """The expansion keys of the parse of a sequence of leaf-class sets,
+    read off the accepting run; empty when it does not parse."""
+    run = _accepting_run(token_classes) or ()
+    return frozenset(_RULE_KEYS[rule] for rules, _leaf in run for rule in rules)
+
+
 def parse_sentence(tokens: list[str], lexicon: lx.Lexicon | None = None) -> Optional[Tree]:
     """Parse a token list (or space-joined string); None when out of grammar.
 
@@ -334,35 +375,16 @@ def parse_sentence(tokens: list[str], lexicon: lx.Lexicon | None = None) -> Opti
     tokens = [t.lower() for t in tokens]
     if tokens and tokens[-1] == ".":
         tokens = tokens[:-1]
-    if not tokens:
+    run = _accepting_run([leaf_classes(t, lexicon) for t in tokens])
+    if run is None:
         return None
-    token_classes = [leaf_classes(t, lexicon) for t in tokens]
-    # steps[i]: each stack live after token i -> (stack before it, rules, leaf)
-    steps: list[dict[int, tuple[int, tuple[_Rule, ...], str]]] = []
-    live: Iterable[int] = (_START_STACK,)
-    for classes in token_classes:
-        step: dict[int, tuple[int, tuple[_Rule, ...], str]] = {}
-        for stack in live:
-            for leaf, options in _MOVES[stack].items():
-                if leaf in classes:
-                    for nxt, rules in options:
-                        if nxt not in step:
-                            step[nxt] = (stack, rules, leaf)
-        if not step:
-            return None
-        steps.append(step)
-        live = step
-    if _EMPTY_STACK not in live:
-        return None
-    # The accepting run read backwards is the tree's preorder reversed: each
-    # node comes after its subtree, so its children are the top of ``built``.
+    # The run read backwards is the tree's preorder reversed: each node comes
+    # after its subtree, so its children are the top of ``built``, last first.
     built: list[Tree] = []
-    stack = _EMPTY_STACK
-    for i in range(len(tokens) - 1, -1, -1):
-        stack, rules, leaf = steps[i][stack]
+    for i, (rules, leaf) in zip(range(len(tokens) - 1, -1, -1), run):
         built.append(Tree(leaf, (), tokens[i], i))
         for lhs, rhs in reversed(rules):
-            children = tuple(reversed(built[-len(rhs):]))
+            children = tuple(built[:-len(rhs) - 1:-1])
             del built[-len(rhs):]
             built.append(Tree(lhs, children))
     return built[0]

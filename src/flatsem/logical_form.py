@@ -20,7 +20,8 @@ Two ways to compare a prediction with gold:
 * semantic exact match -- equality up to a bijective renaming of the
   instance indices.  Conjunct order never matters, star flags and labels do,
   and every relation must map consistently under one global bijection.
-  Two forms that differ only in conjunct order match without a search.
+  Two forms that differ only in conjunct order match without a parse: their
+  conjuncts compare as strings, and one match of the syntax checks the form.
 
 ``classify_error`` is the one verdict on a row: ``exact`` or ``equivalent``
 for a hit, ``attraction`` or ``other`` for a miss.  ``tally`` sums the
@@ -35,6 +36,7 @@ the open bound has a closed form.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -85,83 +87,70 @@ def serialize_facts(facts: SentenceFacts) -> str:
     return " ; ".join(nouns + [" AND ".join(c for _, c in body)] if body else nouns)
 
 
-def _conjuncts(text: str) -> list[list[str]]:
-    """The tokens of each conjunct, split at every ";" and "AND"."""
-    conjuncts: list[list[str]] = [[]]
-    for tok in text.split():
-        if tok in (";", "AND"):
-            conjuncts.append([])
-        else:
-            conjuncts[-1].append(tok)
-    return conjuncts
+# The syntax of a form, stated once, over text whose tokens are joined by one
+# space.  A conjunct is an introduction, ``[*] NAME ( INT )``, or a relation,
+# ``NAME ( INT , INT )``, which takes no star.  A name is one or more tokens,
+# none of them "(" or a separator, and a first token "*" is the star.  An
+# index is what ``int`` reads: a sign, digits, single underscores between
+# them.  Conjuncts are joined by ";" or "AND", which mean the same here.
+_INT = r"[+-]?\d+(?:_\d+)*"
+_TOKEN = r"(?!(?:\(|;|AND)(?![^ ]))[^ ]+"
+_NAME = rf"{_TOKEN}(?: {_TOKEN})*"
+_CONJUNCT_SYNTAX = (rf"\* ({_NAME}) \( ({_INT}) \)"
+                    rf"|(?!\* )({_NAME}) \( ({_INT}) (?:, ({_INT}) )?\)")
+_CONJUNCT = re.compile(_CONJUNCT_SYNTAX)
+_FORM = re.compile(rf"(?:{_CONJUNCT_SYNTAX})(?: (?:;|AND) (?:{_CONJUNCT_SYNTAX}))*")
+
+
+def _normal(text: str) -> str:
+    """The text's tokens joined by one space."""
+    return " ".join(text.split())
+
+
+def _pieces(form: str) -> list[str]:
+    """A normalised form cut at each separator (a malformed form's pieces may
+    hold one, but then they equal no piece of a well-formed form)."""
+    return form.replace(" AND ", " ; ").split(" ; ")
+
+
+def _same_conjuncts(a: str, b: str) -> bool:
+    """Two normalised forms hold the same conjuncts, in any order."""
+    return a == b or sorted(_pieces(a)) == sorted(_pieces(b))
 
 
 def parse_lf(text: str) -> Lf:
     """Parse "x ( 1 ) ; * y ( 4 ) ; v ( 2 ) AND agent ( 2 , 1 ) AND ..." """
     lf = Lf()
-    for toks in _conjuncts(text):
-        if not toks:
-            raise LfParseError(f"empty conjunct in: {text!r}")
-        star = toks[0] == "*"
-        if star:
-            toks = toks[1:]
+    for piece in _pieces(_normal(text)):
+        m = _CONJUNCT.fullmatch(piece)
+        if m is None:
+            raise LfParseError(f"malformed conjunct {piece!r} in: {text!r}")
+        star_name, star_idx, name, left, right = m.groups()
         try:
-            op = toks.index("(")
-        except ValueError:
-            raise LfParseError(f"missing '(' in conjunct {' '.join(toks)!r}") from None
-        name = " ".join(toks[:op])
-        args = toks[op + 1:-1]
-        if not name or toks[-1] != ")":
-            raise LfParseError(f"malformed conjunct {' '.join(toks)!r}")
-        if len(args) == 1:
-            lf.unary.append(Intro(name, _int(args[0], text), star))
-        elif len(args) == 3 and args[1] == ",":
-            if star:
-                raise LfParseError(f"star on relation conjunct in: {text!r}")
-            lf.binary.append(Rel(name, _int(args[0], text), _int(args[2], text)))
-        else:
-            raise LfParseError(f"bad argument list {' '.join(args)!r}")
+            if right is None:
+                lf.unary.append(Intro(star_name or name, int(star_idx or left), bool(star_name)))
+            else:
+                lf.binary.append(Rel(name, int(left), int(right)))
+        except ValueError:  # an index past int's digit limit
+            raise LfParseError(f"index too long in: {text!r}") from None
     return lf
-
-
-def _int(tok: str, ctx: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise LfParseError(f"non-numeric index {tok!r} in: {ctx!r}") from None
 
 
 def string_exact_match(a: str, b: str) -> bool:
     return a.split() == b.split()
 
 
-def _same_conjuncts(a: str, b: str) -> bool:
-    """The same conjuncts in any order: the identity renaming maps one onto
-    the other."""
-    return sorted(map(tuple, _conjuncts(a))) == sorted(map(tuple, _conjuncts(b)))
-
-
-def _signature(lf: Lf, idx: int) -> tuple:
-    """Degree fingerprint of an index: preserved by any valid bijection."""
-    sig = [(r.name, "L") for r in lf.binary if r.left == idx]
-    sig += [(r.name, "R") for r in lf.binary if r.right == idx]
-    return tuple(sorted(sig))
-
-
 def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
     """Equality up to bijective renaming of instance indices.
 
-    Two strings that hold the same conjuncts, in any order, need no search:
-    the identity renaming maps one onto the other, so they match exactly
-    when one of them parses.  Any other pair is parsed, its indices are
-    bucketed by what a renaming must preserve, and a backtracking search
-    looks for the renaming."""
-    if isinstance(a, str) and isinstance(b, str) and _same_conjuncts(a, b):
-        try:
-            parse_lf(a)
-        except LfParseError:
-            return False
-        return True
+    Two strings that hold the same conjuncts, in any order, match exactly
+    when one is well formed: the identity renaming maps one onto the other.
+    Any other pair is parsed, and a backtracking search looks for a renaming
+    of all the indices either form mentions."""
+    if isinstance(a, str) and isinstance(b, str):
+        a, b = _normal(a), _normal(b)
+        if _same_conjuncts(a, b):
+            return _FORM.fullmatch(a) is not None
     try:
         lfa = parse_lf(a) if isinstance(a, str) else a
         lfb = parse_lf(b) if isinstance(b, str) else b
@@ -169,30 +158,29 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
         return False
     if len(lfa.unary) != len(lfb.unary) or len(lfa.binary) != len(lfb.binary):
         return False
-
-    # Bucket indices by everything a bijection must preserve; a mismatch in
-    # bucket shapes settles it without any search.
-    def buckets(lf: Lf):
-        out: dict[tuple, list[int]] = {}
-        for i in lf.unary:
-            key = (i.label, i.star, _signature(lf, i.idx))
-            out.setdefault(key, []).append(i.idx)
-        return out
-
     if any(len(set(i.idx for i in lf.unary)) != len(lf.unary) for lf in (lfa, lfb)):
         # duplicate introductions of one index: fall back to literal equality
         return (sorted(lfa.unary) == sorted(lfb.unary)
                 and sorted(lfa.binary) == sorted(lfb.binary))
 
+    # Bucket every index by all a bijection must preserve: its introduction,
+    # None for an index no conjunct introduces, and the relations at either
+    # end of it.  A mismatch in bucket shapes settles it without any search.
+    def buckets(lf: Lf) -> dict[tuple, list[int]]:
+        keys: dict[int, list] = {i.idx: [(i.label, i.star)] for i in lf.unary}
+        for r in lf.binary:
+            keys.setdefault(r.left, [None]).append((r.name, "L"))
+            keys.setdefault(r.right, [None]).append((r.name, "R"))
+        out: dict[tuple, list[int]] = {}
+        for idx, (intro, *ends) in keys.items():
+            out.setdefault((intro, *sorted(ends)), []).append(idx)
+        return out
+
     ba, bb = buckets(lfa), buckets(lfb)
-    if set(ba) != set(bb) or any(len(ba[k]) != len(bb[k]) for k in ba):
+    if ba.keys() != bb.keys() or any(len(ba[k]) != len(bb[k]) for k in ba):
         return False
 
-    candidates: dict[int, list[int]] = {}
-    for key, idxs in ba.items():
-        for i in idxs:
-            candidates[i] = bb[key]
-
+    candidates = {i: bb[key] for key, idxs in ba.items() for i in idxs}
     brels = Counter(lfb.binary)
 
     # Backtracking assignment, most-constrained index first; each mapped
@@ -211,9 +199,8 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
                 continue
             mapping[i] = j
             used.add(j)
-            completed = [(n, mapping[l], mapping[r]) for n, l, r in lfa.binary
-                         if (l == i or r == i) and l in mapping and r in mapping]
-            counts = Counter(completed)
+            counts = Counter((n, mapping[l], mapping[r]) for n, l, r in lfa.binary
+                             if (l == i or r == i) and l in mapping and r in mapping)
             if all(counts[key1] <= brels[key1] for key1 in counts):
                 for key1, c in counts.items():
                     brels[key1] -= c
@@ -228,9 +215,7 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
     return extend(0)
 
 
-# The kinds `tally` counts as semantic hits.  An `exact` row is a string match,
-# so it counts even when the form does not parse, where
-# `semantic_exact_match` would say False.
+# The kinds `tally` counts as semantic hits.
 HITS = ("exact", "equivalent")
 
 
@@ -244,41 +229,34 @@ class ErrorReport:
 def classify_error(expected: str, actual: str) -> ErrorReport:
     """The verdict on a prediction: its kind, and for a miss what differs.
 
-    The cheapest test runs first.  A string match is ``exact``, and the same
-    conjuncts in another order are ``equivalent``, once one side parses: a
-    malformed string matches nothing, itself included.  Any other pair is
-    parsed once per side and searched once for a renaming.  "attraction" is
-    the signature mistake of dropping the pp filter: atom sets identical
-    except one role conjunct whose right argument moved.
+    The cheapest test runs first.  A string match is ``exact`` and the same
+    conjuncts in another order are ``equivalent``, once the gold is well
+    formed: a malformed string matches nothing, itself included.  Any other
+    pair is parsed once per side and searched once for a renaming.
+    "attraction" is the signature mistake of dropping the pp filter: the same
+    atoms but one role conjunct, whose right argument moved.
     """
+    exp, act = _normal(expected), _normal(actual)
+    if _same_conjuncts(exp, act) and _FORM.fullmatch(exp):
+        return ErrorReport("exact" if exp == act else "equivalent")
     try:
-        if string_exact_match(expected, actual):
-            parse_lf(expected)
-            return ErrorReport("exact")
-        if _same_conjuncts(expected, actual):
-            parse_lf(expected)
-            return ErrorReport("equivalent")
-        exp, act = parse_lf(expected), parse_lf(actual)
+        lfe, lfa = parse_lf(expected), parse_lf(actual)
     except LfParseError as e:
         return ErrorReport("other", detail=f"unparseable: {e}")
-    if semantic_exact_match(exp, act):
+    if semantic_exact_match(lfe, lfa):
         return ErrorReport("equivalent")
-    # plain tuples, which the detail prints
-    exp_bin, act_bin = set(map(tuple, exp.binary)), set(map(tuple, act.binary))
-    if sorted(exp.unary) == sorted(act.unary) and len(exp.binary) == len(act.binary):
-        missing = sorted(exp_bin - act_bin)
-        extra = sorted(act_bin - exp_bin)
-        if len(missing) == 1 and len(extra) == 1:
-            (en, el, er), (an, al, ar) = missing[0], extra[0]
-            if en == an and el == al and er != ar:
-                return ErrorReport(
-                    "attraction",
-                    detail=f"{en} ( {el} , {er} ) became {an} ( {al} , {ar} )",
-                    differing=[(f"{en} ( {el} , {er} )", f"{an} ( {al} , {ar} )")],
-                )
-        return ErrorReport("other", detail=f"role conjuncts differ: -{missing} +{extra}",
-                           differing=[(str(missing), str(extra))])
-    return ErrorReport("other", detail="introduced instances differ")
+    if Counter(lfe.unary) != Counter(lfa.unary):
+        return ErrorReport("other", detail="introduced instances differ")
+    # the relations one side holds more often, as the plain tuples the detail prints
+    exp_bin, act_bin = Counter(map(tuple, lfe.binary)), Counter(map(tuple, lfa.binary))
+    missing, extra = sorted((exp_bin - act_bin).elements()), sorted((act_bin - exp_bin).elements())
+    if len(missing) == 1 and len(extra) == 1:
+        (en, el, er), (an, al, ar) = missing[0], extra[0]
+        if en == an and el == al and er != ar:
+            was, now = f"{en} ( {el} , {er} )", f"{an} ( {al} , {ar} )"
+            return ErrorReport("attraction", detail=f"{was} became {now}", differing=[(was, now)])
+    return ErrorReport("other", detail=f"role conjuncts differ: -{missing} +{extra}",
+                       differing=[(str(missing), str(extra))])
 
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:

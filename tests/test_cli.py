@@ -8,6 +8,7 @@ from flatsem import cli, decoder, logical_form
 from flatsem.cli import load_tsv, main, write_tsv
 from flatsem.coverage import coverage, coverage_curve, shuffle_experiment
 from flatsem.fuzz import fuzz_generate, pp_chain_sentence
+from flatsem.grammar import leaf_classes
 from flatsem.lexicon import LexiconError
 from flatsem.oracle import AUGMENTED_CATEGORY, lf_oracle
 from flatsem.seq import SequenceTooLongError
@@ -212,20 +213,20 @@ def test_coverage_parses_each_distinct_row_once(tmp_path, capsys, monkeypatch, l
     write_tsv(tmp_path / "train.tsv", [(s, "x ( 0 )", "in_distribution") for s in sentences])
     cov_module = importlib.import_module("flatsem.coverage")
     parsed = Counter()
-    real_parse = cov_module.parse_sentence
+    real_walk = cov_module.class_expansions
 
-    def counting_parse(tokens, *args, **kwargs):
-        parsed[tokens if isinstance(tokens, str) else " ".join(tokens)] += 1
-        return real_parse(tokens, *args, **kwargs)
+    def counting_walk(shape):
+        parsed[shape] += 1
+        return real_walk(shape)
 
-    monkeypatch.setattr(cov_module, "parse_sentence", counting_parse)
+    monkeypatch.setattr(cov_module, "class_expansions", counting_walk)
     assert main(["coverage", "--data", str(tmp_path), "--split", "train", "--curve",
                  "--shuffles", "20", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert sum(parsed.values()) == len(set(sentences)) == len(sentences) - 1
     assert set(parsed.values()) == {1}
 
-    monkeypatch.setattr(cov_module, "parse_sentence", real_parse)
+    monkeypatch.setattr(cov_module, "class_expansions", real_walk)
     result = coverage(sentences, lexicon)
     curve = coverage_curve(sentences, lexicon)
     shuffles = shuffle_experiment(sentences, lexicon, n_shuffles=20, seed=1)
@@ -259,19 +260,20 @@ def test_coverage_reports_out_of_lexicon_rows(argv, oov, tmp_path, capsys, monke
     (tmp_path / "s.txt").write_text("\n".join(sentences) + "\n")
     cov_module = importlib.import_module("flatsem.coverage")
     parsed = Counter()
-    real_parse = cov_module.parse_sentence
+    real_walk = cov_module.class_expansions
 
-    def counting_parse(tokens, *args, **kwargs):
-        parsed[tokens] += 1
-        return real_parse(tokens, *args, **kwargs)
+    def counting_walk(shape):
+        parsed[shape] += 1
+        return real_walk(shape)
 
-    monkeypatch.setattr(cov_module, "parse_sentence", counting_parse)
+    monkeypatch.setattr(cov_module, "class_expansions", counting_walk)
     argv = [a.replace("DIR", str(tmp_path)) for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert parsed == Counter(sentences[:1])  # one parse per word-class sequence
+    first = tuple(leaf_classes(t, lexicon) for t in sentences[0].split()[:-1])
+    assert parsed == Counter([first])  # one parse per word-class sequence
 
-    monkeypatch.setattr(cov_module, "parse_sentence", real_parse)
+    monkeypatch.setattr(cov_module, "class_expansions", real_walk)
     covered = len(coverage(sentences[:1], lexicon).covered)
     assert len(coverage(sentences[1:2], lexicon).covered) == covered
     assert coverage_curve(sentences, lexicon).sizes == [covered] * 3
@@ -350,9 +352,9 @@ def test_run_tallies_attraction(tmp_path, capsys):
 
 def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
     """Each row's kind, and so its scores, comes from one ``classify_error``
-    call, which parses one side for a string match or a reordered
-    equivalent and each side once for a miss, and runs at most one renaming
-    search."""
+    call, which parses nothing for a string match or a reordered
+    equivalent (one pattern match checks the gold) and each side once for a
+    miss, and runs at most one renaming search."""
     sentence = "a boy painted the girl"
     gold = GOLDEN[sentence]
     head, body = gold.split(" ; ")[:-1], gold.split(" ; ")[-1]
@@ -375,7 +377,7 @@ def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "classify_error", counting_classify)
     assert main(["run", "--data", str(tmp_path), "--split", "dev", "--show", "5"]) == 0
-    assert per_row == [("exact", 1, 0), ("equivalent", 1, 0), ("other", 2, 1)]
+    assert per_row == [("exact", 0, 0), ("equivalent", 0, 0), ("other", 2, 1)]
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"[other] {sentence}", "  gold: boy ( 1 )"]
     assert lines[-4] == "split=dev n=3 sem=0.6667 em=0.3333 ci_low=0.0943 ci_high=0.9916"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -360,14 +361,19 @@ def _chart_inputs(lexicon):
             yield tokens[:-1]
             for _ in range(3):
                 yield _mutant(tokens, rng, vocabulary)
+    yield from _derivation_sentences(lexicon)
+    yield pp_chain_sentence(168)
+    yield cp_chain_sentence(169)
+
+
+def _derivation_sentences(lexicon):
+    """Every derivation of up to 12 tokens, with one word for each leaf."""
     word_of = {}
     for word in sorted(lexicon.entries):
         for leaf in gr.leaf_classes(word, lexicon):
             word_of.setdefault(leaf, word)
     for leaves in _derivations(12):
         yield [word_of[leaf] for leaf in leaves]
-    yield pp_chain_sentence(168)
-    yield cp_chain_sentence(169)
 
 
 def test_parse_equals_the_textbook_extraction(lexicon):
@@ -387,6 +393,43 @@ def test_parse_equals_the_textbook_extraction(lexicon):
         sys.setrecursionlimit(limit)
     assert count == 1 + 31 + 31 * 31 + 2 * 150 * 5 + 1_141 + 2
     assert parsed == 728 + 1_141
+
+
+def _chains():
+    """pp and cp chains of every seventh depth, up to 511 tokens."""
+    yield from (pp_chain_sentence(depth) for depth in range(0, 169, 7))
+    yield from (cp_chain_sentence(depth) for depth in range(0, 170, 7))
+
+
+def _run_keys(tokens, lexicon):
+    body = tokens[:-1] if tokens[-1:] == ["."] else tokens
+    return gr.class_expansions([gr.leaf_classes(t, lexicon) for t in body])
+
+
+def test_keys_read_off_the_run_equal_the_tree_expansions(lexicon):
+    """The expansion keys read off the accepting run are those of the tree
+    built from it, on every chart input (out-of-grammar mutants among them)
+    and on the chains; a sequence that does not parse has none."""
+    count = parsed = 0
+    for tokens in [*_chart_inputs(lexicon), *_chains()]:
+        tree = gr.parse_sentence(tokens, lexicon)
+        want = gr.tree_expansions(tree) if tree is not None else set()
+        assert _run_keys(tokens, lexicon) == want, tokens
+        count += 1
+        parsed += tree is not None
+    assert (count, parsed) == (3_686, 1_919)
+    for text in ("", "."):
+        assert _run_keys(text.split(), lexicon) == frozenset()
+
+
+def test_trees_print_as_pinned(lexicon):
+    """The trees of every derivation of up to 12 tokens and of the chains
+    print byte for byte as pinned here."""
+    digest = hashlib.sha256()
+    for tokens in [*_derivation_sentences(lexicon), *_chains()]:
+        digest.update(repr(gr.parse_sentence(tokens, lexicon)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "2e8f6863f9b3f5a0cc90aefc5e8f14e82dce17425ebbabb43da5b118d3f91ac5")
 
 
 def _subset_dfa(alphabet):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -139,6 +140,88 @@ def test_sem_invariant_under_any_permutation(perm):
     assert lf.semantic_exact_match(gold, renumber(gold, table.__getitem__))
 
 
+def test_sem_maps_indices_no_conjunct_introduces():
+    """An index that only a relation mentions is renamed with the rest: two
+    ends that one form shares and the other splits do not match."""
+    shared = "v ( 2 ) AND agent ( 2 , 7 ) AND theme ( 2 , 7 )"
+    split = "v ( 2 ) AND agent ( 2 , 7 ) AND theme ( 2 , 8 )"
+    assert not lf.semantic_exact_match(shared, split)
+    assert not lf.semantic_exact_match(split, shared)
+    assert lf.classify_error(shared, split).kind == "attraction"
+    assert lf.semantic_exact_match("theme ( 9 , 5 )", "theme ( 5 , 9 )")  # swap 9 and 5
+    assert not lf.semantic_exact_match("theme ( 9 , 5 ) AND agent ( 9 , 9 )",
+                                       "theme ( 5 , 9 ) AND agent ( 9 , 9 )")
+
+
+def _random_form(rng: random.Random) -> str:
+    """A small form over indices 0..4: distinct introductions of some of
+    them, and relations between any two, introduced or not."""
+    idxs = rng.sample(range(5), rng.randrange(6))
+    parts = [f"{'* ' if rng.random() < 0.3 else ''}{rng.choice('ab')} ( {i} )" for i in idxs]
+    parts += [f"{rng.choice(['agent', 'theme'])} ( {rng.randrange(5)} , {rng.randrange(5)} )"
+              for _ in range(rng.randrange(4))]
+    rng.shuffle(parts)
+    return " AND ".join(parts)
+
+
+def _brute_force_match(a: str, b: str) -> bool:
+    """Some bijection between the indices the two forms mention maps one
+    form's conjuncts onto the other's."""
+    lfa, lfb = lf.parse_lf(a), lf.parse_lf(b)
+
+    def mentioned(parsed):
+        return sorted({i.idx for i in parsed.unary}
+                      | {k for r in parsed.binary for k in (r.left, r.right)})
+
+    ia, ib = mentioned(lfa), mentioned(lfb)
+    if len(ia) != len(ib):
+        return False
+    want = (Counter(lfb.unary), Counter(lfb.binary))
+    for image in itertools.permutations(ib):
+        rename = dict(zip(ia, image))
+        if want == (Counter(i._replace(idx=rename[i.idx]) for i in lfa.unary),
+                    Counter(lf.Rel(r.name, rename[r.left], rename[r.right])
+                            for r in lfa.binary)):
+            return True
+    return False
+
+
+def test_sem_search_equals_a_brute_force_over_all_bijections():
+    rng = random.Random(31)
+    hits = compared = 0
+    for _ in range(1_500):
+        a = _random_form(rng)
+        # a renamed copy of a with one conjunct maybe redrawn, or a fresh form
+        if rng.random() < 0.7:
+            perm = rng.sample(range(5), 5)
+            b = renumber(a, perm.__getitem__) if a else a
+            if b and rng.random() < 0.5:
+                parts = b.split(" ; ")
+                parts[rng.randrange(len(parts))] = _random_form(rng) or parts[0]
+                b = " ; ".join(parts)
+        else:
+            b = _random_form(rng)
+        if not a or not b:
+            continue
+        want = _brute_force_match(a, b)
+        assert _search_match(a, b) == want, (a, b)
+        assert lf.semantic_exact_match(a, b) == want, (a, b)
+        hits += want
+        compared += 1
+    assert hits > 400 and compared - hits > 400
+
+
+def test_a_repeated_relation_is_reported_as_a_role_difference():
+    duplicated = TRANSITIVE + " AND agent ( 2 , 1 )"
+    report = lf.classify_error(TRANSITIVE, duplicated)
+    assert report.kind == "other"
+    assert report.detail == "role conjuncts differ: -[] +[('agent', 2, 1)]"
+    report = lf.classify_error(duplicated, TRANSITIVE)
+    assert report.detail == "role conjuncts differ: -[('agent', 2, 1)] +[]"
+    assert lf.classify_error(TRANSITIVE, TRANSITIVE.replace("boy", "dog")).detail == (
+        "introduced instances differ")
+
+
 def test_clopper_pearson_frozen_values():
     assert lf.clopper_pearson(3000, 3000) == pytest.approx((0.998771, 1.0), abs=1e-4)
     assert lf.clopper_pearson(1000, 1000) == pytest.approx((0.996318, 1.0), abs=1e-4)
@@ -275,10 +358,110 @@ def test_a_reordered_pair_is_parsed_once(monkeypatch):
     reordered = ("* girl ( 4 ) ; boy ( 1 ) ; paint ( 2 ) AND theme ( 2 , 4 ) "
                  "AND agent ( 2 , 1 )")
     assert lf.semantic_exact_match(TRANSITIVE, reordered)
-    assert len(calls) == 1
+    assert len(calls) == 0
     # the same conjuncts, malformed alike on both sides, do not match
     assert not lf.semantic_exact_match("a ( 1 ) ; ; b ( 2 )", "b ( 2 ) ; a ( 1 ) ;")
-    assert len(calls) == 2
+    assert len(calls) == 1
     # a renamed pair still takes the search
     assert lf.semantic_exact_match(TRANSITIVE, renamed)
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+# The token loop that read forms before the compiled syntax, kept as the
+# reference the syntax must agree with.
+def _reference_conjuncts(text: str) -> list[list[str]]:
+    """The tokens of each conjunct, split at every ";" and "AND"."""
+    conjuncts: list[list[str]] = [[]]
+    for tok in text.split():
+        if tok in (";", "AND"):
+            conjuncts.append([])
+        else:
+            conjuncts[-1].append(tok)
+    return conjuncts
+
+
+def _reference_parse_lf(text: str) -> lf.Lf:
+    """Parse "x ( 1 ) ; * y ( 4 ) ; v ( 2 ) AND agent ( 2 , 1 ) AND ..." """
+    parsed = lf.Lf()
+    for toks in _reference_conjuncts(text):
+        if not toks:
+            raise lf.LfParseError(f"empty conjunct in: {text!r}")
+        star = toks[0] == "*"
+        if star:
+            toks = toks[1:]
+        try:
+            op = toks.index("(")
+        except ValueError:
+            raise lf.LfParseError(f"missing '(' in conjunct {' '.join(toks)!r}") from None
+        name = " ".join(toks[:op])
+        args = toks[op + 1:-1]
+        if not name or toks[-1] != ")":
+            raise lf.LfParseError(f"malformed conjunct {' '.join(toks)!r}")
+        if len(args) == 1:
+            parsed.unary.append(lf.Intro(name, _reference_int(args[0], text), star))
+        elif len(args) == 3 and args[1] == ",":
+            if star:
+                raise lf.LfParseError(f"star on relation conjunct in: {text!r}")
+            parsed.binary.append(lf.Rel(name, _reference_int(args[0], text),
+                                        _reference_int(args[2], text)))
+        else:
+            raise lf.LfParseError(f"bad argument list {' '.join(args)!r}")
+    return parsed
+
+
+def _reference_int(tok: str, ctx: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise lf.LfParseError(f"non-numeric index {tok!r} in: {ctx!r}") from None
+
+
+def _records(parse, text):
+    """What a parser reads from text: its records, or None for a rejection."""
+    try:
+        parsed = parse(text)
+    except lf.LfParseError:
+        return None
+    return parsed.unary, parsed.binary
+
+
+HAND_FORMS = [
+    "* . on ( 4 , 6 )", "* * ( 9 )", "* ( 1 )", "* * x ( 1 )", "x * ( 1 )", "*x ( 1 )",
+    "a ( -3 )", "a ( +4 )", "a ( 1_0 )", "a ( 1__0 )", "a ( _1 )", "a ( 1_ )", "a ( +-1 )",
+    "a ( - 3 )", "a ( \u0663 )", "a ( 1.0 )", "nmod . in ( 1 , -2 )", "a ( 007 , +0 )",
+    "; a ( 1 )", "a ( 1 ) ;", "AND a ( 1 )", "a ( 1 ) AND", "; ; a ( 1 )", "a ( 1 ) ; ; b ( 2 )",
+    "a ( 1 ) AND ; b ( 2 )", "a ( 1 ) AND AND b ( 2 )", "a\t(\t1 )\n;\nb ( 2 )",
+    "  a ( 1 )  ", "\ta ( 1 ) AND\tb ( 1 , 2 )\n", "", " ", "\n", ";", "AND",
+    "a ( 1 ) ; b ( 2 ) AND c ( 1 , 2 )", "a ( 1 ); b ( 2 )", "a ( 1 ) ;b ( 2 )",
+    ") ( 1 )", "a ) ( 1 )", ", ( 1 , 2 )", ") , ( 1 , 2 )", "( 1 )", "( ( 1 )", "a ( ( 1 )",
+    "a ( 1 ) )", "a ( 1 ) ( 2 )", "a ( 1 , 2 , 3 )", "a ( 1 2 )", "a ( 1 , )", "a ( , 1 )",
+    "a ( 1 ,, 2 )", "a (1)", "a ( 1 )x", "ANDY ( 1 )", "AND ( 1 )", "xAND ( 1 )", ";x ( 1 )",
+    "(x ( 1 )", "a b c ( 1 )", "* a b ( 1 , 2 )", "* agent ( 1 , 2 )", "a 1 )", "a ( x )",
+]
+
+
+def test_the_compiled_syntax_reads_what_the_token_loop_reads(lexicon):
+    """The compiled syntax accepts exactly the forms the token loop accepts,
+    and ``parse_lf`` reads the same records from them: on hand cases, every
+    sequence of up to five tokens over a small alphabet, and the golds of
+    fuzzed corpora in both modes with 20 variants each."""
+    texts = list(HAND_FORMS)
+    alphabet = ["x", "*", "(", ")", ",", "1", ";"]
+    for length in range(6):
+        texts += map(" ".join, itertools.product(alphabet, repeat=length))
+    rng = random.Random(23)
+    for mode in ("uniform", "coverage"):
+        for _tokens, tree in fuzz_generate(300, lexicon, seed=23, pp_depth=3, cp_depth=3,
+                                           mode=mode):
+            gold = lf_oracle(tree, lexicon)
+            texts += [gold, *(_variant(gold, rng) for _ in range(20))]
+    disagree = []
+    accepted = 0
+    for text in texts:
+        want = _records(_reference_parse_lf, text)
+        matched = lf._FORM.fullmatch(lf._normal(text)) is not None
+        if _records(lf.parse_lf, text) != want or matched != (want is not None):
+            disagree.append(text)
+        accepted += want is not None
+    assert disagree == []
+    assert 5_000 < accepted < len(texts) - 20_000  # both decisions, in bulk
