@@ -3,18 +3,16 @@
 All per-position evidence is computed with the sequence primitives --
 selectors, aggregations, widths, position-wise maps -- over the five code
 sequences and their shifted copies, each shift made once per batch.
-``analyze_all`` groups its sentences by length and runs each group through
-the primitives at once, as a (sentences, positions) batch; ``analyze`` is
-its one-sentence case.  Between primitives the sequences are numpy arrays;
-each field of ``InputAnalysis`` becomes a plain list once, at the end.  The
-structural summary of each sentence (clause spans, one verb frame per
-clause, pp attachments) is then read off its row of those flat vectors.
-``FRAMES`` is the one table of verb frames; a row holds only its name, the
-test that picks it and its relations, and ``get_agent_side`` reads off it
-which side of the verb a frame's agent binds.  What licenses a frame is its
-leaf's lexicon code in ``grammar.LEAF_CODE``, the inverse of the table the
-parser reads, and its voice is that code's slot in ``lexicon.SLOT``: slot 2,
-the passive participle, wants "was" right before the verb.
+``analyze_all`` runs each group of same-length sentences through the
+primitives at once, as a (sentences, positions) batch; ``analyze`` is its
+one-sentence case.  Each field of ``InputAnalysis`` becomes a plain list once,
+at the end, and each sentence's structure (clause spans, one verb frame per
+clause, pp attachments) is read off its row.  A clause's frame is one
+decision of its verb's licence (``DECISIONS``) among that licence's leaves
+in ``grammar.CODE_LEAVES``; the passive participle's licence, slot 2 of
+``lexicon.SLOT``, decides only right after "was".  ``FRAMES`` holds each
+frame's relations, and ``get_agent_side`` reads off it which side of the
+verb a frame's agent binds.
 
 The position-wise masks over lexicon codes are ``seq.Table`` lookup tables,
 Tracr's categorical MLPs: ``NOUN`` over a token's code, ``NP_HEAD`` and
@@ -42,7 +40,7 @@ import numpy as np
 
 from . import lexicon as lx
 from . import seq
-from .grammar import LEAF_CODE
+from .grammar import CODE_LEAVES
 
 
 @dataclass
@@ -142,7 +140,7 @@ def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
 
 
 class _Site(NamedTuple):
-    """A clause's verb and the flat vectors the frame tests read."""
+    """A clause's verb and the flat vectors the licence decisions read."""
 
     emb: lx.Embedded
     np_start: list[int]
@@ -169,54 +167,35 @@ class _Site(NamedTuple):
 @dataclass(frozen=True)
 class Frame:
     name: str  # the grammar's leaf category, without brackets
-    test: Callable[[_Site], bool]  # positional test that picks this variant
     # (role, slot) in emission order; SUBJ binds left of the verb, OBJ1/OBJ2
     # right of it, V2 is the infinitive at +2 (``_Site.infinitive``), NEXT_V
     # the embedded clause's verb
     relations: tuple[tuple[str, str], ...]
 
 
-# Every verb frame; a clause takes the first row that fits.  "v_inf" only
-# holds the relations of the infinitive under "v_inf_taking".
+# Every verb frame; "v_inf" holds the relations of the infinitive under "v_inf_taking".
 FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
-    Frame("v_cp_taking",  # "that" lies just past the clause
-          lambda s: s.verb + 1 < len(s.emb) and s.emb.pos[s.verb + 1] == lx.THAT,
-          (("agent", "SUBJ"), ("ccomp", "NEXT_V"))),
-    Frame("v_inf_taking",
-          lambda s: s.at(1, lx.TO) and s.infinitive() is not None,
-          (("agent", "SUBJ"), ("xcomp", "V2"))),
-    Frame("v_inf", lambda s: False, (("agent", "SUBJ"),)),
-    Frame("v_unerg", lambda s: True, (("agent", "SUBJ"),)),
-    Frame("v_trans_omissible_p1", lambda s: s.verb + 1 == s.end, (("agent", "SUBJ"),)),
-    Frame("v_trans_omissible_p2", lambda s: s.verb + 1 < s.end,
-          (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_trans_not_omissible", lambda s: True, (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_unacc_p1", lambda s: s.verb + 1 < s.end,  # causative
-          (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_unacc_p2", lambda s: s.verb + 1 == s.end, (("theme", "SUBJ"),)),  # inchoative
-    Frame("v_dat_p1", lambda s: s.np_after(lx.TO),
-          (("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2"))),
-    Frame("v_dat_p2",  # two noun phrases back to back after the verb
-          lambda s: any(s.np_head[j] and s.np_start[j + 1] for j in range(s.verb + 1, s.end - 1)),
-          (("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2"))),
-    Frame("v_trans_omissible_pp_p1", lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
-    Frame("v_trans_omissible_pp_p2", lambda s: s.at(1, lx.BY),
-          (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_trans_not_omissible_pp_p1", lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
-    Frame("v_trans_not_omissible_pp_p2", lambda s: s.at(1, lx.BY),
-          (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_unacc_pp_p1", lambda s: not s.at(1, lx.BY), (("theme", "SUBJ"),)),
-    Frame("v_unacc_pp_p2", lambda s: s.at(1, lx.BY), (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_dat_pp_p1", lambda s: s.at(1, lx.TO) and not s.np_after(lx.BY),
-          (("theme", "SUBJ"), ("recipient", "OBJ1"))),
-    Frame("v_dat_pp_p2", lambda s: s.at(1, lx.TO) and s.np_after(lx.BY),
-          (("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2"))),
-    Frame("v_dat_pp_p3",
-          lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and not s.np_after(lx.BY),
-          (("recipient", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_dat_pp_p4",
-          lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and s.np_after(lx.BY),
-          (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2"))),
+    Frame("v_cp_taking", (("agent", "SUBJ"), ("ccomp", "NEXT_V"))),
+    Frame("v_inf_taking", (("agent", "SUBJ"), ("xcomp", "V2"))),
+    Frame("v_inf", (("agent", "SUBJ"),)),
+    Frame("v_unerg", (("agent", "SUBJ"),)),
+    Frame("v_trans_omissible_p1", (("agent", "SUBJ"),)),
+    Frame("v_trans_omissible_p2", (("agent", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_trans_not_omissible", (("agent", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_unacc_p1", (("agent", "SUBJ"), ("theme", "OBJ1"))),  # causative
+    Frame("v_unacc_p2", (("theme", "SUBJ"),)),  # inchoative
+    Frame("v_dat_p1", (("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2"))),
+    Frame("v_dat_p2", (("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2"))),
+    Frame("v_trans_omissible_pp_p1", (("theme", "SUBJ"),)),
+    Frame("v_trans_omissible_pp_p2", (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_trans_not_omissible_pp_p1", (("theme", "SUBJ"),)),
+    Frame("v_trans_not_omissible_pp_p2", (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_unacc_pp_p1", (("theme", "SUBJ"),)),
+    Frame("v_unacc_pp_p2", (("theme", "SUBJ"), ("agent", "OBJ1"))),
+    Frame("v_dat_pp_p1", (("theme", "SUBJ"), ("recipient", "OBJ1"))),
+    Frame("v_dat_pp_p2", (("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2"))),
+    Frame("v_dat_pp_p3", (("recipient", "SUBJ"), ("theme", "OBJ1"))),
+    Frame("v_dat_pp_p4", (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2"))),
 )}
 
 
@@ -229,34 +208,44 @@ def get_agent_side(template: str) -> Optional[str]:
     return None if slot is None else "left" if slot == "SUBJ" else "right"
 
 
-# Each row's licence, its leaf's code; and the rows in order, with their
-# licences, split by voice: under True the rows whose licence sits in slot 2
-# of lexicon.SLOT, the passive participle's.
-_LICENCE = {name: LEAF_CODE[f"<{name}>"] for name in FRAMES}
-_LICENSED = {passive: [(name, code) for name, code in _LICENCE.items()
-                       if (lx.SLOT[code] == 2) == passive] for passive in (False, True)}
+# Each verb licence's one decision: the index of the clause's frame among the
+# licence's leaves in ``grammar.CODE_LEAVES``, or None when none fits.
+DECISIONS: dict[int, Callable[[_Site], Optional[int]]] = {
+    **dict.fromkeys((lx.V_UNERG, lx.V_TRANS_NOT_OMISSIBLE), lambda s: 0),
+    lx.V_INF: lambda s: None,  # an infinitive heads no clause of its own
+    lx.V_CP_TAKING: lambda s: (0 if s.verb + 1 < len(s.emb.pos) and CLAUSE_BOUNDARY.values[
+        s.emb.vmap3[s.verb], s.emb.pos[s.verb + 1]] else None),
+    lx.V_INF_TAKING: lambda s: 0 if s.at(1, lx.TO) and s.infinitive() is not None else None,
+    lx.V_TRANS_OMISSIBLE: lambda s: int(s.verb + 1 < s.end),  # the clause goes on: an object
+    lx.V_UNACC: lambda s: int(s.verb + 1 == s.end),  # the clause ends: inchoative
+    lx.V_DAT: lambda s: 0 if s.np_after(lx.TO) else 1 if any(  # a to-NP, else two NPs in a row
+        s.np_head[j] and s.np_start[j + 1] for j in range(s.verb + 1, s.end - 1)) else None,
+    **dict.fromkeys((lx.V_TRANS_OMISSIBLE_PP, lx.V_TRANS_NOT_OMISSIBLE_PP, lx.V_UNACC_PP),
+                    lambda s: int(s.at(1, lx.BY))),
+    lx.V_DAT_PP: lambda s: (  # "to" at +1, else the theme there; then a by-agent bit
+        (0 if s.at(1, lx.TO) else 2) + s.np_after(lx.BY)
+        if s.at(1, lx.TO) or s.verb + 1 < s.end and s.np_start[s.verb + 1] else None),
+}
 
 
 def match_template(emb: lx.Embedded, span: tuple[int, int],
                    np_start: list[int], np_head: list[int]) -> ClauseInfo:
     """The clause with its verb, the first token carrying a verb code, and
-    its frame: the first row of ``FRAMES`` whose licence the verb carries,
-    whose voice fits and whose test passes.  A row whose licence sits in
-    slot 2 of ``lexicon.SLOT``, the passive participle's, fits only when "was"
-    stands right before the verb, and any other row only when it does not.
-    At most one row fits an in-grammar clause.  A frame's ``V2`` binds only
-    to an infinitive inside the clause (``_Site.infinitive``)."""
+    its frame.  After "was" the verb's slot-2 licence decides; otherwise its
+    slot-3, slot-4 and slot-1 licences decide in turn, until one picks a
+    frame.  ``V2`` binds only to an infinitive inside the clause."""
     start, end = span
     for V in range(start, end):
         if emb.pos[V] in lx.SLOT:  # a word's primary code is a verb code when it has one
             break
     else:
         return ClauseInfo(start, end, -1, None)
-    slots = (emb.vmap1[V], emb.vmap2[V], emb.vmap3[V], emb.vmap4[V])
     was = V > start and emb.pos[V - 1] == lx.WAS
     site = _Site(emb, np_start, np_head, V, end)
-    for name, code in _LICENSED[was]:  # a row's test runs only if the verb carries its licence
-        if code in slots and FRAMES[name].test(site):
+    for code in (emb.vmap2[V],) if was else (emb.vmap3[V], emb.vmap4[V], emb.vmap1[V]):
+        variant = DECISIONS[code](site) if code else None
+        if variant is not None:
+            name = CODE_LEAVES[code][variant][1:-1]
             second = site.infinitive() if ("xcomp", "V2") in FRAMES[name].relations else None
             return ClauseInfo(start, end, V, name, second)
     return ClauseInfo(start, end, V, None)

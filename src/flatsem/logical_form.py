@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -92,8 +93,11 @@ def serialize_facts(facts: SentenceFacts) -> str:
 # ``NAME ( INT , INT )``, which takes no star.  A name is one or more tokens,
 # none of them "(" or a separator, and a first token "*" is the star.  An
 # index is what ``int`` reads: a sign, digits, single underscores between
-# them.  Conjuncts are joined by ";" or "AND", which mean the same here.
-_INT = r"[+-]?\d+(?:_\d+)*"
+# them, and no more digits than the interpreter converts to an int
+# (``sys.get_int_max_str_digits()`` at import; 0 is no limit).  Conjuncts are
+# joined by ";" or "AND", which mean the same here.
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_INT = rf"[+-]?\d(?:_?\d){{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else r"[+-]?\d(?:_?\d)*"
 _TOKEN = r"(?!(?:\(|;|AND)(?![^ ]))[^ ]+"
 _NAME = rf"{_TOKEN}(?: {_TOKEN})*"
 _CONJUNCT_SYNTAX = (rf"\* ({_NAME}) \( ({_INT}) \)"
@@ -131,7 +135,7 @@ def parse_lf(text: str) -> Lf:
                 lf.unary.append(Intro(star_name or name, int(star_idx or left), bool(star_name)))
             else:
                 lf.binary.append(Rel(name, int(left), int(right)))
-        except ValueError:  # an index past int's digit limit
+        except ValueError:  # an index past int's digit limit, lowered since import
             raise LfParseError(f"index too long in: {text!r}") from None
     return lf
 
@@ -158,22 +162,21 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
         return False
     if len(lfa.unary) != len(lfb.unary) or len(lfa.binary) != len(lfb.binary):
         return False
-    if any(len(set(i.idx for i in lf.unary)) != len(lf.unary) for lf in (lfa, lfb)):
-        # duplicate introductions of one index: fall back to literal equality
-        return (sorted(lfa.unary) == sorted(lfb.unary)
-                and sorted(lfa.binary) == sorted(lfb.binary))
 
-    # Bucket every index by all a bijection must preserve: its introduction,
-    # None for an index no conjunct introduces, and the relations at either
-    # end of it.  A mismatch in bucket shapes settles it without any search.
+    # Bucket every index by all a bijection must preserve: the multiset of its
+    # introductions, empty for an index no conjunct introduces, and the
+    # relations at either end of it.  A mismatch in bucket shapes settles it
+    # without any search.
     def buckets(lf: Lf) -> dict[tuple, list[int]]:
-        keys: dict[int, list] = {i.idx: [(i.label, i.star)] for i in lf.unary}
+        keys: dict[int, list] = {}
+        for i in lf.unary:
+            keys.setdefault(i.idx, [[]])[0].append((i.label, i.star))
         for r in lf.binary:
-            keys.setdefault(r.left, [None]).append((r.name, "L"))
-            keys.setdefault(r.right, [None]).append((r.name, "R"))
+            keys.setdefault(r.left, [[]]).append((r.name, "L"))
+            keys.setdefault(r.right, [[]]).append((r.name, "R"))
         out: dict[tuple, list[int]] = {}
-        for idx, (intro, *ends) in keys.items():
-            out.setdefault((intro, *sorted(ends)), []).append(idx)
+        for idx, (intros, *ends) in keys.items():
+            out.setdefault((tuple(sorted(intros)), *sorted(ends)), []).append(idx)
         return out
 
     ba, bb = buckets(lfa), buckets(lfb)

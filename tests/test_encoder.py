@@ -1,7 +1,7 @@
-import dataclasses
 import inspect
 import itertools
 import random
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -172,14 +172,33 @@ BINDER_SLOTS = {"SUBJ", "OBJ1", "OBJ2", "V2", "NEXT_V"}  # what build_plan binds
 
 
 def test_frame_rows_have_a_licence_and_name_binder_slots():
-    # a row holds only its test and relations; its licence is its leaf's code
-    # in LEAF_CODE, a verb code whose lexicon slot gives the frame's voice
+    # a row holds only its relations; its licence is its leaf's code in
+    # LEAF_CODE, a verb code whose lexicon slot gives the frame's voice, and
+    # that licence's one decision in DECISIONS picks among its frames
+    assert set(enc.DECISIONS) == set(lx.SLOT)
     leaves = _frame_leaves()
     for name, frame in enc.FRAMES.items():
         assert name in leaves and leaves[name] in lx.SLOT, name
         assert (lx.SLOT[leaves[name]] == 2) == ("_pp" in name), name
         assert {slot for _, slot in frame.relations} <= BINDER_SLOTS, name
     assert {slot for frame in enc.FRAMES.values() for _, slot in frame.relations} == BINDER_SLOTS
+
+
+@pytest.mark.parametrize("sentence,slots", [
+    ("emma gave .", (lx.V_DAT, 0, 0, 0)),  # neither a to-NP nor two noun phrases
+    ("the cake was given .", (0, lx.V_DAT_PP, 0, 0)),  # neither "to" nor a noun phrase at +1
+    ("emma was smiled .", (lx.V_UNERG, 0, 0, 0)),  # no passive participle after "was"
+    ("emma wanted .", (0, 0, 0, lx.V_INF_TAKING)),  # no "to" and infinitive
+    ("emma believed .", (0, 0, lx.V_CP_TAKING, 0)),  # no "that"
+])
+def test_a_licence_decision_can_pick_no_frame(sentence, slots, lexicon):
+    """Clauses outside the grammar whose verb's one licence decides None, or
+    that have no passive participle to decide after "was"."""
+    a = enc.analyze(sentence, lexicon)
+    (clause,) = a.clauses
+    v = clause.verb_pos
+    assert (a.emb.vmap1[v], a.emb.vmap2[v], a.emb.vmap3[v], a.emb.vmap4[v]) == slots
+    assert clause.template is None and orc.lf_oracle(sentence, lexicon) is None
 
 
 def test_infinitive_frame_never_matches_a_clause(lexicon):
@@ -290,11 +309,11 @@ def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
 
 
 def test_v2_binds_only_an_infinitive_inside_the_clause(lexicon, monkeypatch):
-    """``V2`` is bound from the clause, not left to the frame test: with
-    "v_inf_taking"'s test passing everywhere, a clause with no infinitive two
-    after the verb still decodes, and its form has no xcomp."""
-    frame = enc.FRAMES["v_inf_taking"]
-    monkeypatch.setitem(enc.FRAMES, "v_inf_taking", dataclasses.replace(frame, test=lambda s: True))
+    """``V2`` is bound from the clause, not left to the licence decision:
+    with the "v_inf_taking" decision picking its frame everywhere, a clause
+    with no infinitive two after the verb still decodes, and its form has no
+    xcomp."""
+    monkeypatch.setitem(enc.DECISIONS, lx.V_INF_TAKING, lambda s: 0)
     for sentence in ("emma wanted .", "emma wanted the cake ."):
         (clause,) = enc.analyze(sentence, lexicon).clauses
         assert (clause.template, clause.second_verb_pos) == ("v_inf_taking", None), sentence
@@ -370,3 +389,123 @@ def test_one_analysis_makes_a_fixed_number_of_primitive_calls(lexicon, monkeypat
     calls.update(dict.fromkeys(calls, 0))
     assert len(enc.analyze_all([sentence] * 600, lexicon)) == 600
     assert calls == CALL_BUDGET
+
+
+# The first-fit frame table that DECISIONS replaced, kept as the reference:
+# a clause took the first row whose licence its verb carries, whose voice
+# fits and whose test passes.  The site and the 21 tests are verbatim.
+class _FirstFitSite(NamedTuple):
+    emb: lx.Embedded
+    np_start: list[int]
+    np_head: list[int]
+    verb: int
+    end: int  # clause end, exclusive
+
+    def at(self, offset: int, code: int) -> bool:
+        return self.verb + offset < self.end and self.emb.pos[self.verb + offset] == code
+
+    def infinitive(self) -> Optional[int]:
+        j = self.verb + 2
+        return j if j < self.end and self.emb.vmap1[j] == lx.V_INF else None
+
+    def np_after(self, code: int) -> bool:
+        return any(self.emb.pos[j] == code and j + 1 < self.end and self.np_start[j + 1]
+                   for j in range(self.verb + 1, self.end))
+
+
+FIRST_FIT = (
+    ("v_cp_taking",  # "that" lies just past the clause
+     lambda s: s.verb + 1 < len(s.emb) and s.emb.pos[s.verb + 1] == lx.THAT),
+    ("v_inf_taking",
+     lambda s: s.at(1, lx.TO) and s.infinitive() is not None),
+    ("v_inf", lambda s: False),
+    ("v_unerg", lambda s: True),
+    ("v_trans_omissible_p1", lambda s: s.verb + 1 == s.end),
+    ("v_trans_omissible_p2", lambda s: s.verb + 1 < s.end),
+    ("v_trans_not_omissible", lambda s: True),
+    ("v_unacc_p1", lambda s: s.verb + 1 < s.end),  # causative
+    ("v_unacc_p2", lambda s: s.verb + 1 == s.end),  # inchoative
+    ("v_dat_p1", lambda s: s.np_after(lx.TO)),
+    ("v_dat_p2",  # two noun phrases back to back after the verb
+     lambda s: any(s.np_head[j] and s.np_start[j + 1] for j in range(s.verb + 1, s.end - 1))),
+    ("v_trans_omissible_pp_p1", lambda s: not s.at(1, lx.BY)),
+    ("v_trans_omissible_pp_p2", lambda s: s.at(1, lx.BY)),
+    ("v_trans_not_omissible_pp_p1", lambda s: not s.at(1, lx.BY)),
+    ("v_trans_not_omissible_pp_p2", lambda s: s.at(1, lx.BY)),
+    ("v_unacc_pp_p1", lambda s: not s.at(1, lx.BY)),
+    ("v_unacc_pp_p2", lambda s: s.at(1, lx.BY)),
+    ("v_dat_pp_p1", lambda s: s.at(1, lx.TO) and not s.np_after(lx.BY)),
+    ("v_dat_pp_p2", lambda s: s.at(1, lx.TO) and s.np_after(lx.BY)),
+    ("v_dat_pp_p3",
+     lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and not s.np_after(lx.BY)),
+    ("v_dat_pp_p4",
+     lambda s: s.verb + 1 < s.end and s.np_start[s.verb + 1] and s.np_after(lx.BY)),
+)
+
+
+def _first_fit(emb, span, np_start, np_head):
+    start, end = span
+    for V in range(start, end):
+        if emb.pos[V] in lx.SLOT:
+            break
+    else:
+        return enc.ClauseInfo(start, end, -1, None)
+    slots = (emb.vmap1[V], emb.vmap2[V], emb.vmap3[V], emb.vmap4[V])
+    was = V > start and emb.pos[V - 1] == lx.WAS
+    site = _FirstFitSite(emb, np_start, np_head, V, end)
+    for name, test in FIRST_FIT:
+        code = gr.LEAF_CODE[f"<{name}>"]
+        if (lx.SLOT[code] == 2) == was and code in slots and test(site):
+            second = site.infinitive() if ("xcomp", "V2") in enc.FRAMES[name].relations else None
+            return enc.ClauseInfo(start, end, V, name, second)
+    return enc.ClauseInfo(start, end, V, None)
+
+
+def _reference_inputs(lexicon):
+    """Every sequence of up to 3 row classes ("the" apart, "." one more);
+    fuzzed sentences of both modes, with and without their period, and
+    one-token mutants of them; pp and cp chains, the longest of 510 and 511
+    tokens."""
+    words = {}
+    for word in sorted(lexicon.entries):
+        words.setdefault("the" if word == "the" else lexicon._rows[word], word)
+    classes = [*words.values(), "."]
+    for n in (1, 2, 3):
+        yield from map(list, itertools.product(classes, repeat=n))
+    rng = random.Random("first fit")
+    vocabulary = [*sorted(lexicon.entries), "."]
+    for mode in ("uniform", "coverage"):
+        for tokens, _tree in fuzz_generate(300, lexicon, seed=23, pp_depth=4, cp_depth=4,
+                                           mode=mode):
+            yield tokens
+            yield tokens[:-1]
+            for _ in range(4):
+                mutant, k = list(tokens), rng.randrange(len(tokens))
+                op = rng.choice(["delete", "swap", "insert", "replace"])
+                if op == "delete":
+                    del mutant[k]
+                elif op == "swap":
+                    j = rng.randrange(len(mutant))
+                    mutant[k], mutant[j] = mutant[j], mutant[k]
+                else:
+                    mutant[k:k + (op == "replace")] = [rng.choice(vocabulary)]
+                yield mutant
+    yield from (pp_chain_sentence(depth) for depth in range(0, 169, 7))
+    yield from (cp_chain_sentence(depth) for depth in (*range(0, 170, 7), 169))
+
+
+def test_decisions_pick_the_frames_of_the_first_fit_table(lexicon):
+    """Each clause's ``ClauseInfo`` equals the one the first-fit table gives,
+    in and out of the grammar."""
+    inputs = list(_reference_inputs(lexicon))
+    count = clauses = templates = 0
+    for tokens, a in zip(inputs, enc.analyze_all(inputs, lexicon)):
+        if isinstance(a, enc.Failure):
+            continue
+        count += 1
+        assert a.clauses == [_first_fit(a.emb, (c.start, c.end), a.np_start, a.np_head)
+                             for c in a.clauses], tokens
+        clauses += len(a.clauses)
+        templates += sum(c.template is not None for c in a.clauses)
+    assert count == 31 + 31 ** 2 + 31 ** 3 + 2 * 300 * 6 + 25 + 26
+    assert templates > 0 and clauses > templates

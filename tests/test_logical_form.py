@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -86,6 +87,22 @@ def test_a_string_match_is_exact_only_when_it_parses():
     assert not lf.semantic_exact_match("a ( 1", "a ( 1")
 
 
+def test_an_index_past_the_int_digit_limit_is_no_form():
+    """An index of more digits than ``int`` converts matches neither the
+    compiled syntax nor ``parse_lf``; one at the limit matches both."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts strings of any length to int")
+    for digits, ok in ((limit, True), (limit + 1, False)):
+        for index in ("1" * digits, "-" + "0" * digits, "_".join("7" * digits)):
+            form = f"a ( {index} ) ; v ( 2 ) AND agent ( 2 , {index} )"
+            assert (lf._FORM.fullmatch(form) is not None) == ok
+            assert lf.semantic_exact_match(form, form) == ok
+            assert lf.classify_error(form, form).kind == ("exact" if ok else "other")
+            assert _records(lf.parse_lf, form) is not None if ok else (
+                _records(lf.parse_lf, form) is None)
+
+
 def test_sem_accepts_renumbering():
     shifted = renumber(TRANSITIVE, lambda i: i + 100)
     assert lf.semantic_exact_match(TRANSITIVE, shifted)
@@ -153,10 +170,12 @@ def test_sem_maps_indices_no_conjunct_introduces():
                                        "theme ( 5 , 9 ) AND agent ( 9 , 9 )")
 
 
-def _random_form(rng: random.Random) -> str:
+def _random_form(rng: random.Random, repeats: bool = False) -> str:
     """A small form over indices 0..4: distinct introductions of some of
-    them, and relations between any two, introduced or not."""
-    idxs = rng.sample(range(5), rng.randrange(6))
+    them (with ``repeats``, an index may be introduced more than once), and
+    relations between any two, introduced or not."""
+    idxs = (rng.choices(range(5), k=rng.randrange(6)) if repeats
+            else rng.sample(range(5), rng.randrange(6)))
     parts = [f"{'* ' if rng.random() < 0.3 else ''}{rng.choice('ab')} ( {i} )" for i in idxs]
     parts += [f"{rng.choice(['agent', 'theme'])} ( {rng.randrange(5)} , {rng.randrange(5)} )"
               for _ in range(rng.randrange(4))]
@@ -186,21 +205,22 @@ def _brute_force_match(a: str, b: str) -> bool:
     return False
 
 
-def test_sem_search_equals_a_brute_force_over_all_bijections():
-    rng = random.Random(31)
+def _compare_with_brute_force(rng: random.Random, repeats: bool = False) -> tuple[int, int]:
+    """Hits and pairs compared over 1,500 draws of two small forms, each pair
+    judged by the search and by a brute force over all bijections."""
     hits = compared = 0
     for _ in range(1_500):
-        a = _random_form(rng)
+        a = _random_form(rng, repeats)
         # a renamed copy of a with one conjunct maybe redrawn, or a fresh form
         if rng.random() < 0.7:
             perm = rng.sample(range(5), 5)
             b = renumber(a, perm.__getitem__) if a else a
             if b and rng.random() < 0.5:
                 parts = b.split(" ; ")
-                parts[rng.randrange(len(parts))] = _random_form(rng) or parts[0]
+                parts[rng.randrange(len(parts))] = _random_form(rng, repeats) or parts[0]
                 b = " ; ".join(parts)
         else:
-            b = _random_form(rng)
+            b = _random_form(rng, repeats)
         if not a or not b:
             continue
         want = _brute_force_match(a, b)
@@ -208,6 +228,26 @@ def test_sem_search_equals_a_brute_force_over_all_bijections():
         assert lf.semantic_exact_match(a, b) == want, (a, b)
         hits += want
         compared += 1
+    return hits, compared
+
+
+def test_sem_search_equals_a_brute_force_over_all_bijections():
+    hits, compared = _compare_with_brute_force(random.Random(31))
+    assert hits > 400 and compared - hits > 400
+
+
+def test_sem_renames_an_index_introduced_twice():
+    """An index's introductions are a multiset, renamed with the index."""
+    twice = "a ( 1 ) ; a ( 1 ) ; v ( 3 ) AND agent ( 3 , 1 )"
+    assert lf.semantic_exact_match(twice, twice.replace("1", "2"))
+    assert lf.classify_error(twice, twice.replace("1", "2")).kind == "equivalent"
+    assert not lf.semantic_exact_match(twice, "a ( 1 ) ; a ( 2 ) ; v ( 3 ) AND agent ( 3 , 1 )")
+    assert not lf.semantic_exact_match(twice, "a ( 1 ) ; b ( 1 ) ; v ( 3 ) AND agent ( 3 , 1 )")
+    rng = random.Random(41)
+    forms = [lf.parse_lf(form) for form in (_random_form(rng, True) for _ in range(300)) if form]
+    repeated = sum(len({i.idx for i in parsed.unary}) < len(parsed.unary) for parsed in forms)
+    assert repeated > 50  # the forms below often introduce an index twice
+    hits, compared = _compare_with_brute_force(random.Random(41), repeats=True)
     assert hits > 400 and compared - hits > 400
 
 
