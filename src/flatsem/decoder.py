@@ -2,7 +2,7 @@
 
 ``build_plan`` reads one sentence's ``SentenceFacts`` off its flat analysis:
 the noun introductions, the pp attachments as nmod links, and per matched
-clause frame the verb's introduction and the relations its row of
+clause frame the verb's introduction and the relations its entry in
 ``encoder.FRAMES`` lists -- the ``Intro`` and ``Rel`` records that
 ``logical_form.parse_lf`` reads back.  These are the same facts the tree
 oracle collects, and ``decode``
@@ -60,7 +60,7 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
             groups.append((clause.second_verb_pos, "v_inf"))
         for verb, template in groups:
             facts.verbs.append(Intro(lexicon.stem(analysis.tokens[verb]), verb))
-            facts.rels += [Rel(name, verb, slots[slot]) for name, slot in FRAMES[template].relations
+            facts.rels += [Rel(name, verb, slots[slot]) for name, slot in FRAMES[template]
                            if slots[slot] is not None]
     return facts
 

@@ -10,9 +10,9 @@ at the end, and each sentence's structure (clause spans, one verb frame per
 clause, pp attachments) is read off its row.  A clause's frame is one
 decision of its verb's licence (``DECISIONS``) among that licence's leaves
 in ``grammar.CODE_LEAVES``; the passive participle's licence, slot 2 of
-``lexicon.SLOT``, decides only right after "was".  ``FRAMES`` holds each
-frame's relations, and ``get_agent_side`` reads off it which side of the
-verb a frame's agent binds.
+``lexicon.SLOT``, decides only right after "was".  ``FRAMES`` maps each
+frame's name to its (role, slot) relations, and ``get_agent_side`` reads off
+it which side of the verb a frame's agent binds.
 
 The position-wise masks over lexicon codes are ``seq.Table`` lookup tables,
 Tracr's categorical MLPs: ``NOUN`` over a token's code, ``NP_HEAD`` and
@@ -131,9 +131,8 @@ def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
     spans: list[list[tuple[int, int]]] = [[] for _ in n_eff]
     starts = [0] * len(n_eff)
     for row, i in zip(*_hits(seq.elementwise(CLAUSE_BOUNDARY, vmap3, nxt))):
-        if i < n_eff[row]:
-            spans[row].append((starts[row], i + 1))
-            starts[row] = i + 2
+        spans[row].append((starts[row], i + 1))
+        starts[row] = i + 2
     for row_spans, start, end in zip(spans, starts, n_eff):
         row_spans.append((start, end))
     return spans
@@ -164,47 +163,41 @@ class _Site(NamedTuple):
                    for j in range(self.verb + 1, self.end))
 
 
-@dataclass(frozen=True)
-class Frame:
-    name: str  # the grammar's leaf category, without brackets
-    # (role, slot) in emission order; SUBJ binds left of the verb, OBJ1/OBJ2
-    # right of it, V2 is the infinitive at +2 (``_Site.infinitive``), NEXT_V
-    # the embedded clause's verb
-    relations: tuple[tuple[str, str], ...]
-
-
-# Every verb frame; "v_inf" holds the relations of the infinitive under "v_inf_taking".
-FRAMES: dict[str, Frame] = {frame.name: frame for frame in (
-    Frame("v_cp_taking", (("agent", "SUBJ"), ("ccomp", "NEXT_V"))),
-    Frame("v_inf_taking", (("agent", "SUBJ"), ("xcomp", "V2"))),
-    Frame("v_inf", (("agent", "SUBJ"),)),
-    Frame("v_unerg", (("agent", "SUBJ"),)),
-    Frame("v_trans_omissible_p1", (("agent", "SUBJ"),)),
-    Frame("v_trans_omissible_p2", (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_trans_not_omissible", (("agent", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_unacc_p1", (("agent", "SUBJ"), ("theme", "OBJ1"))),  # causative
-    Frame("v_unacc_p2", (("theme", "SUBJ"),)),  # inchoative
-    Frame("v_dat_p1", (("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2"))),
-    Frame("v_dat_p2", (("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2"))),
-    Frame("v_trans_omissible_pp_p1", (("theme", "SUBJ"),)),
-    Frame("v_trans_omissible_pp_p2", (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_trans_not_omissible_pp_p1", (("theme", "SUBJ"),)),
-    Frame("v_trans_not_omissible_pp_p2", (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_unacc_pp_p1", (("theme", "SUBJ"),)),
-    Frame("v_unacc_pp_p2", (("theme", "SUBJ"), ("agent", "OBJ1"))),
-    Frame("v_dat_pp_p1", (("theme", "SUBJ"), ("recipient", "OBJ1"))),
-    Frame("v_dat_pp_p2", (("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2"))),
-    Frame("v_dat_pp_p3", (("recipient", "SUBJ"), ("theme", "OBJ1"))),
-    Frame("v_dat_pp_p4", (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2"))),
-)}
+# Every verb frame's (role, slot) relations in emission order, under the
+# grammar's leaf category without brackets; "v_inf" holds the relations of the
+# infinitive under "v_inf_taking".  SUBJ binds left of the verb, OBJ1/OBJ2
+# right of it, V2 is the infinitive at +2 (``_Site.infinitive``), NEXT_V the
+# embedded clause's verb.
+FRAMES: dict[str, tuple[tuple[str, str], ...]] = {
+    "v_cp_taking": (("agent", "SUBJ"), ("ccomp", "NEXT_V")),
+    "v_inf_taking": (("agent", "SUBJ"), ("xcomp", "V2")),
+    "v_inf": (("agent", "SUBJ"),),
+    "v_unerg": (("agent", "SUBJ"),),
+    "v_trans_omissible_p1": (("agent", "SUBJ"),),
+    "v_trans_omissible_p2": (("agent", "SUBJ"), ("theme", "OBJ1")),
+    "v_trans_not_omissible": (("agent", "SUBJ"), ("theme", "OBJ1")),
+    "v_unacc_p1": (("agent", "SUBJ"), ("theme", "OBJ1")),  # causative
+    "v_unacc_p2": (("theme", "SUBJ"),),  # inchoative
+    "v_dat_p1": (("agent", "SUBJ"), ("theme", "OBJ1"), ("recipient", "OBJ2")),
+    "v_dat_p2": (("agent", "SUBJ"), ("recipient", "OBJ1"), ("theme", "OBJ2")),
+    "v_trans_omissible_pp_p1": (("theme", "SUBJ"),),
+    "v_trans_omissible_pp_p2": (("theme", "SUBJ"), ("agent", "OBJ1")),
+    "v_trans_not_omissible_pp_p1": (("theme", "SUBJ"),),
+    "v_trans_not_omissible_pp_p2": (("theme", "SUBJ"), ("agent", "OBJ1")),
+    "v_unacc_pp_p1": (("theme", "SUBJ"),),
+    "v_unacc_pp_p2": (("theme", "SUBJ"), ("agent", "OBJ1")),
+    "v_dat_pp_p1": (("theme", "SUBJ"), ("recipient", "OBJ1")),
+    "v_dat_pp_p2": (("theme", "SUBJ"), ("recipient", "OBJ1"), ("agent", "OBJ2")),
+    "v_dat_pp_p3": (("recipient", "SUBJ"), ("theme", "OBJ1")),
+    "v_dat_pp_p4": (("recipient", "SUBJ"), ("theme", "OBJ1"), ("agent", "OBJ2")),
+}
 
 
 def get_agent_side(template: str) -> Optional[str]:
     """'left' when the template's agent binds the subject, 'right' when it
     sits after the verb (a by-phrase or a later object slot); None when the
     frame has no agent at all."""
-    frame = FRAMES.get(template)
-    slot = dict(frame.relations).get("agent") if frame else None
+    slot = dict(FRAMES.get(template, ())).get("agent")
     return None if slot is None else "left" if slot == "SUBJ" else "right"
 
 
@@ -246,7 +239,7 @@ def match_template(emb: lx.Embedded, span: tuple[int, int],
         variant = DECISIONS[code](site) if code else None
         if variant is not None:
             name = CODE_LEAVES[code][variant][1:-1]
-            second = site.infinitive() if ("xcomp", "V2") in FRAMES[name].relations else None
+            second = site.infinitive() if ("xcomp", "V2") in FRAMES[name] else None
             return ClauseInfo(start, end, V, name, second)
     return ClauseInfo(start, end, V, None)
 
@@ -276,9 +269,11 @@ def analyze_all(token_lists: Sequence[list[str] | str], lexicon: lx.Lexicon | No
     """Flat analysis of many sentences, one entry per sentence, in order.
 
     Sentences of one length form a bucket, which runs through the sequence
-    primitives at once as a batch: no row is padded.  A bucket is cut so that
-    no selector holds more than ``MAX_SEQ_LEN ** 2`` cells, what one sentence
-    of the longest length needs alone.  A sentence longer than ``MAX_SEQ_LEN``
+    primitives at once as a batch: no row is padded.  A bucket of n-token
+    rows is cut into batches of ``MAX_SEQ_LEN ** 2 // n ** 2`` rows.  No
+    selector the encoder builds is dense; the cut bounds a batch's transient
+    arrays, so peak memory stops growing with the bucket (uncut, a bucket of
+    20,000 nine-token rows peaks about 15% higher).  A sentence longer than ``MAX_SEQ_LEN``
     or holding a word the lexicon lacks gets its ``SequenceTooLongError`` or
     ``LexiconError`` as its entry; the other sentences are still analysed.
     A lone string is no list of sentences, and raises ``TypeError``.

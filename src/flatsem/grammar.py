@@ -7,9 +7,10 @@ modification is licensed in every noun-phrase position, including passive
 subjects, which is exactly what the structural-generalization splits exploit.
 
 Nonterminals wear angle brackets.  Leaf categories (empty right-hand sides)
-are matched against words through their lexicon codes; an ambiguous verb form
-offers every positional variant its codes allow and the parser settles the
-rest.
+are matched against words through their lexicon codes: ``CODE_LEAVES`` lists
+each code's leaves, and the grammar's leaf entries are built from it.  An
+ambiguous verb form offers every positional variant its codes allow and the
+parser settles the rest.
 
 Every recursive rule recurs only in last position (``<np_pp>``'s ``<np>``,
 ``<vp_external5>``'s ``<start>``), so the language is regular.  A leftmost
@@ -32,6 +33,30 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import lexicon as lx
+
+# Lexicon code -> leaf categories a word with that code can fill.
+CODE_LEAVES: dict[int, tuple[str, ...]] = {
+    lx.DET: ("<det>",),
+    lx.PP: ("<pp>",),
+    lx.WAS: ("<was>",),
+    lx.BY: ("<by>",),
+    lx.TO: ("<to>",),
+    lx.THAT: ("<that>",),
+    lx.COMMON_NOUN: ("<common_noun>",),
+    lx.PROPER_NOUN: ("<proper_noun>",),
+    lx.V_TRANS_OMISSIBLE: ("<v_trans_omissible_p1>", "<v_trans_omissible_p2>"),
+    lx.V_TRANS_OMISSIBLE_PP: ("<v_trans_omissible_pp_p1>", "<v_trans_omissible_pp_p2>"),
+    lx.V_TRANS_NOT_OMISSIBLE: ("<v_trans_not_omissible>",),
+    lx.V_TRANS_NOT_OMISSIBLE_PP: ("<v_trans_not_omissible_pp_p1>", "<v_trans_not_omissible_pp_p2>"),
+    lx.V_CP_TAKING: ("<v_cp_taking>",),
+    lx.V_INF_TAKING: ("<v_inf_taking>",),
+    lx.V_UNACC: ("<v_unacc_p1>", "<v_unacc_p2>"),
+    lx.V_UNACC_PP: ("<v_unacc_pp_p1>", "<v_unacc_pp_p2>"),
+    lx.V_UNERG: ("<v_unerg>",),
+    lx.V_INF: ("<v_inf>",),
+    lx.V_DAT: ("<v_dat_p1>", "<v_dat_p2>"),
+    lx.V_DAT_PP: ("<v_dat_pp_p1>", "<v_dat_pp_p2>", "<v_dat_pp_p3>", "<v_dat_pp_p4>"),
+}
 
 COGS_INPUT_GRAMMAR_NO_TERMINALS: dict[str, list[list[str]]] = {
     "<start>": [["<s1>"], ["<s2>"], ["<s3>"], ["<s4>"], ["<vp_internal>"]],
@@ -84,62 +109,10 @@ COGS_INPUT_GRAMMAR_NO_TERMINALS: dict[str, list[list[str]]] = {
     "<np_pp>": [["<np_det>", "<pp>", "<np>"]],
     "<pp_iobj>": [["<to>", "<np>"]],
     # leaves: matched against lexicon codes
-    "<det>": [],
-    "<pp>": [],
-    "<was>": [],
-    "<by>": [],
-    "<to>": [],
-    "<that>": [],
-    "<common_noun>": [],
-    "<proper_noun>": [],
-    "<v_trans_omissible_p1>": [],
-    "<v_trans_omissible_p2>": [],
-    "<v_trans_omissible_pp_p1>": [],
-    "<v_trans_omissible_pp_p2>": [],
-    "<v_trans_not_omissible>": [],
-    "<v_trans_not_omissible_pp_p1>": [],
-    "<v_trans_not_omissible_pp_p2>": [],
-    "<v_cp_taking>": [],
-    "<v_inf_taking>": [],
-    "<v_unacc_p1>": [],
-    "<v_unacc_p2>": [],
-    "<v_unacc_pp_p1>": [],
-    "<v_unacc_pp_p2>": [],
-    "<v_unerg>": [],
-    "<v_inf>": [],
-    "<v_dat_p1>": [],
-    "<v_dat_p2>": [],
-    "<v_dat_pp_p1>": [],
-    "<v_dat_pp_p2>": [],
-    "<v_dat_pp_p3>": [],
-    "<v_dat_pp_p4>": [],
+    **{leaf: [] for leaves in CODE_LEAVES.values() for leaf in leaves},
 }
 
 START = "<start>"
-
-# Lexicon code -> leaf categories a word with that code can fill.
-CODE_LEAVES: dict[int, tuple[str, ...]] = {
-    lx.DET: ("<det>",),
-    lx.PP: ("<pp>",),
-    lx.WAS: ("<was>",),
-    lx.BY: ("<by>",),
-    lx.TO: ("<to>",),
-    lx.THAT: ("<that>",),
-    lx.COMMON_NOUN: ("<common_noun>",),
-    lx.PROPER_NOUN: ("<proper_noun>",),
-    lx.V_TRANS_OMISSIBLE: ("<v_trans_omissible_p1>", "<v_trans_omissible_p2>"),
-    lx.V_TRANS_OMISSIBLE_PP: ("<v_trans_omissible_pp_p1>", "<v_trans_omissible_pp_p2>"),
-    lx.V_TRANS_NOT_OMISSIBLE: ("<v_trans_not_omissible>",),
-    lx.V_TRANS_NOT_OMISSIBLE_PP: ("<v_trans_not_omissible_pp_p1>", "<v_trans_not_omissible_pp_p2>"),
-    lx.V_CP_TAKING: ("<v_cp_taking>",),
-    lx.V_INF_TAKING: ("<v_inf_taking>",),
-    lx.V_UNACC: ("<v_unacc_p1>", "<v_unacc_p2>"),
-    lx.V_UNERG: ("<v_unerg>",),
-    lx.V_INF: ("<v_inf>",),
-    lx.V_DAT: ("<v_dat_p1>", "<v_dat_p2>"),
-    lx.V_DAT_PP: ("<v_dat_pp_p1>", "<v_dat_pp_p2>", "<v_dat_pp_p3>", "<v_dat_pp_p4>"),
-    lx.V_UNACC_PP: ("<v_unacc_pp_p1>", "<v_unacc_pp_p2>"),
-}
 
 # Leaf category -> the one lexicon code a word needs to fill it.
 LEAF_CODE: dict[str, int] = {leaf: code for code, leaves in CODE_LEAVES.items() for leaf in leaves}

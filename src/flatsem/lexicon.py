@@ -92,9 +92,8 @@ class LexiconError(KeyError):
 
 @dataclass(frozen=True)
 class Entry:
-    word: str
     codes: tuple[int, ...]
-    stem: str  # equals word unless the output form is normalized
+    stem: str  # equals the entry's word unless the output form is normalized
 
 
 @dataclass
@@ -185,7 +184,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         except KeyError as e:
             raise ValueError(f"{path}:{lineno}: unknown category {e}") from None
         stem = parts[2].lower() if len(parts) == 3 else word
-        entries[word] = Entry(word, codes, stem)
+        entries[word] = Entry(codes, stem)
     return Lexicon(entries)
 
 

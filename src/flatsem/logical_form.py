@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -93,11 +92,12 @@ def serialize_facts(facts: SentenceFacts) -> str:
 # ``NAME ( INT , INT )``, which takes no star.  A name is one or more tokens,
 # none of them "(" or a separator, and a first token "*" is the star.  An
 # index is what ``int`` reads: a sign, digits, single underscores between
-# them, and no more digits than the interpreter converts to an int
-# (``sys.get_int_max_str_digits()`` at import; 0 is no limit).  Conjuncts are
-# joined by ";" or "AND", which mean the same here.
-_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_INT = rf"[+-]?\d(?:_?\d){{0,{_MAX_DIGITS - 1}}}" if _MAX_DIGITS else r"[+-]?\d(?:_?\d)*"
+# them, and at most 640 digits.  That is the lowest limit
+# ``sys.set_int_max_str_digits`` accepts (``sys.int_info.str_digits_check_threshold``,
+# an attribute Python 3.10.0-3.10.6 lack), so ``int`` converts every index the
+# syntax admits, at any setting.  Conjuncts are joined by ";" or "AND", which
+# mean the same here.
+_INT = r"[+-]?\d(?:_?\d){0,639}"
 _TOKEN = r"(?!(?:\(|;|AND)(?![^ ]))[^ ]+"
 _NAME = rf"{_TOKEN}(?: {_TOKEN})*"
 _CONJUNCT_SYNTAX = (rf"\* ({_NAME}) \( ({_INT}) \)"
@@ -130,13 +130,10 @@ def parse_lf(text: str) -> Lf:
         if m is None:
             raise LfParseError(f"malformed conjunct {piece!r} in: {text!r}")
         star_name, star_idx, name, left, right = m.groups()
-        try:
-            if right is None:
-                lf.unary.append(Intro(star_name or name, int(star_idx or left), bool(star_name)))
-            else:
-                lf.binary.append(Rel(name, int(left), int(right)))
-        except ValueError:  # an index past int's digit limit, lowered since import
-            raise LfParseError(f"index too long in: {text!r}") from None
+        if right is None:
+            lf.unary.append(Intro(star_name or name, int(star_idx or left), bool(star_name)))
+        else:
+            lf.binary.append(Rel(name, int(left), int(right)))
     return lf
 
 
@@ -186,36 +183,38 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
     candidates = {i: bb[key] for key, idxs in ba.items() for i in idxs}
     brels = Counter(lfb.binary)
 
-    # Backtracking assignment, most-constrained index first; each mapped
-    # index immediately accounts for every relation it completes, so wrong
-    # branches die at the first inconsistent edge.
+    # Backtracking assignment on an explicit stack, most-constrained index
+    # first; each mapped index immediately accounts for every relation it
+    # completes, so wrong branches die at the first inconsistent edge.
     order = sorted(candidates, key=lambda i: len(candidates[i]))
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
+    tries: list[Iterator[int]] = []  # per index of order tried, the candidates left for it
+    taken: list[Counter] = []  # per index mapped, the relations it accounted for
+    while len(taken) < len(order):
+        k = len(taken)
         i = order[k]
-        for j in candidates[i]:
+        if len(tries) == k:
+            tries.append(iter(candidates[i]))
+        for j in tries[k]:
             if j in used:
                 continue
             mapping[i] = j
-            used.add(j)
             counts = Counter((n, mapping[l], mapping[r]) for n, l, r in lfa.binary
                              if (l == i or r == i) and l in mapping and r in mapping)
             if all(counts[key1] <= brels[key1] for key1 in counts):
-                for key1, c in counts.items():
-                    brels[key1] -= c
-                if extend(k + 1):
-                    return True
-                for key1, c in counts.items():
-                    brels[key1] += c
-            used.discard(j)
+                brels.subtract(counts)
+                used.add(j)
+                taken.append(counts)
+                break
             del mapping[i]
-        return False
-
-    return extend(0)
+        else:  # no candidate left for i: undo the choice before it
+            tries.pop()
+            if not taken:
+                return False
+            brels.update(taken.pop())
+            used.discard(mapping.pop(order[k - 1]))
+    return True
 
 
 # The kinds `tally` counts as semantic hits.

@@ -315,6 +315,24 @@ def test_fuzz_check_against_oracle(tmp_path, capsys):
     assert all(cat == "fuzz" for _, _, cat in rows)
 
 
+def test_fuzz_check_reports_a_mismatch_and_fails(tmp_path, capsys, monkeypatch):
+    real_decode_all = decoder.decode_all
+
+    def corrupt_second(*args, **kwargs):
+        preds = real_decode_all(*args, **kwargs)
+        preds[1] += " AND agent ( 0 , 0 )"
+        return preds
+
+    monkeypatch.setattr(decoder, "decode_all", corrupt_second)
+    out_file = tmp_path / "fuzz.tsv"
+    assert main(["fuzz", "--n", "12", "--seed", "7", "--check", "--out", str(out_file)]) == 1
+    out = capsys.readouterr().out
+    sentence, gold, _ = load_tsv(out_file)[1]
+    assert f"MISMATCH {sentence}\n  oracle: {gold}\n  decode: {gold} AND agent ( 0 , 0 )\n" in out
+    assert out.count("MISMATCH") == 1
+    assert "# checked 12 sentences, 1 mismatches" in out
+
+
 def test_fuzz_seed_reproducible(capsys):
     main(["fuzz", "--n", "4", "--seed", "11"])
     first = capsys.readouterr().out

@@ -177,11 +177,11 @@ def test_frame_rows_have_a_licence_and_name_binder_slots():
     # that licence's one decision in DECISIONS picks among its frames
     assert set(enc.DECISIONS) == set(lx.SLOT)
     leaves = _frame_leaves()
-    for name, frame in enc.FRAMES.items():
+    for name, relations in enc.FRAMES.items():
         assert name in leaves and leaves[name] in lx.SLOT, name
         assert (lx.SLOT[leaves[name]] == 2) == ("_pp" in name), name
-        assert {slot for _, slot in frame.relations} <= BINDER_SLOTS, name
-    assert {slot for frame in enc.FRAMES.values() for _, slot in frame.relations} == BINDER_SLOTS
+        assert {slot for _, slot in relations} <= BINDER_SLOTS, name
+    assert {slot for relations in enc.FRAMES.values() for _, slot in relations} == BINDER_SLOTS
 
 
 @pytest.mark.parametrize("sentence,slots", [
@@ -456,7 +456,7 @@ def _first_fit(emb, span, np_start, np_head):
     for name, test in FIRST_FIT:
         code = gr.LEAF_CODE[f"<{name}>"]
         if (lx.SLOT[code] == 2) == was and code in slots and test(site):
-            second = site.infinitive() if ("xcomp", "V2") in enc.FRAMES[name].relations else None
+            second = site.infinitive() if ("xcomp", "V2") in enc.FRAMES[name] else None
             return enc.ClauseInfo(start, end, V, name, second)
     return enc.ClauseInfo(start, end, V, None)
 

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import sys
 
@@ -233,6 +235,12 @@ def test_tree_repr_and_equality_match_the_dataclass_form():
         with pytest.raises(AttributeError):
             delattr(leaf, field)
     assert node == gr.Tree("<np_prop>", (gr.Tree("<proper_noun>", word="emma", pos=0),))
+
+
+def test_trees_copy_and_pickle(lexicon):
+    tree = gr.parse_sentence("a boy painted the girl .", lexicon)
+    for copied in (copy.copy(tree), copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert copied == tree and repr(copied) == repr(tree)
 
 
 def _reference_chart(token_classes):

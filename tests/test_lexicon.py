@@ -72,6 +72,11 @@ def test_unknown_word_raises(lexicon):
     assert "blorple" not in lexicon
 
 
+def test_stem_of_an_unknown_word_raises(lexicon):
+    with pytest.raises(lx.LexiconError):
+        lexicon.stem("blorple")
+
+
 def test_case_insensitive(lexicon):
     assert lexicon.codes("Emma") == lexicon.codes("emma") == (lx.PROPER_NOUN,)
 

@@ -88,19 +88,28 @@ def test_a_string_match_is_exact_only_when_it_parses():
 
 
 def test_an_index_past_the_int_digit_limit_is_no_form():
-    """An index of more digits than ``int`` converts matches neither the
-    compiled syntax nor ``parse_lf``; one at the limit matches both."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        pytest.skip("this interpreter converts strings of any length to int")
-    for digits, ok in ((limit, True), (limit + 1, False)):
-        for index in ("1" * digits, "-" + "0" * digits, "_".join("7" * digits)):
-            form = f"a ( {index} ) ; v ( 2 ) AND agent ( 2 , {index} )"
-            assert (lf._FORM.fullmatch(form) is not None) == ok
-            assert lf.semantic_exact_match(form, form) == ok
-            assert lf.classify_error(form, form).kind == ("exact" if ok else "other")
-            assert _records(lf.parse_lf, form) is not None if ok else (
-                _records(lf.parse_lf, form) is None)
+    """An index of more than 640 digits, the lowest limit on what ``int``
+    converts, matches neither the compiled syntax nor ``parse_lf``; one of 640
+    matches both, also with the interpreter's limit lowered to 640."""
+
+    def check():
+        for digits, ok in ((640, True), (641, False)):
+            for index in ("1" * digits, "-" + "0" * digits, "_".join("7" * digits)):
+                form = f"a ( {index} ) ; v ( 2 ) AND agent ( 2 , {index} )"
+                assert (lf._FORM.fullmatch(form) is not None) == ok
+                assert lf.semantic_exact_match(form, form) == ok
+                assert lf.classify_error(form, form).kind == ("exact" if ok else "other")
+                assert _records(lf.parse_lf, form) is not None if ok else (
+                    _records(lf.parse_lf, form) is None)
+
+    check()
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            check()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_sem_accepts_renumbering():
@@ -140,6 +149,44 @@ def test_sem_searches_symmetric_chains_quickly():
     assert lf.semantic_exact_match(chain, flipped)
     broken = chain.replace("nmod . on ( 4 , 5 )", "nmod . on ( 4 , 6 )")
     assert not lf.semantic_exact_match(chain, broken)
+
+
+def test_sem_searches_more_indices_than_the_recursion_limit():
+    many = " ; ".join(f"a ( {i} )" for i in range(1200))
+    shifted = renumber(many, lambda i: i + 1)
+    assert lf.semantic_exact_match(many, shifted)
+    assert lf.classify_error(many, shifted).kind == "equivalent"
+
+
+def test_sem_backtracks_out_of_a_dead_branch():
+    """Every index of two 3-cycles and of one 6-cycle looks the same to the
+    buckets: only the search tells them apart, undoing choices as it goes."""
+    intros = " ; ".join(f"x ( {i} )" for i in range(1, 7))
+
+    def cycles(*rings):
+        return intros + " ; " + " AND ".join(
+            f"r ( {ring[k]} , {ring[(k + 1) % len(ring)]} )" for ring in rings
+            for k in range(len(ring)))
+
+    two = cycles((1, 2, 3), (4, 5, 6))
+    assert not lf.semantic_exact_match(two, cycles((1, 2, 3, 4, 5, 6)))
+    assert lf.classify_error(two, cycles((1, 2, 3, 4, 5, 6))).kind == "other"
+    assert lf.semantic_exact_match(two, cycles((1, 4, 6), (2, 5, 3)))
+
+
+def test_a_digit_limit_lowered_after_import_changes_no_verdict():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int digit limit to lower")
+    g = "a ( " + "1" * 2000 + " )"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert lf.classify_error(g, g).kind == "other"
+        assert not lf.semantic_exact_match(g, g)
+        with pytest.raises(lf.LfParseError):
+            lf.parse_lf(g)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sem_on_oracle_pp_chain():
