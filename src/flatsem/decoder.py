@@ -5,12 +5,12 @@ the noun introductions, the pp attachments as nmod links, and per matched
 clause frame the verb's introduction and the relations its entry in
 ``encoder.FRAMES`` lists -- the ``Intro`` and ``Rel`` records that
 ``logical_form.parse_lf`` reads back.  These are the same facts the tree
-oracle collects, and ``decode``
-serialises them through the same layout (``logical_form.serialize_facts``),
-the whole form in one pass; there is no per-token decoder step.
-``decode_all`` does the same for many sentences, analysed in length buckets
-by ``encoder.analyze_all``; ``decode`` takes the same path with one sentence
-and raises the error that ``decode_all`` leaves in an unreadable row's place.
+oracle collects, and ``decode`` serialises them through the same layout
+(``logical_form.serialize_facts``), the whole form in one pass; there is no
+per-token decoder step.  ``decode_all`` does the same for many sentences,
+analysed in length buckets by ``encoder.analyze_all``; ``decode`` takes the
+same path with one sentence and raises the error that ``decode_all`` leaves
+in an unreadable row's place.
 Nothing is cached between calls; each call analyses its sentences afresh.
 The encoder's mask tables (``seq.Table``) are constants, not a cache: each
 holds every cell of its domain from import on, and no call adds to or
@@ -18,17 +18,19 @@ changes them, so a call's result never depends on the calls before it.
 
 Role binding is positional, and each clause's roles are bound once, into
 five slots that both its verb's relations and, under "v_inf_taking", the
-infinitive's read: ``SUBJ``, the nearest surviving noun left of the
-verb inside the clause; ``OBJ1`` and ``OBJ2``, the first and second surviving
+infinitive's read: ``SUBJ``, the nearest surviving noun left of the verb
+inside the clause; ``OBJ1`` and ``OBJ2``, the first and second surviving
 nouns right of it; ``V2``, the infinitive; ``NEXT_V``, the next clause's
-verb.  A frame's relations name the slot each role takes.  "Surviving"
-normally means pp-prefixed nouns are filtered out; ``ablate=True`` lifts
-that filter and nothing else, which makes the subject slot latch onto the
-noun the pp chain left nearest to the verb.
-"""
+verb.  The surviving nouns are listed once per sentence, and the three noun
+slots sit around one ``bisect`` of that list at the verb.  A frame's
+relations name the slot each role takes.  "Surviving" normally means
+pp-prefixed nouns are filtered out; ``ablate=True`` lifts that filter and
+nothing else, which makes the subject slot latch onto the noun the pp chain
+left nearest to the verb."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from . import lexicon as lx
@@ -39,18 +41,20 @@ from .seq import SequenceTooLongError
 
 def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = False) -> SentenceFacts:
     """Read the facts of the logical form off the flat analysis."""
-    mask = analysis.noun_mask if ablate else analysis.eligible
+    nouns = analysis.noun_positions
+    surviving = nouns if ablate else [i for i in nouns if analysis.eligible[i]]
     facts = SentenceFacts(
-        [Intro(analysis.tokens[i], i, bool(analysis.star[i])) for i in analysis.noun_positions],
+        [Intro(analysis.tokens[i], i, bool(analysis.star[i])) for i in nouns],
         rels=[Rel(f"nmod . {analysis.tokens[prep]}", head, obj)
               for prep, head, obj in analysis.pps])
     for idx, clause in enumerate(analysis.clauses):
         if clause.template is None:
             continue
-        left = [i for i in range(clause.start, clause.verb_pos) if mask[i]]
-        right = [i for i in range(clause.verb_pos + 1, clause.end) if mask[i]]
+        at = bisect_left(surviving, clause.verb_pos)  # the first surviving noun after the verb
+        left = surviving[at - 1] if at else -1
+        right = [i for i in surviving[at:at + 2] if i < clause.end]
         nxt = analysis.clauses[idx + 1].verb_pos if idx + 1 < len(analysis.clauses) else -1
-        slots = {"SUBJ": left[-1] if left else None,
+        slots = {"SUBJ": left if left >= clause.start else None,
                  "OBJ1": right[0] if right else None,
                  "OBJ2": right[1] if len(right) > 1 else None,
                  "V2": clause.second_verb_pos,

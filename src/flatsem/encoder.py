@@ -1,8 +1,9 @@
 """Flat input analysis: everything the decoder needs, no trees involved.
 
 All per-position evidence is computed with the sequence primitives --
-selectors, aggregations, widths, position-wise maps -- over the five code
-sequences and their shifted copies, each shift made once per batch.
+position-wise maps over the five code sequences and their shifted copies,
+each shift made once per batch and read as one slice.  There are no widths
+or counts; the encoder builds no selector.
 ``analyze_all`` runs each group of same-length sentences through the
 primitives at once, as a (sentences, positions) batch; ``analyze`` is its
 one-sentence case.  Each field of ``InputAnalysis`` becomes a plain list once,
@@ -62,7 +63,6 @@ class InputAnalysis:
     np_start: list[int]
     no_pp_np: list[int]
     eligible: list[int]  # noun_mask * no_pp_np
-    ordinals: list[int]  # 1-based rank among eligible nouns, 0 elsewhere
     star: list[int]  # noun preceded by "the"
     pps: list[tuple[int, int, int]]  # (prep_pos, head_pos, obj_pos)
     clauses: list[ClauseInfo] = field(default_factory=list)
@@ -270,12 +270,12 @@ def analyze_all(token_lists: Sequence[list[str] | str], lexicon: lx.Lexicon | No
 
     Sentences of one length form a bucket, which runs through the sequence
     primitives at once as a batch: no row is padded.  A bucket of n-token
-    rows is cut into batches of ``MAX_SEQ_LEN ** 2 // n ** 2`` rows.  No
-    selector the encoder builds is dense; the cut bounds a batch's transient
-    arrays, so peak memory stops growing with the bucket (uncut, a bucket of
-    20,000 nine-token rows peaks about 15% higher).  A sentence longer than ``MAX_SEQ_LEN``
-    or holding a word the lexicon lacks gets its ``SequenceTooLongError`` or
-    ``LexiconError`` as its entry; the other sentences are still analysed.
+    rows is cut into batches of ``MAX_SEQ_LEN ** 2 // n ** 2`` rows, which
+    bounds a batch's transient arrays, so peak memory stops growing with the
+    bucket (uncut, a bucket of 20,000 nine-token rows peaks about 12% higher).
+    A sentence longer than ``MAX_SEQ_LEN`` or holding a word the lexicon lacks
+    gets its ``SequenceTooLongError`` or ``LexiconError`` as its entry; the
+    other sentences are still analysed.
     A lone string is no list of sentences, and raises ``TypeError``.
     """
     if isinstance(token_lists, str):
@@ -326,11 +326,10 @@ def _analyze_batch(embs: list[lx.Embedded]) -> list[InputAnalysis]:
     nm = seq.elementwise(NOUN, pos)
     nopp = seq.elementwise(NO_PP_NP, pos, prev, prev2)
     eligible = seq.elementwise(lambda a, b: a * b, nm, nopp)
-    ordinals = seq.elementwise(lambda c, e: c * e, seq.running_count(eligible), eligible)
     star = seq.elementwise(lambda noun, w: noun & (w == "the"), nm, prev_word)
     # the InputAnalysis fields from noun_mask to star, one row of lists per sentence
     masks = [nm, seq.elementwise(NP_HEAD, pos, prev), seq.elementwise(NP_START, pos, nxt), nopp,
-             eligible, ordinals, star]
+             eligible, star]
     fields = np.array(masks, dtype=np.int64).reshape(
         len(masks), len(embs), pos.shape[-1]).swapaxes(0, 1).tolist()
     spans = clause_spans(_stack([emb.vmap3 for emb in embs], np.int64), nxt, n_eff)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -161,59 +161,65 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
         return False
 
     # Bucket every index by all a bijection must preserve: the multiset of its
-    # introductions, empty for an index no conjunct introduces, and the
-    # relations at either end of it.  A mismatch in bucket shapes settles it
-    # without any search.
+    # introductions and of the relation ends at it, as one sorted tuple (an
+    # introduction leads with "", so no star is compared with an end's side).
+    # A mismatch in bucket shapes settles it without any search.
     def buckets(lf: Lf) -> dict[tuple, list[int]]:
-        keys: dict[int, list] = {}
+        marks: defaultdict[int, list] = defaultdict(list)
         for i in lf.unary:
-            keys.setdefault(i.idx, [[]])[0].append((i.label, i.star))
+            marks[i.idx].append(("", i.label, i.star))
         for r in lf.binary:
-            keys.setdefault(r.left, [[]]).append((r.name, "L"))
-            keys.setdefault(r.right, [[]]).append((r.name, "R"))
-        out: dict[tuple, list[int]] = {}
-        for idx, (intros, *ends) in keys.items():
-            out.setdefault((tuple(sorted(intros)), *sorted(ends)), []).append(idx)
+            marks[r.left].append((r.name, "L"))
+            marks[r.right].append((r.name, "R"))
+        out: defaultdict[tuple, list[int]] = defaultdict(list)
+        for idx, held in marks.items():
+            out[tuple(sorted(held))].append(idx)
         return out
 
     ba, bb = buckets(lfa), buckets(lfb)
     if ba.keys() != bb.keys() or any(len(ba[k]) != len(bb[k]) for k in ba):
         return False
 
-    candidates = {i: bb[key] for key, idxs in ba.items() for i in idxs}
     brels = Counter(lfb.binary)
 
     # Backtracking assignment on an explicit stack, most-constrained index
     # first; each mapped index immediately accounts for every relation it
     # completes, so wrong branches die at the first inconsistent edge.
-    order = sorted(candidates, key=lambda i: len(candidates[i]))
+    order = [(i, bb[key]) for key in sorted(ba, key=lambda key: len(ba[key])) for i in ba[key]]
+    step = {i: k for k, (i, _) in enumerate(order)}
+    completes: list[list[Rel]] = [[] for _ in order]  # per step, the relations its index completes
+    for r in lfa.binary:
+        completes[max(step[r.left], step[r.right])].append(r)
     mapping: dict[int, int] = {}
     used: set[int] = set()
     tries: list[Iterator[int]] = []  # per index of order tried, the candidates left for it
-    taken: list[Counter] = []  # per index mapped, the relations it accounted for
+    taken: list[list[tuple]] = []  # per index mapped, the relations it accounted for
     while len(taken) < len(order):
         k = len(taken)
-        i = order[k]
+        i, candidates = order[k]
         if len(tries) == k:
-            tries.append(iter(candidates[i]))
+            tries.append(iter(candidates))
         for j in tries[k]:
             if j in used:
                 continue
             mapping[i] = j
-            counts = Counter((n, mapping[l], mapping[r]) for n, l, r in lfa.binary
-                             if (l == i or r == i) and l in mapping and r in mapping)
-            if all(counts[key1] <= brels[key1] for key1 in counts):
-                brels.subtract(counts)
+            done = [(n, mapping[l], mapping[r]) for n, l, r in completes[k]]
+            fits = True
+            for key in done:  # each taken out of b's relations, none of which may run short
+                brels[key] -= 1
+                fits = fits and brels[key] >= 0
+            if fits:
                 used.add(j)
-                taken.append(counts)
+                taken.append(done)
                 break
+            brels.update(done)
             del mapping[i]
         else:  # no candidate left for i: undo the choice before it
             tries.pop()
             if not taken:
                 return False
             brels.update(taken.pop())
-            used.discard(mapping.pop(order[k - 1]))
+            used.discard(mapping.pop(order[k - 1][0]))
     return True
 
 

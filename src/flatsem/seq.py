@@ -18,8 +18,8 @@ sequence is a numpy array whose last axis is the position; any axes before it
 are a batch of same-length rows, each row an independent input, as a
 Transformer layer runs a batch of inputs at once.  A selector built from
 batched sequences is ``(..., n, n)``; one that does not depend on the data,
-such as a shift's ``Offset(-1)`` over ``indices(n)``, stays ``(n, n)`` and
-broadcasts over the batch.  Every primitive on a batch gives the values of
+such as ``Offset(-1)`` over ``indices(n)``, stays ``(n, n)`` and broadcasts
+over the batch.  Every primitive on a batch gives the values of
 the stack of its calls on the rows, in the dtype numpy gives that stack.
 
 Most selectors are numpy ``bool`` arrays.  A few patterns are held by their
@@ -33,7 +33,8 @@ offset selector as a slice, and ``selector_width`` of a prefix and a key mask
 is a cumulative sum.  A structured selector has the ``shape`` and ``len`` of
 its dense array, ``np.asarray`` gives that array, and every other use of it
 goes through that array, so each primitive returns what it would on the dense
-selector.
+selector.  The shifts are the aggregates of ``Offset(-1)`` and ``Offset(+1)``
+over ``indices(n)``, each read as that slice with no selector built.
 
 Each primitive makes one numpy call over the whole of its input, never a
 Python loop over positions or rows.  ``select`` calls its predicate once, on
@@ -132,7 +133,6 @@ class Offset(Predicate):
 
 Prefix = Predicate(operator.le)  # k <= q: each query selects itself and every key before it
 Equal = Predicate(operator.eq)  # k == q
-_BEHIND, _AHEAD = Offset(-1), Offset(1)  # the shifts' selectors: the key one before, one after
 
 
 class Structured:
@@ -409,15 +409,15 @@ def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
 
 
 def shift_right(values: Any, default: Any = 0) -> np.ndarray:
-    """values[i-1] at each position, via a relative-offset selector."""
-    idx = indices(_common_length(values))
-    return aggregate(select(idx, idx, _BEHIND), values, default=default)
+    """values[i-1] at each position: the aggregate of ``Offset(-1)``, as one slice."""
+    check_length(n := _common_length(values))
+    return _slide(_array(values, n), -1, default)
 
 
 def shift_left(values: Any, default: Any = 0) -> np.ndarray:
-    """values[i+1] at each position."""
-    idx = indices(_common_length(values))
-    return aggregate(select(idx, idx, _AHEAD), values, default=default)
+    """values[i+1] at each position: the aggregate of ``Offset(+1)``, as one slice."""
+    check_length(n := _common_length(values))
+    return _slide(_array(values, n), 1, default)
 
 
 def running_count(mask: Any) -> np.ndarray:

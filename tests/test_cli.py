@@ -38,6 +38,11 @@ def test_tsv_roundtrip(tmp_path):
     assert load_tsv(tmp_path / "t.tsv", drop_augmented=True) == rows[:1]
 
 
+def test_load_tsv_skips_blank_rows(tmp_path):
+    (tmp_path / "t.tsv").write_text("a b c\tx ( 0 )\tcat\n\n  \t\t\nd e\ty ( 1 )\n")
+    assert load_tsv(tmp_path / "t.tsv") == [("a b c", "x ( 0 )", "cat"), ("d e", "y ( 1 )", "")]
+
+
 def test_run_scores_a_split(datadir, capsys):
     assert main(["run", "--data", str(datadir), "--split", "dev"]) == 0
     out = capsys.readouterr().out
@@ -103,6 +108,11 @@ def test_run_without_data_exits(monkeypatch):
     monkeypatch.delenv("RR_DATA", raising=False)
     with pytest.raises(SystemExit):
         main(["run"])
+
+
+def test_run_of_a_missing_split_exits(datadir):
+    with pytest.raises(SystemExit, match="split file not found: .*nope.tsv"):
+        main(["run", "--data", str(datadir), "--split", "dev", "--split", "nope"])
 
 
 def test_data_from_environment(datadir, capsys, monkeypatch):

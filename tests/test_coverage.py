@@ -64,6 +64,7 @@ def test_row_expansions_follow_the_rows(lexicon):
     assert got[0] == frozenset()
     assert got[1] == got[2] == frozenset(tree_expansions(parse_sentence(HANDPICKED_19[0], lexicon)))
     assert got[3] == frozenset(tree_expansions(parse_sentence(HANDPICKED_19[1], lexicon)))
+    assert row_expansions(rows) == got  # no lexicon: the default one
 
 
 def test_reports_are_folds_over_row_expansions(lexicon):

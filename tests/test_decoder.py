@@ -33,7 +33,7 @@ def test_empty_input_gives_the_empty_form(sentence, lexicon):
 def test_empty_input_analyzes_to_empty_sequences(lexicon):
     a = analyze([], lexicon)
     assert a.n_eff == 0 and a.tokens == [] and a.clauses == [] and a.pps == []
-    for field in (a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible, a.ordinals,
+    for field in (a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible,
                   a.star, a.emb.pos, a.emb.vmap1, a.emb.vmap4):
         assert field == []
 
@@ -58,6 +58,28 @@ def test_output_only_stem_is_out_of_lexicon(lexicon):
 def test_decode_agrees_with_oracle_on_goldens(lexicon):
     for sentence in GOLDEN:
         assert dec.decode(sentence, lexicon) == lf_oracle(sentence, lexicon)
+
+
+@pytest.mark.parametrize("ablate", [False, True])
+def test_slots_bind_only_nouns_inside_the_clause(ablate, lexicon):
+    """A clause's noun slots stay inside its span, even where a noun of the
+    clause before or after is the nearest one the verb could reach."""
+    # "rolled" heads a clause of its own with no subject; "emma" sits before it
+    assert dec.decode("emma noticed that rolled .", lexicon, ablate=ablate) == (
+        "emma ( 0 ) ; notice ( 1 ) AND agent ( 1 , 0 ) AND ccomp ( 1 , 3 ) AND roll ( 3 )")
+    # "ate" goes on inside its clause, but its object would be the next clause's subject
+    assert dec.decode("emma ate noticed that emma smiled .", lexicon, ablate=ablate) == (
+        "emma ( 0 ) ; emma ( 4 ) ; eat ( 1 ) AND agent ( 1 , 0 ) AND smile ( 5 ) "
+        "AND agent ( 5 , 4 )")
+
+def test_no_lexicon_means_the_default_one(lexicon):
+    """``decode``, ``analyze`` and ``analyze_all`` read the bundled lexicon
+    when given none, as a one-sentence caller does."""
+    sentence = pp_chain_sentence(3)
+    assert dec.decode(sentence) == dec.decode(sentence, lexicon) == lf_oracle(sentence, lexicon)
+    assert dec.decode(sentence, ablate=True) == dec.decode(sentence, lexicon, ablate=True)
+    assert repr(analyze(sentence)) == repr(analyze(sentence, lexicon))
+    assert repr(analyze_all([sentence])) == repr(analyze_all([sentence], lexicon))
 
 
 def test_case_and_token_list_inputs(lexicon):
@@ -160,15 +182,16 @@ def test_analyze_all_equals_analyze_row_by_row(lexicon):
 
 
 def test_a_bucket_is_cut_to_the_selector_cell_cap(lexicon, monkeypatch):
+    """Each batch's left shift, the aggregate of an (rows, n, n) offset
+    selector, would stand for at most the cap's cells."""
     shapes = []
-    real_select = seq.select
+    real_shift = seq.shift_left
 
-    def recording_select(*args, **kwargs):
-        sel = real_select(*args, **kwargs)
-        shapes.append(sel.shape)
-        return sel
+    def recording_shift(values, *args, **kwargs):
+        shapes.append((*np.shape(values), np.shape(values)[-1]))
+        return real_shift(values, *args, **kwargs)
 
-    monkeypatch.setattr(seq, "select", recording_select)
+    monkeypatch.setattr(seq, "shift_left", recording_shift)
     sentence = cp_chain_sentence(12)
     assert len(sentence) == 40
     forms = dec.decode_all([sentence] * 600, lexicon)
@@ -176,5 +199,5 @@ def test_a_bucket_is_cut_to_the_selector_cell_cap(lexicon, monkeypatch):
     assert max(int(np.prod(shape)) for shape in shapes) <= cap
     batched = [shape[0] for shape in shapes if len(shape) == 3]
     assert sum(batched) == 600 and max(batched) == cap // (40 * 40)
-    monkeypatch.setattr(seq, "select", real_select)
+    monkeypatch.setattr(seq, "shift_left", real_shift)
     assert forms == [dec.decode(sentence, lexicon)] * 600

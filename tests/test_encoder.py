@@ -24,7 +24,6 @@ def test_mask_golden_vectors(lexicon):
     assert a.np_start == [1, 0, 0, 1, 0, 0, 0]
     assert a.no_pp_np == [1, 1, 1, 1, 0, 1, 1]  # "plate" sits inside the pp
     assert a.eligible == [0, 1, 0, 0, 0, 0, 0]
-    assert a.ordinals == [0, 1, 0, 0, 0, 0, 0]
     assert a.star == [0, 1, 0, 0, 1, 0, 0]
     assert a.noun_positions == [1, 4]
 
@@ -38,14 +37,6 @@ def test_proper_noun_directly_after_preposition(lexicon):
 def test_pp_attachment_with_determiner(lexicon):
     a = enc.analyze("a boy beside the tree painted the cake", lexicon)
     assert a.pps == [(2, 1, 4)]
-
-
-def test_ordinals_rank_only_eligible_nouns(lexicon):
-    a = enc.analyze("a horse gave the cake beside a table to the mouse", lexicon)
-    assert a.ordinals[1] == 1  # horse
-    assert a.ordinals[4] == 2  # cake
-    assert a.ordinals[7] == 0  # table, inside the pp
-    assert a.ordinals[10] == 3  # mouse
 
 
 def test_clause_spans_exclude_that_and_period(lexicon):
@@ -220,9 +211,8 @@ def test_analyze_shifts_each_sequence_once(lexicon, monkeypatch):
 
 
 def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
-    """Every selector the encoder asks for is structured and holds one cell
-    per key of each row, not n x n: on the longest sentence, and on a
-    600-row bucket analysed as one batch."""
+    """The encoder builds no selector at all, dense or structured: on the
+    longest sentence, and on a 600-row bucket analysed as one batch."""
     made = []
     real_select = enc.seq.select
 
@@ -232,14 +222,9 @@ def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
 
     monkeypatch.setattr(enc.seq, "select", recording_select)
     enc.analyze(cp_chain_sentence(169), lexicon)
-    assert len(made) == 6
     sentence = "a boy beside the tree painted the cake .".split()
     assert len(enc.analyze_all([sentence] * 600, lexicon)) == 600
-    assert len(made) == 12
-    assert made[-2].shape == (600, 9, 9)  # the running count's key mask, batched
-    for sel in made:
-        assert isinstance(sel, enc.seq.Structured)  # its n, its relation and its mask
-        assert sel.keys is None or sel.keys.shape == (*sel.shape[:-2], sel.n)
+    assert made == []
 
 
 def test_the_encoder_sends_seq_one_kind_per_sequence(lexicon, monkeypatch):
@@ -271,7 +256,7 @@ def test_the_encoder_sends_seq_one_kind_per_sequence(lexicon, monkeypatch):
         assert (isinstance(arg, np.ndarray) and arg.dtype in (np.int64, bool, object)
                 or np.isscalar(arg)), arg
     assert {arg.dtype.name if isinstance(arg, np.ndarray) else "scalar" for arg in sent} == {
-        "int64", "bool", "object", "scalar"}
+        "int64", "bool", "object"}
 
 
 def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
@@ -294,7 +279,7 @@ def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
 
     def structure(a):
         return (a.n_eff, a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible,
-                a.ordinals, a.star, a.pps, a.clauses)
+                a.star, a.pps, a.clauses)
 
     rng = random.Random(11)
     swapped = 0
@@ -361,15 +346,15 @@ def test_the_mask_tables_hold_about_ten_kilobytes():
 # The calls into seq that one analysis makes: one 9-token sentence, and a
 # 600-row bucket of it, which runs through each primitive once as a batch.
 CALL_BUDGET = {
-    "indices": 5,  # the four shifts and the running count
-    "select": 6,  # an offset per shift, and the running count's key mask and prefix
-    "aggregate": 4,  # one per shift, read as a slice
-    "combine": 1,
-    "selector_width": 1,
-    "elementwise": 8,  # five mask tables, eligible, ordinals and the star
+    "indices": 0,
+    "select": 0,  # each shift is read as its slice, with no selector built
+    "aggregate": 0,
+    "combine": 0,
+    "selector_width": 0,
+    "elementwise": 7,  # five mask tables, eligible and the star
     "shift_right": 3,
     "shift_left": 1,
-    "running_count": 1,
+    "running_count": 0,
 }
 
 

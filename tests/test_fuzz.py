@@ -19,6 +19,10 @@ def test_seed_reproducibility(lexicon):
     assert [t for t, _ in a] != [t for t, _ in c]
 
 
+def test_no_lexicon_means_the_default_one(lexicon):
+    assert fuzz_generate(25, seed=42) == fuzz_generate(25, lexicon, seed=42)
+
+
 def test_generated_sentences_parse_and_match_tree(lexicon):
     for tokens, tree in fuzz_generate(60, lexicon, seed=1):
         assert tokens[-1] == "."

@@ -116,3 +116,11 @@ def test_malformed_tsv_rejected(tmp_path):
     bad.write_text("cake\tnot_a_category\n")
     with pytest.raises(ValueError):
         lx.load_lexicon(bad)
+
+
+def test_blank_lines_are_skipped(tmp_path):
+    table = tmp_path / "lexicon.tsv"
+    table.write_text("\ncake\tcommon_noun\n   \nate\tv_unerg\teat\n\n")
+    lexicon = lx.load_lexicon(table)
+    assert sorted(lexicon.entries) == ["ate", "cake"]
+    assert lexicon.stem("ate") == "eat"

@@ -194,6 +194,25 @@ def test_sem_on_oracle_pp_chain():
     assert lf.semantic_exact_match(deep, renumber(deep, lambda i: i * 7 + 3))
 
 
+@pytest.mark.parametrize("sentence", [cp_chain_sentence(169), pp_chain_sentence(168)],
+                         ids=["cp169", "pp168"])
+def test_sem_renames_the_longest_chains(sentence):
+    """A random renaming of the longest chains' forms is equivalent; the same
+    renaming with one relation's right end moved is a miss."""
+    gold = lf.parse_lf(lf_oracle(sentence))
+    used = sorted({i.idx for i in gold.unary} | {i for r in gold.binary for i in r[1:]})
+    rng = random.Random(26)
+    table = dict(zip(used, rng.sample(range(10 * len(used)), len(used))))
+    text = renumber(lf_oracle(sentence), table.__getitem__)
+    assert lf.classify_error(lf_oracle(sentence), text).kind == "equivalent"
+    renamed = lf.parse_lf(text)
+    assert lf.semantic_exact_match(gold, renamed)
+    moved = renamed.binary[len(renamed.binary) // 2]
+    other = next(v for v in table.values() if v not in moved[1:])
+    renamed.binary[len(renamed.binary) // 2] = moved._replace(right=other)
+    assert not lf.semantic_exact_match(gold, renamed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.permutations(range(8)))
 def test_sem_invariant_under_any_permutation(perm):
@@ -387,6 +406,12 @@ def test_tally_failure_cap():
     report = lf.tally([(f"s{k}", TRANSITIVE, "junk ( 0 )", "other") for k in range(30)])
     assert (report.n, report.sem_hits) == (30, 0)
     assert [s for s, _, _ in report.failures] == [f"s{k}" for k in range(20)]
+
+
+def test_an_empty_report_knows_nothing():
+    report = lf.tally([], name="empty")
+    assert (report.n, report.sem, report.em, report.ci) == (0, 0.0, 0.0, (0.0, 1.0))
+    assert report.format() == "split=empty n=0 sem=0.0000 em=0.0000 ci_low=0.0000 ci_high=1.0000"
 
 
 def _search_match(a: str, b: str) -> bool:

@@ -142,6 +142,33 @@ def test_shifts_and_running_count_match_plain_lists(values, default):
     assert seq.running_count(mask).tolist() == [sum(mask[:i + 1]) for i in range(len(mask))]
 
 
+def test_the_errors_a_call_can_raise():
+    with pytest.raises(ValueError, match="length mismatch"):
+        seq.elementwise(operator.add, [1, 2, 3], [1, 2])
+    with pytest.raises(ValueError, match="at least one argument must be a sequence"):
+        seq.elementwise(operator.add, 1, 2)
+    with pytest.raises(ValueError, match="at least one argument must be a sequence"):
+        seq.shift_right(5)
+    with pytest.raises(ValueError, match="combine needs at least one selector"):
+        seq.combine(np.logical_and)
+    with pytest.raises(ValueError, match="selector size mismatch"):
+        seq.combine(np.logical_and, np.eye(3, dtype=bool), np.eye(4, dtype=bool))
+
+
+def test_a_predicate_or_function_that_ignores_an_argument_broadcasts():
+    every = seq.select([1, 0, 1], 1, seq.Predicate(lambda k, q: True))
+    assert isinstance(every, seq.Structured) and every.keys.tolist() == [True] * 3
+    assert np.asarray(every).tolist() == [[True] * 3] * 3
+    assert seq.select([1, 2, 3], [4, 5, 6], lambda k, q: True).tolist() == [[True] * 3] * 3
+    assert seq.select([1, 2, 3], [4, 5, 6], lambda k, q: q > 4).tolist() == [
+        [False] * 3, [True] * 3, [True] * 3]
+    assert seq.elementwise(lambda a: 7, [1, 2, 3]).tolist() == [7, 7, 7]
+    out = seq.elementwise(lambda a, b: b, np.zeros((2, 3), dtype=np.int64), [1, 2, 3])
+    assert out.tolist() == [[1, 2, 3]] * 2
+    out[0, 0] = 9  # a copy, not a read-only broadcast view
+    assert out.tolist() == [[9, 2, 3], [1, 2, 3]]
+
+
 def test_every_primitive_accepts_length_zero():
     sel = seq.select(seq.indices(0), [], operator.eq)
     assert sel.shape == (0, 0)
@@ -398,6 +425,23 @@ def test_structured_selectors_equal_their_dense_arrays(data):
         assert isinstance(dense, np.ndarray)
         _same(dense, np.logical_or(*map(np.asarray, parts)))
     assert isinstance(seq.combine(np.logical_and, prefix, offset), np.ndarray)
+
+
+@given(_batches(), _DEFAULTS)
+def test_shifts_are_the_aggregates_of_an_offset(stacked, default):
+    """``shift_right`` and ``shift_left`` are the aggregates of ``Offset(-1)``
+    and ``Offset(+1)`` over ``indices(n)``, and of the dense selectors of the
+    same relations: on a batch, and on one row of it as an array and as a
+    list, with every kind of default."""
+    n = stacked.shape[-1]
+    idx, plain = seq.indices(n), np.arange(n)
+    for shift, d in ((seq.shift_right, -1), (seq.shift_left, 1)):
+        offset = seq.select(idx, idx, seq.Offset(d))
+        dense = seq.select(plain, plain, lambda k, q: k == q + d)
+        for values in (stacked, *stacked[:1], *stacked[:1].tolist()):
+            out = shift(values, default=default)
+            _same(out, seq.aggregate(offset, values, default))
+            _same(out, seq.aggregate(dense, values, default))
 
 
 # The length cap holds on every path of every primitive: a row as a list or an
