@@ -2,10 +2,10 @@
 
 The package decodes English sentences of the COGS fragment into ReCOGS-style
 logical forms without building a tree: a fixed stack of sequence primitives
-(selectors, aggregations, counts) computes a flat analysis, and the decoder
-reads the whole form off it in one pass.  A conventional tree-based oracle, a
-grammar-coverage toolkit, a grammar fuzzer, and error/augmentation analyses
-ride along for evaluation.
+(shifts, and lookup tables over lexicon codes) computes a flat analysis, and
+the decoder reads the whole form off it in one pass.  A conventional
+tree-based oracle, a grammar-coverage toolkit, a grammar fuzzer, and
+error/augmentation analyses ride along for evaluation.
 """
 
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon

@@ -1,7 +1,6 @@
 """Sequence-to-sequence primitives the flat parser is written in.
 
-Everything downstream (masks, running counts, template matching) is phrased in
-terms of a handful of operations over aligned sequences:
+These are RASP's operations over aligned sequences:
 
 * ``select``        builds an attention-style boolean selector matrix
 * ``aggregate``     gathers each row's selected value, or the mean of numbers
@@ -10,31 +9,25 @@ terms of a handful of operations over aligned sequences:
 * ``combine``       position-wise map over selectors
 
 and one declared map, ``Table``, a position-wise map over categorical codes
-held as its lookup table.
+held as its lookup table.  The encoder's analysis is phrased in two kinds of
+them: the shifts, and ``elementwise`` of a ``Table``.
 
 As in RASP, a selector stands for an attention matrix: n x n ``bool`` cells,
-``sel[q, k]`` meaning query position ``q`` attends to key position ``k``.  A
-sequence is a numpy array whose last axis is the position; any axes before it
-are a batch of same-length rows, each row an independent input, as a
-Transformer layer runs a batch of inputs at once.  A selector built from
-batched sequences is ``(..., n, n)``; one that does not depend on the data,
-such as ``Offset(-1)`` over ``indices(n)``, stays ``(n, n)`` and broadcasts
-over the batch.  Every primitive on a batch gives the values of
-the stack of its calls on the rows, in the dtype numpy gives that stack.
+``sel[q, k]`` meaning query position ``q`` attends to key position ``k``; it
+is always that dense numpy array.  A sequence is a numpy array whose last
+axis is the position; any axes before it are a batch of same-length rows,
+each row an independent input, as a Transformer layer runs a batch of inputs
+at once.  A selector built from batched sequences is ``(..., n, n)``; one
+that does not depend on the data, such as ``Offset(-1)`` over
+``indices(n)``, stays ``(n, n)`` and broadcasts over the batch.  Every
+primitive on a batch gives the values of the stack of its calls on the
+rows, in the dtype numpy gives that stack.
 
-Most selectors are numpy ``bool`` arrays.  A few patterns are held by their
-structure instead, as a ``Structured`` selector, so that they cost O(n), not
-n x n cells: a declared predicate (``Offset(d)`` for ``k == q + d``,
-``Prefix`` for ``k <= q``) over ``indices(n)`` as both keys and queries; a
-declared predicate against one query value, such as
-``select(mask, 1, Equal)``, which is a mask over the keys; and the
-``combine(np.logical_and, ...)`` of such selectors.  ``aggregate`` reads an
-offset selector as a slice, and ``selector_width`` of a prefix and a key mask
-is a cumulative sum.  A structured selector has the ``shape`` and ``len`` of
-its dense array, ``np.asarray`` gives that array, and every other use of it
-goes through that array, so each primitive returns what it would on the dense
-selector.  The shifts are the aggregates of ``Offset(-1)`` and ``Offset(+1)``
-over ``indices(n)``, each read as that slice with no selector built.
+``Offset(d)`` (``k == q + d``), ``Prefix`` (``k <= q``) and ``Equal``
+(``k == q``) name RASP's offset, prefix and equality predicates; each is a
+plain elementwise comparison.  The shifts are the aggregates of
+``Offset(-1)`` and ``Offset(+1)`` over ``indices(n)``, each read as one
+slice with no selector built.
 
 Each primitive makes one numpy call over the whole of its input, never a
 Python loop over positions or rows.  ``select`` calls its predicate once, on
@@ -43,8 +36,7 @@ the key rows and the query columns broadcast against each other;
 ``combine`` calls its op once, on whole matrices.  Predicates, functions and
 ops must therefore be elementwise -- ``operator.le``,
 ``lambda k, q: k == q - 1``, ``lambda p, q: (p == 1) & (q == 2)`` -- and not
-``and`` / ``or`` / ``in`` / ``int()``, which need a single value.  A lambda
-always gives a dense selector, even where a declared predicate would not.
+``and`` / ``or`` / ``in`` / ``int()``, which need a single value.
 Each primitive converts and checks its arguments once, and passes an array
 that needs no conversion on as it is; the length cap, ``MAX_SEQ_LEN``,
 holds on every path.
@@ -74,7 +66,7 @@ from __future__ import annotations
 import functools
 import inspect
 import operator
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable
 
 import numpy as np
 
@@ -90,87 +82,23 @@ def check_length(n: int) -> None:
         raise SequenceTooLongError(f"sequence length {n} exceeds maximum {MAX_SEQ_LEN}")
 
 
-class _Positions(np.ndarray):
-    """The array ``indices(n)`` returns: a read-only view of 0..n-1.  Only
-    that view carries ``positions``; the views and results numpy derives from
-    it are plain sequences to ``select``."""
-
-    positions: int
-
-
-_ALL_POSITIONS = np.arange(MAX_SEQ_LEN).view(_Positions)
+_ALL_POSITIONS = np.arange(MAX_SEQ_LEN)
 _ALL_POSITIONS.flags.writeable = False
 
 
 def indices(n: int) -> np.ndarray:
     """The positional sequence [0, 1, ..., n-1], read-only."""
     check_length(n)
-    idx = _ALL_POSITIONS[:max(n, 0)]
-    idx.positions = len(idx)
-    return idx
+    return _ALL_POSITIONS[:max(n, 0)]
 
 
-class Predicate:
-    """A predicate whose structure ``select`` knows.  Called on arrays it is
-    the elementwise comparison it wraps, like any other predicate."""
-
-    def __init__(self, fn: Callable[[Any, Any], Any]):
-        self._fn = fn
-
-    def __call__(self, k: Any, q: Any) -> Any:
-        return self._fn(k, q)
-
-
-class Offset(Predicate):
+def Offset(d: int) -> Callable[[Any, Any], Any]:
     """``k == q + d``: each query selects the key ``d`` positions after it."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def __call__(self, k: Any, q: Any) -> Any:
-        return k == q + self.d
+    return lambda k, q: k == q + d
 
 
-Prefix = Predicate(operator.le)  # k <= q: each query selects itself and every key before it
-Equal = Predicate(operator.eq)  # k == q
-
-
-class Structured:
-    """A selector held as its structure, not as its n x n cells.
-
-    Query ``q`` selects key ``k`` when ``rel(k, q)`` holds (every key when
-    ``rel`` is None) and ``keys[..., k]`` is set (every key when ``keys`` is
-    None).  ``keys`` is a ``(..., n)`` bool mask, the same for every query;
-    its leading axes are the selector's batch.  ``shape`` and ``len`` are the
-    dense array's, and ``np.asarray`` builds that array.
-    """
-
-    __slots__ = ("n", "rel", "keys")
-
-    def __init__(self, n: int, rel: Optional[Predicate] = None,
-                 keys: Optional[np.ndarray] = None):
-        self.n, self.rel, self.keys = n, rel, keys
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        batch = () if self.keys is None else self.keys.shape[:-1]
-        return (*batch, self.n, self.n)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
-        idx = np.arange(self.n)
-        if self.rel is None:
-            sel = np.ones((self.n, self.n), dtype=bool)
-        else:
-            sel = np.asarray(self.rel(idx, idx[:, np.newaxis]), dtype=bool)
-        if self.keys is not None:
-            sel = sel & self.keys[..., np.newaxis, :]
-        return sel if dtype is None else sel.astype(dtype, copy=False)
-
-
-Selector = Union[np.ndarray, Structured]  # (..., n, n) bool cells
+Prefix = operator.le  # k <= q: each query selects itself and every key before it
+Equal = operator.eq  # k == q
 
 
 def _array(x: Any, n: int) -> np.ndarray:
@@ -206,31 +134,14 @@ def _matrix(selector: Any) -> np.ndarray:
     return sel
 
 
-def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Selector:
+def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> np.ndarray:
     """Boolean selector with ``sel[..., q, k] = predicate(keys[..., k], queries[..., q])``.
 
     The first argument supplies the key (column) values, the second the query
     (row) values; either may be a scalar, which broadcasts.  For example
     ``select(indices(n), indices(n), le)`` selects, at each position, every
     position at or before it -- the building block of running counts.
-
-    A declared ``Predicate`` gives a ``Structured`` selector when keys and
-    queries are both ``indices(n)``, and a key mask when the query is one
-    value, compared with the keys as it is; any other call gives the dense
-    array.
     """
-    if isinstance(predicate, Predicate):
-        n = getattr(keys, "positions", None)
-        if n is not None and getattr(queries, "positions", None) == n:  # checked by indices
-            return Structured(n, predicate)
-        if not isinstance(queries, (np.ndarray, list, tuple)):  # one value for every query
-            n = _common_length(keys)
-            check_length(n)
-            ks = _array(keys, n)
-            mask = np.asarray(predicate(ks, queries), dtype=bool)
-            if mask.shape != ks.shape:  # a predicate that ignores its keys
-                mask = np.broadcast_to(mask, ks.shape).copy()
-            return Structured(n, keys=mask)
     n = _common_length(keys, queries)
     check_length(n)
     ks = _array(keys, n)
@@ -243,22 +154,14 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> Sel
     return sel
 
 
-def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
+def combine(op: Callable[..., Any], *selectors: Any) -> np.ndarray:
     """Position-wise combination of selectors, e.g. ``combine(and_, a, b)``;
     more than two fold pairwise from the left, and no operand is written to.
-    An ``(n, n)`` selector broadcasts over a batch.  ``np.logical_and`` of two
-    structured selectors with at most one relation between them stays
-    structured: that relation, and the key masks ANDed."""
+    An ``(n, n)`` selector broadcasts over a batch."""
     if not selectors:
         raise ValueError("combine needs at least one selector")
     if len(selectors) > 2:
         return functools.reduce(lambda a, b: combine(op, a, b), selectors)
-    if op is np.logical_and and len(selectors) == 2:
-        a, b = selectors
-        if (isinstance(a, Structured) and isinstance(b, Structured) and a.n == b.n
-                and (a.rel is None or b.rel is None or a.rel is b.rel)):
-            keys = b.keys if a.keys is None else a.keys if b.keys is None else a.keys & b.keys
-            return Structured(a.n, a.rel or b.rel, keys)
     mats = [np.asarray(s, dtype=bool) for s in selectors]
     check_length(mats[0].shape[-1] if mats[0].ndim else 0)
     for m in mats:
@@ -267,11 +170,8 @@ def combine(op: Callable[..., Any], *selectors: Selector) -> Selector:
     return np.asarray(op(*mats), dtype=bool)
 
 
-def selector_width(selector: Selector) -> np.ndarray:
-    """Number of selected key positions for each query position; over a
-    prefix and a key mask, the running count of the mask."""
-    if isinstance(selector, Structured) and selector.rel is Prefix and selector.keys is not None:
-        return selector.keys.cumsum(axis=-1)
+def selector_width(selector: Any) -> np.ndarray:
+    """Number of selected key positions for each query position."""
     return _matrix(selector).sum(axis=-1)
 
 
@@ -301,7 +201,7 @@ _INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarray:
+def aggregate(selector: Any, values: Any, default: Any = None) -> np.ndarray:
     """RASP's aggregate: each query row gathers the value at its selected key.
 
     A row that selects several keys holding one value passes that value on.
@@ -314,12 +214,8 @@ def aggregate(selector: Selector, values: Any, default: Any = None) -> np.ndarra
     beside bools, and is an object array otherwise.
 
     An ``(n, n)`` selector gathers the same positions from every row of a
-    batch.  An ``Offset`` selector is read as a slice, with the same values,
-    defaults and dtype.
+    batch.
     """
-    if (isinstance(selector, Structured) and isinstance(selector.rel, Offset)
-            and selector.keys is None):
-        return _slide(_array(values, selector.n), selector.rel.d, default)
     sel = _matrix(selector)
     n = sel.shape[-1]
     vals = _array(values, n)
@@ -421,7 +317,8 @@ def shift_left(values: Any, default: Any = 0) -> np.ndarray:
 
 
 def running_count(mask: Any) -> np.ndarray:
-    """1-based count of mask hits up to and including each position."""
+    """1-based count of mask hits up to and including each position: the
+    width of each query's prefix of hits, n x n cells per row."""
     idx = indices(_common_length(mask))
     hits = select(mask, 1, Equal)
     upto = select(idx, idx, Prefix)

@@ -211,8 +211,8 @@ def test_analyze_shifts_each_sequence_once(lexicon, monkeypatch):
 
 
 def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
-    """The encoder builds no selector at all, dense or structured: on the
-    longest sentence, and on a 600-row bucket analysed as one batch."""
+    """The encoder builds no selector at all: on the longest sentence, and
+    on a 600-row bucket analysed as one batch."""
     made = []
     real_select = enc.seq.select
 

@@ -34,16 +34,15 @@ def test_combine_folds_three_operands_and_writes_to_none():
     rng = np.random.default_rng(0)
     idx = seq.indices(6)
     dense = tuple(rng.random((6, 6)) < 0.5 for _ in range(3))
-    structured = (seq.select(idx, idx, seq.Prefix),
-                  seq.select(np.array([1, 0, 1, 1, 0, 1]), 1, seq.Equal),
-                  seq.select(np.array([1, 1, 0, 1, 0, 0]), 1, seq.Equal))
-    for operands in (dense, structured, (dense[0], structured[1], dense[2])):
+    declared = (seq.select(idx, idx, seq.Prefix),
+                seq.select(np.array([1, 0, 1, 1, 0, 1]), 1, seq.Equal),
+                seq.select(np.array([1, 1, 0, 1, 0, 0]), 1, seq.Equal))
+    for operands in (dense, declared, (dense[0], declared[1], dense[2])):
         before = [np.asarray(x).copy() for x in operands]
         out = seq.combine(np.logical_and, *operands)
         assert np.array_equal(np.asarray(out), (before[0] & before[1]) & before[2])
         assert all(np.array_equal(np.asarray(x), b) for x, b in zip(operands, before))
         assert all(out is not x for x in operands)
-    assert isinstance(seq.combine(np.logical_and, *structured), seq.Structured)
 
 
 def test_selector_width_counts_rows():
@@ -156,9 +155,8 @@ def test_the_errors_a_call_can_raise():
 
 
 def test_a_predicate_or_function_that_ignores_an_argument_broadcasts():
-    every = seq.select([1, 0, 1], 1, seq.Predicate(lambda k, q: True))
-    assert isinstance(every, seq.Structured) and every.keys.tolist() == [True] * 3
-    assert np.asarray(every).tolist() == [[True] * 3] * 3
+    every = seq.select([1, 0, 1], 1, lambda k, q: True)
+    assert every.dtype == bool and every.tolist() == [[True] * 3] * 3
     assert seq.select([1, 2, 3], [4, 5, 6], lambda k, q: True).tolist() == [[True] * 3] * 3
     assert seq.select([1, 2, 3], [4, 5, 6], lambda k, q: q > 4).tolist() == [
         [False] * 3, [True] * 3, [True] * 3]
@@ -343,88 +341,33 @@ def test_batched_primitives_equal_the_stack_of_row_calls(stacked, data):
     masks = stacked.astype(bool).astype(np.int64)
     _stacks(seq.running_count(masks), _rows(seq.running_count, masks))
 
-    # batched keys or queries against unbatched ones, and a broadcast scalar
+    # the declared predicates' cells, over indices and over a batch of them,
+    # and over each mask as keys against one query value
     idx = seq.indices(n)
+    d = data.draw(st.integers(-n - 1, n + 1), label="offset")
+    q, k = np.indices((n, n))
+    for positions in (idx, np.broadcast_to(idx, (b, n))):
+        for pred, cells in ((seq.Offset(d), k == q + d), (seq.Prefix, k <= q)):
+            sel = seq.select(positions, positions, pred)
+            assert sel.dtype == bool
+            assert sel.tolist() == np.broadcast_to(cells, (*positions.shape[:-1], n, n)).tolist()
+    hits = seq.select(masks, 1, seq.Equal)
+    assert hits.dtype == bool and hits.shape == (b, n, n)
+    for mask, rows_hit in zip(masks, hits):
+        assert rows_hit.tolist() == [mask.astype(bool).tolist()] * n
+        assert seq.select(mask, 1, seq.Equal).tolist() == rows_hit.tolist()
+
+    # batched keys or queries against unbatched ones, and a broadcast scalar
     for keys, queries, fn in ((stacked, idx, lambda x, y: seq.select(x, idx, operator.eq)),
                               (1, stacked, lambda x, y: seq.select(1, x, operator.eq)),
                               (stacked, reverse, lambda x, y: seq.select(x, y, operator.eq))):
         _stacks(seq.select(keys, queries, operator.eq), _rows(fn, rows, reverse), 2)
 
 
-# Structured selectors: each must behave exactly as its dense array, which the
-# same call with a lambda (or an operator) in place of the declared predicate
-# builds.
-
 def _same(out, dense):
     """Equal dtype, shape and values, each value with its Python type."""
     assert out.dtype == dense.dtype and out.shape == dense.shape
     assert _typed(out.ravel().tolist()) == _typed(dense.ravel().tolist())
-
-
-def _same_selector(sel, dense):
-    assert isinstance(sel, seq.Structured) and isinstance(dense, np.ndarray)
-    assert sel.shape == dense.shape and len(sel) == len(dense)
-    _same(np.asarray(sel), dense)
-    _same(np.asarray(sel, dtype=bool), dense)
-
-
-def _same_call(fn, sel, dense):
-    """``fn`` gives the same through the structured and the dense selector,
-    or raises ValueError through both."""
-    try:
-        expected = fn(dense)
-    except ValueError:
-        with pytest.raises(ValueError):
-            fn(sel)
-    else:
-        _same(fn(sel), expected)
-
-
-@given(st.data())
-def test_structured_selectors_equal_their_dense_arrays(data):
-    n = data.draw(st.integers(0, 12), label="n")
-    batch = data.draw(st.sampled_from([(), (0,), (1,), (3,), (2, 2)]), label="batch")
-    size = int(np.prod(batch, dtype=int)) * n
-    elements, dtype = _KINDS[data.draw(st.sampled_from(sorted(_KINDS)), label="kind")]
-    values = np.empty(size, dtype=dtype)
-    values[:] = data.draw(st.lists(elements, min_size=size, max_size=size), label="values")
-    values = values.reshape(*batch, n)
-    if not batch and data.draw(st.booleans(), label="as a list"):
-        values = values.tolist()
-    default = data.draw(_DEFAULTS, label="default")
-    d = data.draw(st.integers(-n - 1, n + 1), label="offset")
-    mask = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size),
-                              label="mask"), dtype=np.int64).reshape(*batch, n)
-
-    idx, plain = seq.indices(n), np.arange(n)
-    offset = seq.select(idx, idx, seq.Offset(d))
-    dense_offset = seq.select(plain, plain, lambda k, q: k == q + d)
-    _same_selector(offset, dense_offset)
-    _same_call(lambda s: seq.aggregate(s, values, default), offset, dense_offset)
-
-    prefix = seq.select(idx, idx, seq.Prefix)
-    dense_prefix = seq.select(plain, plain, operator.le)
-    hits = seq.select(mask, 1, seq.Equal)
-    dense_hits = seq.select(mask, 1, lambda k, q: k == q)
-    low = seq.select(mask[..., ::-1], 0, seq.Prefix)  # k <= 0: the reversed mask's misses
-    dense_low = seq.select(mask[..., ::-1], 0, operator.le)
-    for sel, dense in ((prefix, dense_prefix), (hits, dense_hits), (low, dense_low)):
-        _same_selector(sel, dense)
-    for parts, dense_parts in (((hits, prefix), (dense_hits, dense_prefix)),
-                               ((prefix, hits), (dense_prefix, dense_hits)),
-                               ((offset, hits), (dense_offset, dense_hits)),
-                               ((hits, low), (dense_hits, dense_low)),
-                               ((prefix, prefix), (dense_prefix, dense_prefix))):
-        both = seq.combine(np.logical_and, *parts)
-        _same_selector(both, seq.combine(np.logical_and, *dense_parts))
-        _same(seq.selector_width(both), seq.selector_width(np.asarray(both)))
-        _same_call(lambda s: seq.aggregate(s, values, default), both, np.asarray(both))
-    # two relations, or another op, give the dense array
-    for parts in ((prefix, offset), (hits, prefix)):
-        dense = seq.combine(np.logical_or, *parts)
-        assert isinstance(dense, np.ndarray)
-        _same(dense, np.logical_or(*map(np.asarray, parts)))
-    assert isinstance(seq.combine(np.logical_and, prefix, offset), np.ndarray)
 
 
 @given(_batches(), _DEFAULTS)
