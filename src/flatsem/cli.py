@@ -58,9 +58,7 @@ def write_tsv(path: str | Path, rows: list[Row]) -> None:
 
 
 def _get_lexicon(args) -> Lexicon:
-    if args.lexicon:
-        return load_lexicon(args.lexicon)
-    return default_lexicon()
+    return args.lexicon or default_lexicon()
 
 
 def _split_paths(args) -> list[tuple[str, Path]]:
@@ -186,9 +184,13 @@ def cmd_coverage(args) -> int:
 
 def cmd_fuzz(args) -> int:
     lexicon = _get_lexicon(args)
-    examples = fuzz.fuzz_generate(args.n, lexicon, seed=args.seed,
-                                  pp_depth=args.pp_depth, cp_depth=args.cp_depth,
-                                  mode=args.mode)
+    try:
+        examples = fuzz.fuzz_generate(args.n, lexicon, seed=args.seed,
+                                      pp_depth=args.pp_depth, cp_depth=args.cp_depth,
+                                      mode=args.mode)
+    except ValueError as err:  # a leaf category with no word in the lexicon
+        print(f"flatsem: error: {err}", file=sys.stderr)
+        return 2
     rows: list[Row] = [(" ".join(tokens), oracle.lf_oracle(tree, lexicon), "fuzz")
                        for tokens, tree in examples]
     mismatches = 0
@@ -244,10 +246,19 @@ def positive_int(text: str) -> int:
     return value
 
 
+def _lexicon_file(path: str) -> Lexicon:
+    """argparse type of a lexicon table: the loaded lexicon.  A missing file,
+    or a line the lexicon cannot use, is a usage error (exit 2)."""
+    try:
+        return load_lexicon(path)
+    except (OSError, ValueError) as err:
+        raise argparse.ArgumentTypeError(err) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flatsem", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--lexicon", default=os.environ.get("RR_LEXICON"),
+    ap.add_argument("--lexicon", type=_lexicon_file, default=os.environ.get("RR_LEXICON"),
                     help="alternative lexicon TSV (default: bundled)")
     sub = ap.add_subparsers(dest="command", required=True)
 

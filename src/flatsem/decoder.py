@@ -11,6 +11,8 @@ per-token decoder step.  ``decode_all`` does the same for many sentences,
 analysed in length buckets by ``encoder.analyze_all``; ``decode`` takes the
 same path with one sentence and raises the error that ``decode_all`` leaves
 in an unreadable row's place.
+A word is read only here, at output: a noun's label, a verb's stem, a
+preposition's name, and the star of a noun right after "the".
 Nothing is cached between calls; each call analyses its sentences afresh.
 The encoder's mask tables (``seq.Table``) are constants, not a cache: each
 holds every cell of its domain from import on, and no call adds to or
@@ -23,10 +25,10 @@ inside the clause; ``OBJ1`` and ``OBJ2``, the first and second surviving
 nouns right of it; ``V2``, the infinitive; ``NEXT_V``, the next clause's
 verb.  The surviving nouns are listed once per sentence, and the three noun
 slots sit around one ``bisect`` of that list at the verb.  A frame's
-relations name the slot each role takes.  "Surviving" normally means
-pp-prefixed nouns are filtered out; ``ablate=True`` lifts that filter and
-nothing else, which makes the subject slot latch onto the noun the pp chain
-left nearest to the verb."""
+relations name the slot each role takes.  The surviving nouns are the noun
+positions that ``no_pp_np`` keeps, so pp-prefixed nouns are filtered out;
+``ablate=True`` lifts that filter and nothing else, which makes the subject
+slot latch onto the noun the pp chain left nearest to the verb."""
 
 from __future__ import annotations
 
@@ -42,9 +44,10 @@ from .seq import SequenceTooLongError
 def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = False) -> SentenceFacts:
     """Read the facts of the logical form off the flat analysis."""
     nouns = analysis.noun_positions
-    surviving = nouns if ablate else [i for i in nouns if analysis.eligible[i]]
+    surviving = nouns if ablate else [i for i in nouns if analysis.no_pp_np[i]]
     facts = SentenceFacts(
-        [Intro(analysis.tokens[i], i, bool(analysis.star[i])) for i in nouns],
+        [Intro(analysis.tokens[i], i, i > 0 and analysis.tokens[i - 1] == "the")
+         for i in nouns],
         rels=[Rel(f"nmod . {analysis.tokens[prep]}", head, obj)
               for prep, head, obj in analysis.pps])
     for idx, clause in enumerate(analysis.clauses):

@@ -1,9 +1,10 @@
 """Flat input analysis: everything the decoder needs, no trees involved.
 
-All per-position evidence is computed with the sequence primitives --
-position-wise maps over the five code sequences and their shifted copies,
-each shift made once per batch and read as one slice.  There are no widths
-or counts; the encoder builds no selector.
+All per-position evidence is computed with the sequence primitives over
+lexicon codes alone -- five lookup tables over the codes and their three
+shifted copies, each shift made once per batch and read as one slice; the
+words themselves are read only at output.  There are no widths or counts;
+the encoder builds no selector.
 ``analyze_all`` runs each group of same-length sentences through the
 primitives at once, as a (sentences, positions) batch; ``analyze`` is its
 one-sentence case.  Each field of ``InputAnalysis`` becomes a plain list once,
@@ -21,8 +22,7 @@ Tracr's categorical MLPs: ``NOUN`` over a token's code, ``NP_HEAD`` and
 it and the two codes before it, and ``CLAUSE_BOUNDARY`` over a token's
 slot-3 code and the next token's code.  Each rule is written once, as the
 table's lambda, and evaluated over every code in ``range(lexicon.N_CODES)``
-at import; ``seq.elementwise`` of a table is one gather.  The star (a noun
-behind "the") is ``NOUN`` and a test of the word before, by identity.
+at import; ``seq.elementwise`` of a table is one gather.
 
 The load-bearing vector is ``NO_PP_NP``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
@@ -62,8 +62,6 @@ class InputAnalysis:
     np_head: list[int]
     np_start: list[int]
     no_pp_np: list[int]
-    eligible: list[int]  # noun_mask * no_pp_np
-    star: list[int]  # noun preceded by "the"
     pps: list[tuple[int, int, int]]  # (prep_pos, head_pos, obj_pos)
     clauses: list[ClauseInfo] = field(default_factory=list)
 
@@ -300,10 +298,10 @@ def analyze_all(token_lists: Sequence[list[str] | str], lexicon: lx.Lexicon | No
     return out
 
 
-def _stack(rows: list[list], dtype: type) -> np.ndarray:
-    """Same-length rows as a (rows, positions) batch; a lone row stays 1-D,
-    since numpy's cost per call is lower on it than on a batch of one row."""
-    return np.array(rows if len(rows) > 1 else rows[0], dtype=dtype)
+def _stack(rows: list[list[int]]) -> np.ndarray:
+    """Same-length code rows as a (rows, positions) batch; a lone row stays
+    1-D, since numpy's cost per call is lower on it than on a batch of one row."""
+    return np.array(rows if len(rows) > 1 else rows[0], dtype=np.int64)
 
 
 def _analyze_batch(embs: list[lx.Embedded]) -> list[InputAnalysis]:
@@ -316,23 +314,18 @@ def _analyze_batch(embs: list[lx.Embedded]) -> list[InputAnalysis]:
             end -= 1
         n_eff.append(end)
 
-    pos = _stack([emb.pos for emb in embs], np.int64)
+    pos = _stack([emb.pos for emb in embs])
     # each shifted sequence once; the masks and the clause splitter share them
     prev = seq.shift_right(pos)
     prev2 = seq.shift_right(prev)
     nxt = seq.shift_left(pos)
-    prev_word = seq.shift_right(_stack([emb.tokens for emb in embs], object), default="")
 
-    nm = seq.elementwise(NOUN, pos)
-    nopp = seq.elementwise(NO_PP_NP, pos, prev, prev2)
-    eligible = seq.elementwise(lambda a, b: a * b, nm, nopp)
-    star = seq.elementwise(lambda noun, w: noun & (w == "the"), nm, prev_word)
-    # the InputAnalysis fields from noun_mask to star, one row of lists per sentence
-    masks = [nm, seq.elementwise(NP_HEAD, pos, prev), seq.elementwise(NP_START, pos, nxt), nopp,
-             eligible, star]
+    # the InputAnalysis fields from noun_mask to no_pp_np, one row of lists per sentence
+    masks = [seq.elementwise(NOUN, pos), seq.elementwise(NP_HEAD, pos, prev),
+             seq.elementwise(NP_START, pos, nxt), seq.elementwise(NO_PP_NP, pos, prev, prev2)]
     fields = np.array(masks, dtype=np.int64).reshape(
         len(masks), len(embs), pos.shape[-1]).swapaxes(0, 1).tolist()
-    spans = clause_spans(_stack([emb.vmap3 for emb in embs], np.int64), nxt, n_eff)
+    spans = clause_spans(_stack([emb.vmap3 for emb in embs]), nxt, n_eff)
     pps = pp_attachments(pos, nxt, len(embs))
 
     analyses = []

@@ -36,7 +36,10 @@ class _Gen:
         alts = GRAMMAR[symbol]
         if not alts:
             category = lx.CODE_CATEGORIES[LEAF_CODE[symbol]]
-            word = self.rng.choice(self.lexicon.words_for(category))
+            words = self.lexicon.words_for(category)
+            if not words:
+                raise ValueError(f"the lexicon has no word of category {category!r}")
+            word = self.rng.choice(words)
             pos = len(self.words)
             self.words.append(word)
             return Tree(symbol, word=word, pos=pos)
@@ -70,7 +73,8 @@ def fuzz_generate(n: int,
 
     ``require`` keeps only trees satisfying a predicate (rejection sampling);
     a budget of ``max(1000, 500 * n)`` tries guards against predicates the
-    grammar can barely satisfy.
+    grammar can barely satisfy.  A draw from a category the lexicon has no
+    word of raises ``ValueError``.
     """
     if lexicon is None:
         lexicon = lx.default_lexicon()

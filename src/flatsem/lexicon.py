@@ -111,14 +111,21 @@ class Embedded:
         return len(self.tokens)
 
 
-def _row(codes: tuple[int, ...]) -> tuple[int, int, int, int, int]:
-    """A word's embedding row: the primary code, then the four verb slots."""
+def _row(word: str, codes: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """A word's embedding row: the primary code, then the four verb slots.
+    The encoder reads a word only through it, so codes it cannot all hold
+    raise ``ValueError``."""
     slots = [0, 0, 0, 0]
     for c in codes:
         if c in SLOT:
             slots[SLOT[c] - 1] = c
     s1, s2, s3, s4 = slots
-    return (s1 or s2 or s3 or s4 or codes[0]), s1, s2, s3, s4
+    row = (s1 or s2 or s3 or s4 or codes[0]), s1, s2, s3, s4
+    if not set(codes) <= set(row):
+        names = ",".join(CODE_CATEGORIES[c] for c in codes)
+        raise ValueError(f"word {word!r}: its categories {names} do not fit one embedding row "
+                         "(one non-verb category, one verb category per slot)")
+    return row
 
 
 class Lexicon:
@@ -129,7 +136,7 @@ class Lexicon:
             for c in e.codes:
                 by_cat.setdefault(CODE_CATEGORIES[c], []).append(word)
         self._by_cat = {cat: tuple(sorted(ws)) for cat, ws in by_cat.items()}
-        self._rows = {word: _row(e.codes) for word, e in entries.items()}
+        self._rows = {word: _row(word, e.codes) for word, e in entries.items()}
         self._rows["."] = (FILLER, 0, 0, 0, 0)
 
     def __contains__(self, word: str) -> bool:
@@ -170,7 +177,8 @@ class Lexicon:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Read a word<TAB>categories[<TAB>stem] table."""
+    """Read a word<TAB>categories[<TAB>stem] table; a line that cannot be
+    read, lists a word twice or does not fit its row raises ``ValueError``."""
     entries: dict[str, Entry] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -183,6 +191,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
             codes = tuple(CATEGORY_CODES[c] for c in parts[1].split(","))
         except KeyError as e:
             raise ValueError(f"{path}:{lineno}: unknown category {e}") from None
+        if word in entries:
+            raise ValueError(f"{path}:{lineno}: word {word!r} listed twice")
+        try:
+            _row(word, codes)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
         stem = parts[2].lower() if len(parts) == 3 else word
         entries[word] = Entry(codes, stem)
     return Lexicon(entries)

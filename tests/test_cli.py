@@ -115,6 +115,51 @@ def test_run_of_a_missing_split_exits(datadir):
         main(["run", "--data", str(datadir), "--split", "dev", "--split", "nope"])
 
 
+LEXICON_FAULTS = {
+    "missing": (None, "No such file or directory"),
+    "malformed": ("cake\tcommon_noun\textra\ttoofar\n", ":1: expected 2 or 3 tab-separated fields"),
+    "lossy": ("sue\tproper_noun,common_noun\n",
+              ":1: word 'sue': its categories proper_noun,common_noun do not fit"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LEXICON_FAULTS))
+@pytest.mark.parametrize("command", [["fuzz", "--n", "1"], ["run", "--split", "dev"],
+                                     ["coverage", "--split", "dev"], ["augment", "--split", "dev"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+def test_a_lexicon_the_cli_cannot_use_is_a_usage_error(fault, command, from_env, datadir, capsys,
+                                                      monkeypatch):
+    """A --lexicon or RR_LEXICON file that is missing or holds a line the
+    lexicon cannot use ends every command as a bad argument does: the usage,
+    then a ``flatsem: error:`` line naming the file, and exit status 2."""
+    text, message = LEXICON_FAULTS[fault]
+    table = datadir / "lexicon.tsv"
+    if text is not None:
+        table.write_text(text)
+    monkeypatch.setenv("RR_DATA", str(datadir))
+    if from_env:
+        monkeypatch.setenv("RR_LEXICON", str(table))
+    with pytest.raises(SystemExit) as exc:
+        main(command if from_env else ["--lexicon", str(table), *command])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: flatsem ")
+    assert error.startswith("flatsem: error: argument --lexicon: ")
+    assert message in error and str(table) in error
+
+
+def test_fuzz_from_a_lexicon_lacking_a_category_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "lexicon.tsv"
+    table.write_text("cake\tcommon_noun\nemma\tproper_noun\nsmiled\tv_unerg\tsmile\n")
+    assert main(["--lexicon", str(table), "fuzz", "--n", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "flatsem: error: the lexicon has no word of category 'det'\n"
+
+
 def test_data_from_environment(datadir, capsys, monkeypatch):
     monkeypatch.setenv("RR_DATA", str(datadir))
     assert main(["run", "--split", "dev"]) == 0

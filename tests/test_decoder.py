@@ -33,8 +33,8 @@ def test_empty_input_gives_the_empty_form(sentence, lexicon):
 def test_empty_input_analyzes_to_empty_sequences(lexicon):
     a = analyze([], lexicon)
     assert a.n_eff == 0 and a.tokens == [] and a.clauses == [] and a.pps == []
-    for field in (a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible,
-                  a.star, a.emb.pos, a.emb.vmap1, a.emb.vmap4):
+    for field in (a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.emb.pos, a.emb.vmap1,
+                  a.emb.vmap4):
         assert field == []
 
 

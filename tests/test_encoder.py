@@ -23,8 +23,6 @@ def test_mask_golden_vectors(lexicon):
     assert a.np_head == [0, 1, 0, 0, 1, 0, 0]
     assert a.np_start == [1, 0, 0, 1, 0, 0, 0]
     assert a.no_pp_np == [1, 1, 1, 1, 0, 1, 1]  # "plate" sits inside the pp
-    assert a.eligible == [0, 1, 0, 0, 0, 0, 0]
-    assert a.star == [0, 1, 0, 0, 1, 0, 0]
     assert a.noun_positions == [1, 4]
 
 
@@ -207,7 +205,7 @@ def test_analyze_shifts_each_sequence_once(lexicon, monkeypatch):
         monkeypatch.setattr(enc.seq, name, lambda *a, _real=real, _name=name, **k:
                             calls.append(_name) or _real(*a, **k))
     enc.analyze("a boy beside the tree painted the cake .", lexicon)
-    assert sorted(calls) == ["shift_left", "shift_right", "shift_right", "shift_right"]
+    assert sorted(calls) == ["shift_left", "shift_right", "shift_right"]
 
 
 def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
@@ -229,10 +227,9 @@ def test_the_encoder_builds_no_dense_selector(lexicon, monkeypatch):
 
 def test_the_encoder_sends_seq_one_kind_per_sequence(lexicon, monkeypatch):
     """``seq`` holds one kind of value per sequence.  Every sequence argument
-    of a primitive call, the calls inside ``seq`` included, is an int64, bool
-    or object array, or a scalar: on fuzzed corpora of both modes and the
-    longest chains through ``analyze_all``, and on one row through
-    ``analyze``."""
+    of a primitive call, the calls inside ``seq`` included, is an int64 array
+    of codes: on fuzzed corpora of both modes and the longest chains through
+    ``analyze_all``, and on one row through ``analyze``."""
     sent = []
     for name in ("select", "aggregate", "elementwise", "shift_right", "shift_left",
                  "running_count"):
@@ -252,45 +249,39 @@ def test_the_encoder_sends_seq_one_kind_per_sequence(lexicon, monkeypatch):
     corpus += [pp_chain_sentence(168), cp_chain_sentence(169)]
     assert all(isinstance(a, enc.InputAnalysis) for a in enc.analyze_all(corpus, lexicon))
     enc.analyze("a boy beside the tree painted the cake .", lexicon)
-    for arg in sent:
-        assert (isinstance(arg, np.ndarray) and arg.dtype in (np.int64, bool, object)
-                or np.isscalar(arg)), arg
-    assert {arg.dtype.name if isinstance(arg, np.ndarray) else "scalar" for arg in sent} == {
-        "int64", "bool", "object"}
+    assert sent and all(isinstance(arg, np.ndarray) and arg.dtype == np.int64 for arg in sent)
 
 
-def test_rows_are_the_only_reading_of_a_word_but_the(lexicon):
+def test_rows_are_the_only_reading_of_a_word(lexicon):
     """Rows and code sets are one-to-one, and a sentence whose words are each
-    swapped for a word of the same class analyses the same: a row stands for
-    all of its words."""
+    swapped for a word of the same row analyses the same, every field but the
+    tokens: a row stands for all of its words, "the" and "a" too.  The words
+    themselves are read only at output."""
     code_sets = {}
     for word, entry in lexicon.entries.items():
         code_sets.setdefault(lexicon._rows[word], set()).add(frozenset(entry.codes))
     assert len(code_sets) == 29
     assert all(len(sets) == 1 for sets in code_sets.values())
     assert len({frozenset(entry.codes) for entry in lexicon.entries.values()}) == 29
-    # the words the encoder cannot tell apart: one class per row, with "the"
-    # apart, since the star reads it by identity
+    # the words the encoder cannot tell apart: one class per row
     classes = {}
     for word in [*lexicon.entries, "."]:
-        classes.setdefault("the" if word == "the" else lexicon._rows[word], []).append(word)
-    assert len(classes) == 31
-    assert len([key for key in classes if key != lexicon._rows["."]]) == 30
+        classes.setdefault(lexicon._rows[word], []).append(word)
+    assert len(classes) == 30
 
     def structure(a):
-        return (a.n_eff, a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.eligible,
-                a.star, a.pps, a.clauses)
+        return dict(vars(a), tokens=None, emb=dict(vars(a.emb), tokens=None))
 
     rng = random.Random(11)
     swapped = 0
     for tokens, _tree in fuzz_generate(300, lexicon, seed=11, pp_depth=3, cp_depth=3):
-        other = [rng.choice(classes["the" if t == "the" else lexicon._rows[t]]) for t in tokens]
+        other = [rng.choice(classes[lexicon._rows[t]]) for t in tokens]
         swapped += other != tokens
         assert structure(enc.analyze(other, lexicon)) == structure(enc.analyze(tokens, lexicon))
     assert swapped == 300
-    # and "the" is read by identity: "a" in its place drops the star
-    assert enc.analyze("the cake burned .", lexicon).star == [0, 1, 0, 0]
-    assert enc.analyze("a cake burned .", lexicon).star == [0, 0, 0, 0]
+    # the decoder reads "the" by identity: "a" in its place drops the star
+    assert decode("the cake burned .", lexicon) == "* cake ( 1 ) ; burn ( 2 ) AND theme ( 2 , 1 )"
+    assert decode("a cake burned .", lexicon) == "cake ( 1 ) ; burn ( 2 ) AND theme ( 2 , 1 )"
 
 
 def test_v2_binds_only_an_infinitive_inside_the_clause(lexicon, monkeypatch):
@@ -351,8 +342,8 @@ CALL_BUDGET = {
     "aggregate": 0,
     "combine": 0,
     "selector_width": 0,
-    "elementwise": 7,  # five mask tables, eligible and the star
-    "shift_right": 3,
+    "elementwise": 5,  # the five mask tables
+    "shift_right": 2,
     "shift_left": 1,
     "running_count": 0,
 }
@@ -360,11 +351,14 @@ CALL_BUDGET = {
 
 def test_one_analysis_makes_a_fixed_number_of_primitive_calls(lexicon, monkeypatch):
     calls = dict.fromkeys(CALL_BUDGET, 0)
+    maps = []  # the function of each elementwise call
     for name in CALL_BUDGET:
         real = getattr(enc.seq, name)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
+            if _name == "elementwise":
+                maps.append(args[0])
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(enc.seq, name, counting)
@@ -374,6 +368,8 @@ def test_one_analysis_makes_a_fixed_number_of_primitive_calls(lexicon, monkeypat
     calls.update(dict.fromkeys(calls, 0))
     assert len(enc.analyze_all([sentence] * 600, lexicon)) == 600
     assert calls == CALL_BUDGET
+    assert len(maps) == 2 * CALL_BUDGET["elementwise"]
+    assert all(isinstance(table, enc.seq.Table) for table in maps)
 
 
 # The first-fit frame table that DECISIONS replaced, kept as the reference:

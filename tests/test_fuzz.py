@@ -1,6 +1,7 @@
 import pytest
 
 from flatsem import grammar as gr
+from flatsem import lexicon as lx
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.oracle import lf_oracle
 
@@ -70,6 +71,15 @@ def test_require_filters_trees(lexicon):
 def test_impossible_require_exhausts_budget(lexicon):
     with pytest.raises(RuntimeError):
         fuzz_generate(1, lexicon, seed=0, require=lambda t: False)
+
+
+@pytest.mark.parametrize("category", ["det", "proper_noun", "v_unerg"])
+def test_a_category_with_no_word_is_named(category, lexicon):
+    code = lx.CATEGORY_CODES[category]
+    lacking = lx.Lexicon({word: entry for word, entry in lexicon.entries.items()
+                          if code not in entry.codes})
+    with pytest.raises(ValueError, match=f"^the lexicon has no word of category '{category}'$"):
+        fuzz_generate(200, lacking, seed=0)
 
 
 @pytest.mark.parametrize("depth", [1, 4, 9])

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,36 @@ def test_malformed_tsv_rejected(tmp_path):
     bad.write_text("cake\tnot_a_category\n")
     with pytest.raises(ValueError):
         lx.load_lexicon(bad)
+
+
+@pytest.mark.parametrize("word,categories", [
+    ("sue", "proper_noun,common_noun"),  # two non-verb categories
+    ("bake", "v_trans_not_omissible,v_unerg"),  # two verb categories of slot 1
+    ("the", "det,v_unerg"),  # a verb category takes the primary code
+])
+def test_a_word_its_embedding_row_cannot_hold_is_rejected(word, categories, tmp_path):
+    """The encoder reads a word only through its row, so an entry whose
+    categories do not all fit that row is refused, not read partly."""
+    table = tmp_path / "lexicon.tsv"
+    table.write_text(f"cake\tcommon_noun\n{word}\t{categories}\n")
+    message = f"word '{word}': its categories {categories} do not fit one embedding row"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(table))}:2: {message}"):
+        lx.load_lexicon(table)
+    codes = tuple(lx.CATEGORY_CODES[c] for c in categories.split(","))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        lx.Lexicon({word: lx.Entry(codes, word)})
+    # one category per verb slot, and one repeated, still fit
+    table.write_text(f"{word}\tcommon_noun,common_noun\n"
+                     "liked\tv_trans_omissible,v_trans_omissible_pp,v_cp_taking,v_inf_taking\n")
+    assert sorted(lx.load_lexicon(table).entries) == sorted(["liked", word])
+
+
+def test_a_word_listed_twice_is_rejected(tmp_path):
+    table = tmp_path / "lexicon.tsv"
+    table.write_text("cake\tcommon_noun\nemma\tproper_noun\nCake\tproper_noun\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(table))}:3: word 'cake' listed twice$"):
+        lx.load_lexicon(table)
 
 
 def test_blank_lines_are_skipped(tmp_path):
