@@ -10,7 +10,8 @@ Subcommands:
 * ``augment``   emit pp-moved double-object dative rows
 
 Paths may also come from the environment: RR_DATA (--data), RR_LEXICON
-(--lexicon) and RR_OUT (--out).  Explicit flags win.
+(--lexicon) and RR_OUT (--out); an empty one counts as unset.  Explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -62,13 +63,15 @@ def _get_lexicon(args) -> Lexicon:
 
 
 def _split_paths(args) -> list[tuple[str, Path]]:
+    """The split files a command reads; a missing data directory or split
+    file is a usage error of the command (exit status 2)."""
     if args.data is None:
-        sys.exit("no data directory: pass --data or set RR_DATA")
+        args.parser.error("no data directory: pass --data or set RR_DATA")
     out = []
     for name in args.split or ["test"]:
         p = Path(args.data) / f"{name}.tsv"
         if not p.exists():
-            sys.exit(f"split file not found: {p}")
+            args.parser.error(f"split file not found: {p}")
         out.append((name, p))
     return out
 
@@ -255,18 +258,24 @@ def _lexicon_file(path: str) -> Lexicon:
         raise argparse.ArgumentTypeError(err) from None
 
 
+def _env(name: str) -> Optional[str]:
+    """An environment variable's value; an empty one counts as unset."""
+    return os.environ.get(name) or None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="flatsem", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--lexicon", type=_lexicon_file, default=os.environ.get("RR_LEXICON"),
+    ap.add_argument("--lexicon", type=_lexicon_file, default=_env("RR_LEXICON"),
                     help="alternative lexicon TSV (default: bundled)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_data_args(p):
-        p.add_argument("--data", default=os.environ.get("RR_DATA"),
+        p.add_argument("--data", default=_env("RR_DATA"),
                        help="directory with <split>.tsv files")
         p.add_argument("--split", action="append",
                        help="split name (repeatable; default test)")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("run", help="decode splits, score them and tally each row's kind")
     add_data_args(p)
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-augmented", action="store_true")
     p.add_argument("--show", type=non_negative_int, default=0,
                    help="print this many mistakes in full")
-    p.add_argument("--out", default=os.environ.get("RR_OUT"), help="also write the report here")
+    p.add_argument("--out", default=_env("RR_OUT"), help="also write the report here")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("coverage", help="expansion coverage of sentences")
@@ -296,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["uniform", "coverage"], default="uniform")
     p.add_argument("--check", action="store_true",
                    help="verify decode() against the oracle on each sentence")
-    p.add_argument("--out", default=os.environ.get("RR_OUT"), help="write sentence\\tlf\\tfuzz rows")
+    p.add_argument("--out", default=_env("RR_OUT"), help="write sentence\\tlf\\tfuzz rows")
     p.set_defaults(fn=cmd_fuzz)
 
     p = sub.add_parser("augment", help="move datives' theme pp to the recipient")
     add_data_args(p)
-    p.add_argument("--out", default=os.environ.get("RR_OUT"))
+    p.add_argument("--out", default=_env("RR_OUT"))
     p.set_defaults(fn=cmd_augment)
     return ap
 

@@ -178,7 +178,8 @@ class Lexicon:
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Read a word<TAB>categories[<TAB>stem] table; a line that cannot be
-    read, lists a word twice or does not fit its row raises ``ValueError``."""
+    read, whose word is empty or holds whitespace (no token can be it), that
+    lists a word twice or does not fit its row raises ``ValueError``."""
     entries: dict[str, Entry] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -187,6 +188,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
         word = parts[0].lower()
+        if word.split() != [word]:
+            raise ValueError(f"{path}:{lineno}: word {word!r} is empty or holds whitespace")
         try:
             codes = tuple(CATEGORY_CODES[c] for c in parts[1].split(","))
         except KeyError as e:

@@ -37,9 +37,8 @@ the key rows and the query columns broadcast against each other;
 ops must therefore be elementwise -- ``operator.le``,
 ``lambda k, q: k == q - 1``, ``lambda p, q: (p == 1) & (q == 2)`` -- and not
 ``and`` / ``or`` / ``in`` / ``int()``, which need a single value.
-Each primitive converts and checks its arguments once, and passes an array
-that needs no conversion on as it is; the length cap, ``MAX_SEQ_LEN``,
-holds on every path.
+Each primitive checks its arguments once and passes them on as they are;
+the length cap, ``MAX_SEQ_LEN``, holds on every call.
 
 A ``Table(rule, size)`` declares a position-wise map over categorical codes,
 such as the lexicon's categories.  Its domain is every combination of the
@@ -53,12 +52,14 @@ holds every cell of its domain before the first call, and no call changes
 it.  A code outside the domain is the caller's error (numpy would wrap a
 negative one round), so a table is only fed codes known to lie in it.
 
-A sequence holds one kind of value: numbers (int or float), bools, or other
-objects such as tokens, in an object array.  The primitives accept Python
-lists and scalars too; a list is one row, and a scalar broadcasts to a full
-sequence.  Each becomes the array numpy makes of it when that holds numbers
-or bools, and an object array of the same values otherwise.  Every primitive
-accepts length 0 and an empty batch.
+A sequence holds one kind of value, as in Tracr: numbers (int or float),
+its numerical kind, or bools, its categorical kind; categorical codes such
+as the lexicon's are ints, read through a ``Table``.  Every primitive takes
+sequences and selectors only as numpy arrays of numbers or bools, and raises
+``TypeError`` on anything else: a list, a tuple, a scalar, an array of
+strings or objects.  A default must be of its sequence's kind -- a number
+beside numbers, a bool beside bools -- and any other raises ``ValueError``.
+Every primitive accepts length 0 and an empty batch.
 """
 
 from __future__ import annotations
@@ -101,35 +102,35 @@ Prefix = operator.le  # k <= q: each query selects itself and every key before i
 Equal = operator.eq  # k == q
 
 
-def _array(x: Any, n: int) -> np.ndarray:
-    """``x`` as an array whose last axis has length ``n``; a scalar broadcasts.
-    A list or scalar becomes numpy's array of it when that holds numbers or
-    bools, and an object array of the same values otherwise."""
-    if not isinstance(x, np.ndarray):
-        arr = np.asarray(x) if isinstance(x, (list, tuple)) else np.full(n, x)
-        if arr.dtype.kind not in "biuf":  # tokens, strings, anything else
-            arr = np.empty(arr.shape, dtype=object)
-            arr[...] = x
-        x = arr
-    if x.shape[-1] != n:
-        raise ValueError(f"length mismatch: {x.shape[-1]} vs {n}")
+def _check(x: Any, axes: int = 1) -> np.ndarray:
+    """``x`` if it is a numpy array of numbers or bools with at least
+    ``axes`` axes (1 for a sequence, 2 for a selector); raises ``TypeError``
+    if not."""
+    if not isinstance(x, np.ndarray) or x.dtype.kind not in "biuf" or x.ndim < axes:
+        what = f"a {x.ndim}-d {x.dtype} array" if isinstance(x, np.ndarray) else type(x).__name__
+        raise TypeError(f"expected a numpy array of numbers or bools with {axes} or more axes, "
+                        f"got {what}")
     return x
 
 
-def _common_length(*xs: Any) -> int:
-    for x in xs:
-        if isinstance(x, np.ndarray):
-            return x.shape[-1]
-        if isinstance(x, (list, tuple)):
-            return len(x)
-    raise ValueError("at least one argument must be a sequence")
+def _shape(seqs: tuple) -> tuple[int, ...]:
+    """The shape aligned sequences broadcast to: they share the length of
+    their last axis, and their batch axes broadcast against each other."""
+    shape = _check(seqs[0]).shape
+    for s in seqs[1:]:
+        if _check(s).shape != shape:  # a batch beside a row, or rows of other lengths
+            shapes = [_check(other).shape for other in seqs]
+            if any(other[-1] != shape[-1] for other in shapes):
+                raise ValueError(f"length mismatch: {[other[-1] for other in shapes]}")
+            shape = np.broadcast_shapes(*shapes)
+            break
+    check_length(shape[-1])
+    return shape
 
 
 def _matrix(selector: Any) -> np.ndarray:
-    """The dense cells of a selector, at most ``MAX_SEQ_LEN`` keys wide."""
-    sel = np.asarray(selector, dtype=bool)
-    if sel.ndim < 2:
-        return sel.reshape(0, 0)  # [] is the empty selector
+    """The cells of a selector as bools, at most ``MAX_SEQ_LEN`` keys wide."""
+    sel = np.asarray(_check(selector, 2), dtype=bool)
     check_length(sel.shape[-1])
     return sel
 
@@ -138,19 +139,14 @@ def select(keys: Any, queries: Any, predicate: Callable[[Any, Any], Any]) -> np.
     """Boolean selector with ``sel[..., q, k] = predicate(keys[..., k], queries[..., q])``.
 
     The first argument supplies the key (column) values, the second the query
-    (row) values; either may be a scalar, which broadcasts.  For example
-    ``select(indices(n), indices(n), le)`` selects, at each position, every
-    position at or before it -- the building block of running counts.
+    (row) values.  For example ``select(indices(n), indices(n), le)`` selects,
+    at each position, every position at or before it -- the building block of
+    running counts.
     """
-    n = _common_length(keys, queries)
-    check_length(n)
-    ks = _array(keys, n)
-    qs = _array(queries, n)
-    cols, rows = ks[..., np.newaxis, :], qs[..., np.newaxis]
-    sel = np.asarray(predicate(cols, rows), dtype=bool)
-    shape = (n, n) if ks.ndim == qs.ndim == 1 else np.broadcast(cols, rows).shape
-    if sel.shape != shape:  # a predicate that ignores some of its arguments
-        sel = np.broadcast_to(sel, shape).copy()
+    *batch, n = _shape((keys, queries))
+    sel = np.asarray(predicate(keys[..., np.newaxis, :], queries[..., np.newaxis]), dtype=bool)
+    if sel.shape != (*batch, n, n):  # a predicate that ignores some of its arguments
+        sel = np.broadcast_to(sel, (*batch, n, n)).copy()
     return sel
 
 
@@ -162,8 +158,7 @@ def combine(op: Callable[..., Any], *selectors: Any) -> np.ndarray:
         raise ValueError("combine needs at least one selector")
     if len(selectors) > 2:
         return functools.reduce(lambda a, b: combine(op, a, b), selectors)
-    mats = [np.asarray(s, dtype=bool) for s in selectors]
-    check_length(mats[0].shape[-1] if mats[0].ndim else 0)
+    mats = [_matrix(s) for s in selectors]
     for m in mats:
         if m.shape[-2:] != mats[0].shape[-2:]:
             raise ValueError("selector size mismatch")
@@ -177,27 +172,26 @@ def selector_width(selector: Any) -> np.ndarray:
 
 def _fill(vals: np.ndarray, default: Any) -> tuple[Any, np.dtype]:
     """The value an empty row of ``vals`` takes, and the dtype that holds it
-    beside them.  The value is ``default``, or when that is None 0 for a
-    numeric sequence and "" for any other.  A number beside numbers, or a
-    bool beside bools, gives numpy's common dtype of the two; any other pair
-    gives object.  A bool beside bools, or an int that fits beside int64,
-    keeps the sequence's dtype: that is the common dtype already."""
+    beside them.  The value is ``default``, or when that is None the
+    sequence's zero: 0 beside numbers, False beside bools.  A number beside
+    numbers, or a bool beside bools, gives numpy's common dtype of the two;
+    any other default raises ``ValueError``.  A bool beside bools, or an int
+    that fits beside int64, keeps the sequence's dtype: that is the common
+    dtype already."""
     dtype = vals.dtype
     kind = dtype.kind
     if default is None:
-        default = 0 if kind in "iuf" else ""
-    if kind not in "biuf":
-        return default, _OBJECT
+        default = False if kind == "b" else 0
     if ((type(default) is bool and kind == "b")
             or (type(default) is int and dtype is _INT64 and _INT64_MIN <= default <= _INT64_MAX)):
         return default, dtype
     fill = np.asarray(default).dtype
     if fill.kind == kind == "b" or (kind != "b" and fill.kind in "iuf"):
         return default, np.promote_types(dtype, fill)
-    return default, _OBJECT
+    raise ValueError(f"default {default!r} is not of the kind of the sequence's {dtype} values")
 
 
-_INT64, _OBJECT = np.dtype(np.int64), np.dtype(object)
+_INT64 = np.dtype(np.int64)
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -208,17 +202,21 @@ def aggregate(selector: Any, values: Any, default: Any = None) -> np.ndarray:
     Where they differ, numbers take their mean (the two cases are Tracr's
     categorical and numerical aggregates) -- an int sequence stays int
     when every mean of the call is whole, and becomes float otherwise -- and
-    any other values raise ``ValueError``.  A row that selects nothing takes
-    ``default``, or 0 for a numeric sequence and "" for any other; the result
-    keeps its dtype when the default is a number beside numbers or a bool
-    beside bools, and is an object array otherwise.
+    bools raise ``ValueError``.  A row that selects nothing takes
+    ``default``, or the sequence's zero (0, or False beside bools), and the
+    result then has numpy's common dtype of the values and the default.  A
+    default of another kind than the sequence's -- a bool beside numbers, a
+    number beside bools, anything else -- raises ``ValueError``, whether or
+    not a row selects nothing.
 
     An ``(n, n)`` selector gathers the same positions from every row of a
     batch.
     """
     sel = _matrix(selector)
     n = sel.shape[-1]
-    vals = _array(values, n)
+    vals = _check(values)
+    if vals.shape[-1] != n:
+        raise ValueError(f"length mismatch: {vals.shape[-1]} vs {n}")
     if sel.ndim > 2:  # a selector per row: each row gathers its own positions
         shape = np.broadcast_shapes(sel.shape[:-1], vals.shape)
         sel = np.broadcast_to(sel, (*shape, n))
@@ -227,27 +225,28 @@ def aggregate(selector: Any, values: Any, default: Any = None) -> np.ndarray:
     out = vals.take(first, -1) if sel.ndim == 2 else np.take_along_axis(vals, first, -1)
     differ = (sel & (vals[..., np.newaxis, :] != out[..., np.newaxis])).any(axis=-1)
     if differ.any():
-        if vals.dtype.kind not in "iuf":
-            raise ValueError("aggregate over distinct non-numeric values is undefined")
+        if vals.dtype.kind == "b":
+            raise ValueError("aggregate over distinct bools is undefined")
         sums = np.matmul(sel, vals[..., np.newaxis].astype(np.float64))[..., 0]
         mean = sums[differ] / np.broadcast_to(np.count_nonzero(sel, axis=-1), differ.shape)[differ]
         if (mean != np.trunc(mean)).any():
             out = out.astype(np.float64, copy=False)
         out[differ] = mean
+    default, dtype = _fill(out, default)
     hit = sel.any(axis=-1)
     if hit.all():
         return out
-    default, dtype = _fill(out, default)
     return np.where(hit, out.astype(dtype, copy=False), default)
 
 
-def _slide(vals: np.ndarray, d: int, default: Any) -> np.ndarray:
+def _slide(vals: Any, d: int, default: Any) -> np.ndarray:
     """``aggregate`` through ``Offset(d)``: query q takes the value at q + d,
     and the queries whose q + d is off the edge take the default."""
-    n = vals.shape[-1]
-    if d == 0 or n == 0:  # every query has its key
-        return vals.copy()
+    check_length(_check(vals).shape[-1])
     default, dtype = _fill(vals, default)
+    n = vals.shape[-1]
+    if n == 0:  # no query lacks its key, so none takes the default
+        return vals.copy()
     out = np.empty(vals.shape, dtype=dtype)
     if d < 0:  # the first -d queries have no key
         k = min(-d, n)
@@ -278,27 +277,12 @@ class Table:
 
 
 def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
-    """``fn`` called once on the whole aligned sequences (scalars broadcast).
-    Arrays of one shape go to ``fn`` as they are; a ``Table`` as ``fn`` is
-    one gather."""
-    shape = seqs[0].shape if seqs and isinstance(seqs[0], np.ndarray) else ()
-    for s in seqs:
-        if not isinstance(s, np.ndarray) or s.shape != shape:
-            shape = ()
-            break
-    if shape:  # arrays of one shape are aligned already
-        check_length(shape[-1])
-        arrays = seqs
-    else:
-        n = _common_length(*seqs)
-        check_length(n)
-        arrays = [_array(s, n) for s in seqs]
-        shape = (n,)
-        for a in arrays:
-            if a.ndim > 1:  # a batch: the shape the sequences broadcast to
-                shape = np.broadcast(*arrays).shape
-                break
-    out = np.asarray(fn(*arrays))
+    """``fn`` called once on the whole aligned sequences, passed as they are;
+    their batch axes broadcast.  A ``Table`` as ``fn`` is one gather."""
+    if not seqs:
+        raise ValueError("elementwise needs at least one sequence")
+    shape = _shape(seqs)
+    out = np.asarray(fn(*seqs))
     if out.shape != shape:  # a function that ignores some of its arguments
         out = np.broadcast_to(out, shape).copy()
     return out
@@ -306,20 +290,19 @@ def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
 
 def shift_right(values: Any, default: Any = 0) -> np.ndarray:
     """values[i-1] at each position: the aggregate of ``Offset(-1)``, as one slice."""
-    check_length(n := _common_length(values))
-    return _slide(_array(values, n), -1, default)
+    return _slide(values, -1, default)
 
 
 def shift_left(values: Any, default: Any = 0) -> np.ndarray:
     """values[i+1] at each position: the aggregate of ``Offset(+1)``, as one slice."""
-    check_length(n := _common_length(values))
-    return _slide(_array(values, n), 1, default)
+    return _slide(values, 1, default)
 
 
 def running_count(mask: Any) -> np.ndarray:
-    """1-based count of mask hits up to and including each position: the
-    width of each query's prefix of hits, n x n cells per row."""
-    idx = indices(_common_length(mask))
-    hits = select(mask, 1, Equal)
+    """1-based count of mask hits (positions holding 1) up to and including
+    each position: the width of each query's prefix of hits, n x n cells per
+    row."""
+    hits = select(mask, mask, lambda k, q: k == 1)
+    idx = indices(mask.shape[-1])
     upto = select(idx, idx, Prefix)
     return selector_width(combine(np.logical_and, hits, upto))

@@ -104,15 +104,50 @@ def test_run_scores_out_of_lexicon_rows_as_misses(tmp_path, capsys):
     assert "1 rows hold words not in the lexicon" in captured.err
 
 
-def test_run_without_data_exits(monkeypatch):
+def test_run_without_data_exits(monkeypatch, capsys):
     monkeypatch.delenv("RR_DATA", raising=False)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["run"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: flatsem run ")
+    assert err.splitlines()[-1] == "flatsem run: error: no data directory: pass --data or set RR_DATA"
 
 
-def test_run_of_a_missing_split_exits(datadir):
-    with pytest.raises(SystemExit, match="split file not found: .*nope.tsv"):
+def test_run_of_a_missing_split_exits(datadir, capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--data", str(datadir), "--split", "dev", "--split", "nope"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"flatsem run: error: split file not found: {datadir / 'nope.tsv'}")
+
+
+@pytest.mark.parametrize("name,command", [("RR_DATA", ["run"]),
+                                          ("RR_LEXICON", ["fuzz", "--n", "2"]),
+                                          ("RR_OUT", ["fuzz", "--n", "2"])])
+def test_an_empty_environment_variable_counts_as_unset(name, command, datadir, capsys,
+                                                       monkeypatch):
+    """``RR_DATA=`` does not read splits from the current directory (which
+    holds one here), ``RR_LEXICON=`` does not read a lexicon from it, and
+    ``RR_OUT=`` writes no file: each command ends as with the variable unset."""
+    (datadir / "dev.tsv").rename(datadir / "test.tsv")
+    monkeypatch.chdir(datadir)
+    for other in ("RR_DATA", "RR_LEXICON", "RR_OUT"):
+        monkeypatch.delenv(other, raising=False)
+
+    def outcome():
+        try:
+            status = main(command)
+        except SystemExit as exc:
+            status = exc.code
+        return status, *capsys.readouterr()
+
+    unset = outcome()
+    monkeypatch.setenv(name, "")
+    assert outcome() == unset
+    assert unset[0] == (2 if name == "RR_DATA" else 0)
 
 
 LEXICON_FAULTS = {
@@ -120,6 +155,7 @@ LEXICON_FAULTS = {
     "malformed": ("cake\tcommon_noun\textra\ttoofar\n", ":1: expected 2 or 3 tab-separated fields"),
     "lossy": ("sue\tproper_noun,common_noun\n",
               ":1: word 'sue': its categories proper_noun,common_noun do not fit"),
+    "empty word": ("\tcommon_noun\n", ":1: word '' is empty or holds whitespace"),
 }
 
 

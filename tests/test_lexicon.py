@@ -141,6 +141,18 @@ def test_a_word_its_embedding_row_cannot_hold_is_rejected(word, categories, tmp_
     assert sorted(lx.load_lexicon(table).entries) == sorted(["liked", word])
 
 
+@pytest.mark.parametrize("word", ["", " ", "ice cream", " cake", "cake\u00a0"])
+def test_a_word_no_token_can_be_is_rejected(word, tmp_path):
+    """A sentence is split on whitespace, so an empty word, or one holding
+    whitespace, would be an entry no token reads and a word the fuzzer could
+    draw but ``str.split`` would lose."""
+    table = tmp_path / "lexicon.tsv"
+    table.write_text(f"emma\tproper_noun\n{word}\tcommon_noun\n")
+    message = f"word {word.lower()!r} is empty or holds whitespace"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{table}:2: {message}')}$"):
+        lx.load_lexicon(table)
+
+
 def test_a_word_listed_twice_is_rejected(tmp_path):
     table = tmp_path / "lexicon.tsv"
     table.write_text("cake\tcommon_noun\nemma\tproper_noun\nCake\tproper_noun\n")
