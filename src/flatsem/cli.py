@@ -29,7 +29,7 @@ from . import decoder, fuzz, oracle
 # names straight from the module
 from .coverage import CoverageResult, CurveResult, ShuffleResult, row_expansions
 from .lexicon import Lexicon, LexiconError, default_lexicon, load_lexicon
-from .logical_form import HITS, ErrorReport, classify_error, tally
+from .logical_form import HITS, ErrorReport, SplitReport, classify_error
 from .seq import MAX_SEQ_LEN, SequenceTooLongError
 
 Row = tuple[str, str, str]  # sentence, logical form, category
@@ -122,7 +122,7 @@ def cmd_run(args) -> int:
         if not rows:
             failed += 1
             continue
-        judged = []  # (sentence, gold, prediction, kind) per row
+        kinds = []  # one per row
         preds = decoder.decode_all([sentence for sentence, _, _ in rows], lexicon,
                                    args.ablate_no_pp_rule)
         for (sentence, gold, _cat), pred in zip(rows, preds):
@@ -131,20 +131,20 @@ def cmd_run(args) -> int:
             else:  # the decoder could not read the row: a miss of the error's kind
                 pred, verdict = None, ErrorReport(next(
                     kind for kind, (error, _) in UNDECODABLE.items() if isinstance(pred, error)))
-            judged.append((sentence, gold, pred, verdict.kind))
+            kinds.append(verdict.kind)
             if verdict.kind not in HITS and shown < args.show:
                 shown += 1
                 print(f"[{verdict.kind}] {sentence}\n  gold: {gold}\n  pred: {pred}"
                       + (f"\n  {verdict.detail}" if verdict.detail else ""))
-        report = tally(judged, name)
+        report = SplitReport(name, Counter(kinds))
         failed += _report_undecodable(f"split={name}", report.kinds, "scored as misses")
         lines.append(report.format())
         if name == "gen":
-            by_cat: dict[str, list] = {}
-            for (_s, _g, cat), row in zip(rows, judged):
-                by_cat.setdefault(cat or "uncategorized", []).append(row)
+            by_cat: dict[str, Counter] = {}
+            for (_s, _g, cat), kind in zip(rows, kinds):
+                by_cat.setdefault(cat or "uncategorized", Counter())[kind] += 1
             for cat in sorted(by_cat):
-                lines.append(tally(by_cat[cat], f"gen/{cat}").format())
+                lines.append(SplitReport(f"gen/{cat}", by_cat[cat]).format())
         lines += [f"split={name} kind={kind} count={count} frac={count / len(rows):.4f}"
                   for kind, count in sorted(report.kinds.items())]
     if lines:

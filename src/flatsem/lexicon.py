@@ -140,7 +140,7 @@ class Lexicon:
         self._rows["."] = (FILLER, 0, 0, 0, 0)
 
     def __contains__(self, word: str) -> bool:
-        return word.lower() in self.entries or word == "."
+        return word.lower() in self._rows
 
     def codes(self, word: str) -> tuple[int, ...]:
         entry = self.entries.get(word.lower())

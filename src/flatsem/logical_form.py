@@ -20,13 +20,15 @@ Two ways to compare a prediction with gold:
 * semantic exact match -- equality up to a bijective renaming of the
   instance indices.  Conjunct order never matters, star flags and labels do,
   and every relation must map consistently under one global bijection.
-  Two forms that differ only in conjunct order match without a parse: their
-  conjuncts compare as strings, and one match of the syntax checks the form.
 
-``classify_error`` is the one verdict on a row: ``exact`` or ``equivalent``
-for a hit, ``attraction`` or ``other`` for a miss.  ``tally`` sums the
-rows' kinds into a split's report, which gives both accuracies with an exact
-(Clopper-Pearson) 95% interval on the semantic one.  Its bounds are the
+``classify_error`` is the one verdict on a row, and the only code that
+compares two forms: ``exact`` or ``equivalent`` for a hit, ``attraction`` or
+``other`` for a miss.  Two forms that differ only in conjunct order are a hit
+without a parse: their conjuncts compare as strings, and one match of the
+syntax checks the form.  Any other pair is parsed and searched for a
+renaming.  ``semantic_exact_match`` is the verdict's hit test.  A
+``SplitReport`` counts the rows' kinds, which gives both accuracies with an
+exact (Clopper-Pearson) 95% interval on the semantic one.  Its bounds are the
 binomial tail's roots in p, in numpy: P(X >= k) = alpha/2 for the lower one
 and P(X <= k) = alpha/2 for the upper one, X ~ Binomial(n, p).  Each tail is
 summed in log space and bisected on p to the last float; at k = 0 and k = n
@@ -40,7 +42,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -122,10 +124,11 @@ def _same_conjuncts(a: str, b: str) -> bool:
     return a == b or sorted(_pieces(a)) == sorted(_pieces(b))
 
 
-def parse_lf(text: str) -> Lf:
-    """Parse "x ( 1 ) ; * y ( 4 ) ; v ( 2 ) AND agent ( 2 , 1 ) AND ..." """
+def _parse(form: str, text: str) -> Lf:
+    """The records of ``form``, a normalised form; ``text``, as given, is
+    what an error quotes."""
     lf = Lf()
-    for piece in _pieces(_normal(text)):
+    for piece in _pieces(form):
         m = _CONJUNCT.fullmatch(piece)
         if m is None:
             raise LfParseError(f"malformed conjunct {piece!r} in: {text!r}")
@@ -137,26 +140,18 @@ def parse_lf(text: str) -> Lf:
     return lf
 
 
+def parse_lf(text: str) -> Lf:
+    """Parse "x ( 1 ) ; * y ( 4 ) ; v ( 2 ) AND agent ( 2 , 1 ) AND ..." """
+    return _parse(_normal(text), text)
+
+
 def string_exact_match(a: str, b: str) -> bool:
     return a.split() == b.split()
 
 
-def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
-    """Equality up to bijective renaming of instance indices.
-
-    Two strings that hold the same conjuncts, in any order, match exactly
-    when one is well formed: the identity renaming maps one onto the other.
-    Any other pair is parsed, and a backtracking search looks for a renaming
-    of all the indices either form mentions."""
-    if isinstance(a, str) and isinstance(b, str):
-        a, b = _normal(a), _normal(b)
-        if _same_conjuncts(a, b):
-            return _FORM.fullmatch(a) is not None
-    try:
-        lfa = parse_lf(a) if isinstance(a, str) else a
-        lfb = parse_lf(b) if isinstance(b, str) else b
-    except LfParseError:
-        return False
+def _renames(lfa: Lf, lfb: Lf) -> bool:
+    """Some bijective renaming of the indices either form mentions maps
+    ``lfa``'s records onto ``lfb``'s, found by a backtracking search."""
     if len(lfa.unary) != len(lfb.unary) or len(lfa.binary) != len(lfb.binary):
         return False
 
@@ -223,7 +218,7 @@ def semantic_exact_match(a: str | Lf, b: str | Lf) -> bool:
     return True
 
 
-# The kinds `tally` counts as semantic hits.
+# The kinds that are semantic hits.
 HITS = ("exact", "equivalent")
 
 
@@ -231,7 +226,6 @@ HITS = ("exact", "equivalent")
 class ErrorReport:
     kind: str  # exact | equivalent | attraction | other, or why no form was read
     detail: str = ""
-    differing: list[tuple[str, str]] = field(default_factory=list)
 
 
 def classify_error(expected: str, actual: str) -> ErrorReport:
@@ -248,10 +242,10 @@ def classify_error(expected: str, actual: str) -> ErrorReport:
     if _same_conjuncts(exp, act) and _FORM.fullmatch(exp):
         return ErrorReport("exact" if exp == act else "equivalent")
     try:
-        lfe, lfa = parse_lf(expected), parse_lf(actual)
+        lfe, lfa = _parse(exp, expected), _parse(act, actual)
     except LfParseError as e:
         return ErrorReport("other", detail=f"unparseable: {e}")
-    if semantic_exact_match(lfe, lfa):
+    if _renames(lfe, lfa):
         return ErrorReport("equivalent")
     if Counter(lfe.unary) != Counter(lfa.unary):
         return ErrorReport("other", detail="introduced instances differ")
@@ -261,10 +255,14 @@ def classify_error(expected: str, actual: str) -> ErrorReport:
     if len(missing) == 1 and len(extra) == 1:
         (en, el, er), (an, al, ar) = missing[0], extra[0]
         if en == an and el == al and er != ar:
-            was, now = f"{en} ( {el} , {er} )", f"{an} ( {al} , {ar} )"
-            return ErrorReport("attraction", detail=f"{was} became {now}", differing=[(was, now)])
-    return ErrorReport("other", detail=f"role conjuncts differ: -{missing} +{extra}",
-                       differing=[(str(missing), str(extra))])
+            return ErrorReport("attraction",
+                               detail=f"{en} ( {el} , {er} ) became {an} ( {al} , {ar} )")
+    return ErrorReport("other", detail=f"role conjuncts differ: -{missing} +{extra}")
+
+
+def semantic_exact_match(a: str, b: str) -> bool:
+    """Equality up to bijective renaming of instance indices: the verdict is a hit."""
+    return classify_error(a, b).kind in HITS
 
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -300,14 +298,10 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     return root(j[k:], True), root(j[:k + 1], False)
 
 
-KEEP_FAILURES = 20  # missed rows a SplitReport keeps, in order
-
-
 @dataclass
 class SplitReport:
     name: str
     kinds: Counter = field(default_factory=Counter)  # rows per kind
-    failures: list[tuple[str, str, Optional[str]]] = field(default_factory=list)  # (sentence, gold, pred)
 
     @property
     def n(self) -> int:
@@ -339,14 +333,3 @@ class SplitReport:
         lo, hi = self.ci
         return (f"split={self.name} n={self.n} sem={self.sem:.4f} em={self.em:.4f} "
                 f"ci_low={lo:.4f} ci_high={hi:.4f}")
-
-
-def tally(rows: Iterable[tuple[str, str, Optional[str], str]], name: str = "split") -> SplitReport:
-    """Sum (sentence, gold, prediction, kind) rows into a report, keeping the
-    first ``KEEP_FAILURES`` misses."""
-    report = SplitReport(name)
-    for sentence, gold, pred, kind in rows:
-        report.kinds[kind] += 1
-        if kind not in HITS and len(report.failures) < KEEP_FAILURES:
-            report.failures.append((sentence, gold, pred))
-    return report

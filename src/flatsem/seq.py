@@ -288,13 +288,15 @@ def elementwise(fn: Callable[..., Any], *seqs: Any) -> np.ndarray:
     return out
 
 
-def shift_right(values: Any, default: Any = 0) -> np.ndarray:
-    """values[i-1] at each position: the aggregate of ``Offset(-1)``, as one slice."""
+def shift_right(values: Any, default: Any = None) -> np.ndarray:
+    """values[i-1] at each position: the aggregate of ``Offset(-1)``, as one
+    slice; the first position takes ``default``, or the sequence's zero."""
     return _slide(values, -1, default)
 
 
-def shift_left(values: Any, default: Any = 0) -> np.ndarray:
-    """values[i+1] at each position: the aggregate of ``Offset(+1)``, as one slice."""
+def shift_left(values: Any, default: Any = None) -> np.ndarray:
+    """values[i+1] at each position: the aggregate of ``Offset(+1)``, as one
+    slice; the last position takes ``default``, or the sequence's zero."""
     return _slide(values, 1, default)
 
 

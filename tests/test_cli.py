@@ -57,16 +57,24 @@ def test_run_defaults_to_test_split(datadir, capsys, monkeypatch):
 
 
 def test_run_gen_split_reports_per_category(tmp_path, capsys):
+    """After the split's line, one line per category, sorted, each scoring
+    only its own rows; a row with no category counts as uncategorized."""
     rows = [
         ("a boy painted the girl", GOLDEN["a boy painted the girl"], "alpha"),
         ("the captain ate .", GOLDEN["the captain ate ."], "beta"),
+        ("the captain ate .", "captain ( 1 )", "beta"),
+        ("a boy painted the girl", GOLDEN["a boy painted the girl"], ""),
     ]
     write_tsv(tmp_path / "gen.tsv", rows)
     main(["run", "--data", str(tmp_path), "--split", "gen"])
-    out = capsys.readouterr().out
-    assert "split=gen n=2" in out
-    assert "split=gen/alpha n=1" in out
-    assert "split=gen/beta n=1" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "split=gen n=4 sem=0.7500 em=0.7500 ci_low=0.1941 ci_high=0.9937",
+        "split=gen/alpha n=1 sem=1.0000 em=1.0000 ci_low=0.0250 ci_high=1.0000",
+        "split=gen/beta n=2 sem=0.5000 em=0.5000 ci_low=0.0126 ci_high=0.9874",
+        "split=gen/uncategorized n=1 sem=1.0000 em=1.0000 ci_low=0.0250 ci_high=1.0000",
+        "split=gen kind=exact count=3 frac=0.7500",
+        "split=gen kind=other count=1 frac=0.2500",
+    ]
 
 
 def test_run_writes_report_file(datadir, capsys):
@@ -452,6 +460,9 @@ def test_run_tallies_attraction(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("[attraction]") == 1  # --show caps the detail dumps
     lines = out.splitlines()
+    sentence, clean, ablated, _ = ATTRACTION_CASES[0]
+    assert lines[:4] == [f"[attraction] {sentence}", f"  gold: {clean}", f"  pred: {ablated}",
+                         "  agent ( 5 , 1 ) became agent ( 5 , 4 )"]
     assert lines[-2].startswith(f"split=dev n={len(rows)} sem=0.0000 em=0.0000 ")
     assert lines[-1] == f"split=dev kind=attraction count={len(rows)} frac=1.0000"
     assert report.read_text().splitlines() == lines[-2:]  # no mistake blocks
@@ -472,7 +483,7 @@ def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
                                      (sentence, "boy ( 1 )", "x")])
     counts = Counter()
     per_row = []
-    for name in ("parse_lf", "semantic_exact_match"):
+    for name in ("_parse", "_renames"):
         real = getattr(logical_form, name)
         monkeypatch.setattr(logical_form, name,
                             lambda *a, _real=real, _name=name: counts.update([_name]) or _real(*a))
@@ -481,7 +492,7 @@ def test_run_kinds_come_from_the_scores(tmp_path, capsys, monkeypatch):
     def counting_classify(expected, actual):
         counts.clear()
         report = real_classify(expected, actual)
-        per_row.append((report.kind, counts["parse_lf"], counts["semantic_exact_match"]))
+        per_row.append((report.kind, counts["_parse"], counts["_renames"]))
         return report
 
     monkeypatch.setattr(cli, "classify_error", counting_classify)

@@ -115,8 +115,7 @@ def test_predict_attraction_error():
 def test_classify_attraction(sentence, clean, ablated, wrong_idx):
     report = classify_error(clean, ablated)
     assert report.kind == "attraction"
-    assert len(report.differing) == 1
-    gold_atom, bad_atom = report.differing[0]
+    gold_atom, bad_atom = report.detail.split(" became ")
     assert gold_atom.startswith("agent")
     assert bad_atom.endswith(f", {wrong_idx} )")
 

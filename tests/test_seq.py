@@ -178,8 +178,8 @@ def test_the_errors_a_call_can_raise():
             for shift in (seq.shift_right, seq.shift_left):
                 with pytest.raises(ValueError, match="is not of the kind"):
                     shift(values, default=default)
-    with pytest.raises(ValueError, match="is not of the kind"):
-        seq.shift_right(np.array([True, False]))  # the shifts' default is the int 0
+    # with no default a shift takes the sequence's zero, False beside bools
+    assert seq.shift_right(np.array([True, False])).tolist() == [False, True]
 
 
 def test_every_primitive_rejects_what_is_not_an_array_of_numbers_or_bools():
@@ -451,7 +451,7 @@ def test_shifts_are_the_aggregates_of_an_offset(stacked, data):
     """``shift_right`` and ``shift_left`` are the aggregates of ``Offset(-1)``
     and ``Offset(+1)`` over ``indices(n)``, and of the dense selectors of the
     same relations: on a batch and on one row of it, with every default of
-    the sequence's kind."""
+    the sequence's kind, and as bools with no default."""
     n = stacked.shape[-1]
     default = data.draw(_defaults_of(stacked.dtype), label="default")
     idx, plain = seq.indices(n), np.arange(n)
@@ -462,6 +462,8 @@ def test_shifts_are_the_aggregates_of_an_offset(stacked, data):
             out = shift(values, default=default)
             _same(out, seq.aggregate(offset, values, default))
             _same(out, seq.aggregate(dense, values, default))
+            flags = values != 0  # bools, shifted with no default
+            _same(shift(flags), seq.aggregate(offset, flags))
 
 
 # The length cap holds on every call of every primitive: on a row, on a
