@@ -1,9 +1,10 @@
 """Decoding: the logical form read off the flat analysis.
 
 ``build_plan`` reads one sentence's ``SentenceFacts`` off its flat analysis:
-the noun introductions, the pp attachments as nmod links, and per matched
-clause frame the verb's introduction and the relations its entry in
-``encoder.FRAMES`` lists -- the ``Intro`` and ``Rel`` records that
+the noun introductions, the nmod links of the nouns that ``no_pp_np``
+removes (each a preposition's object), and per matched clause frame the
+verb's introduction and the relations its entry in ``encoder.FRAMES``
+lists -- the ``Intro`` and ``Rel`` records that
 ``logical_form.parse_lf`` reads back.  These are the same facts the tree
 oracle collects, and ``decode`` serialises them through the same layout
 (``logical_form.serialize_facts``), the whole form in one pass; there is no
@@ -43,13 +44,15 @@ from .seq import SequenceTooLongError
 
 def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = False) -> SentenceFacts:
     """Read the facts of the logical form off the flat analysis."""
-    nouns = analysis.noun_positions
+    tokens, nouns = analysis.tokens, analysis.noun_positions
     surviving = nouns if ablate else [i for i in nouns if analysis.no_pp_np[i]]
-    facts = SentenceFacts(
-        [Intro(analysis.tokens[i], i, i > 0 and analysis.tokens[i - 1] == "the")
-         for i in nouns],
-        rels=[Rel(f"nmod . {analysis.tokens[prep]}", head, obj)
-              for prep, head, obj in analysis.pps])
+    # each noun the pp filter removes is the object of the preposition at p,
+    # right before it if a name, else before its determiner (``NO_PP_NP``'s
+    # two branches); the noun it modifies sits right before the preposition
+    objects = [(i - 1 if analysis.emb.pos[i] == lx.PROPER_NOUN else i - 2, i)
+               for i in nouns if not analysis.no_pp_np[i]]
+    facts = SentenceFacts([Intro(tokens[i], i, i > 0 and tokens[i - 1] == "the") for i in nouns],
+                          rels=[Rel(f"nmod . {tokens[p]}", p - 1, i) for p, i in objects])
     for idx, clause in enumerate(analysis.clauses):
         if clause.template is None:
             continue
@@ -66,7 +69,7 @@ def build_plan(analysis: InputAnalysis, lexicon: lx.Lexicon, ablate: bool = Fals
         if clause.second_verb_pos is not None:
             groups.append((clause.second_verb_pos, "v_inf"))
         for verb, template in groups:
-            facts.verbs.append(Intro(lexicon.stem(analysis.tokens[verb]), verb))
+            facts.verbs.append(Intro(lexicon.stem(tokens[verb]), verb))
             facts.rels += [Rel(name, verb, slots[slot]) for name, slot in FRAMES[template]
                            if slots[slot] is not None]
     return facts

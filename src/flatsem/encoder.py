@@ -9,12 +9,12 @@ the encoder builds no selector.
 primitives at once, as a (sentences, positions) batch; ``analyze`` is its
 one-sentence case.  Each field of ``InputAnalysis`` becomes a plain list once,
 at the end, and each sentence's structure (clause spans, one verb frame per
-clause, pp attachments) is read off its row.  A clause's frame is one
-decision of its verb's licence (``DECISIONS``) among that licence's leaves
-in ``grammar.CODE_LEAVES``; the passive participle's licence, slot 2 of
-``lexicon.SLOT``, decides only right after "was".  ``FRAMES`` maps each
-frame's name to its (role, slot) relations, and ``get_agent_side`` reads off
-it which side of the verb a frame's agent binds.
+clause) is read off its row.  A clause's frame is one decision of its verb's
+licence (``DECISIONS``) among that licence's leaves in ``grammar.CODE_LEAVES``;
+the passive participle's licence, slot 2 of ``lexicon.SLOT``, decides only
+right after "was".  ``FRAMES`` maps each frame's name to its (role, slot)
+relations, and ``get_agent_side`` reads off it which side of the verb a
+frame's agent binds.
 
 The position-wise masks over lexicon codes are ``seq.Table`` lookup tables,
 Tracr's categorical MLPs: ``NOUN`` over a token's code, ``NP_HEAD`` and
@@ -22,14 +22,19 @@ Tracr's categorical MLPs: ``NOUN`` over a token's code, ``NP_HEAD`` and
 it and the two codes before it, and ``CLAUSE_BOUNDARY`` over a token's
 slot-3 code and the next token's code.  Each rule is written once, as the
 table's lambda, and evaluated over every code in ``range(lexicon.N_CODES)``
-at import; ``seq.elementwise`` of a table is one gather.
+at import; ``seq.elementwise`` of a table is one gather, and each table is
+read through that one call alone: the clause-taking decision reads the split
+that ``clause_spans`` made, not ``CLAUSE_BOUNDARY`` again.
 
 The load-bearing vector is ``NO_PP_NP``: it knocks out any noun that is
 the object of a preposition (proper noun one position after the "pp" word,
 common noun two positions after, behind its determiner).  Role binding only
 considers nouns that survive this mask, which is what keeps "a boy beside the
-tree painted ..." from binding the agent to "tree".  The ablation switch
-exists precisely to turn that mask off and watch the attraction error appear.
+tree painted ..." from binding the agent to "tree".  The mask is also the
+pp rule's only statement: the decoder reads each noun it removes as a
+preposition's object, and that noun's nmod link off the same two branches.
+The ablation switch exists precisely to turn the filter off and watch the
+attraction error appear; the nmod links stay as they are.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ class InputAnalysis:
     np_head: list[int]
     np_start: list[int]
     no_pp_np: list[int]
-    pps: list[tuple[int, int, int]]  # (prep_pos, head_pos, obj_pos)
     clauses: list[ClauseInfo] = field(default_factory=list)
 
     @property
@@ -91,33 +95,6 @@ NO_PP_NP = seq.Table(
 CLAUSE_BOUNDARY = seq.Table(lambda v3, nx: (v3 == lx.V_CP_TAKING) & (nx == lx.THAT), lx.N_CODES)
 
 
-def _hits(mask: np.ndarray) -> tuple[list[int], list[int]]:
-    """The rows and positions of a mask's set cells, in order; a lone row is 1-D."""
-    if mask.ndim == 1:
-        (cols,) = mask.nonzero()
-        return [0] * len(cols), cols.tolist()
-    rows, cols = mask.nonzero()
-    return rows.tolist(), cols.tolist()
-
-
-def pp_attachments(pos: np.ndarray, nxt: np.ndarray,
-                   rows: int) -> list[list[tuple[int, int, int]]]:
-    """(prep_pos, modified_head_pos, object_head_pos) per preposition, for
-    each of ``rows`` sentences (a lone one 1-D).
-
-    The modified noun always immediately precedes its preposition; the object
-    head is the name right after it, or the noun behind the determiner.
-    """
-    prep = pos == lx.PP
-    hit_rows, hits = _hits(prep)
-    pps: list[list[tuple[int, int, int]]] = [[] for _ in range(rows)]
-    if hits:
-        names = (nxt[prep] == lx.PROPER_NOUN).tolist()
-        for row, i, name in zip(hit_rows, hits, names):
-            pps[row].append((i, i - 1, i + 1 if name else i + 2))
-    return pps
-
-
 def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
                  n_eff: list[int]) -> list[list[tuple[int, int]]]:
     """Token spans of the clauses of each sentence (a lone one 1-D), split
@@ -128,7 +105,8 @@ def clause_spans(vmap3: np.ndarray, nxt: np.ndarray,
     """
     spans: list[list[tuple[int, int]]] = [[] for _ in n_eff]
     starts = [0] * len(n_eff)
-    for row, i in zip(*_hits(seq.elementwise(CLAUSE_BOUNDARY, vmap3, nxt))):
+    rows, cols = np.atleast_2d(seq.elementwise(CLAUSE_BOUNDARY, vmap3, nxt)).nonzero()
+    for row, i in zip(rows.tolist(), cols.tolist()):
         spans[row].append((starts[row], i + 1))
         starts[row] = i + 2
     for row_spans, start, end in zip(spans, starts, n_eff):
@@ -144,6 +122,7 @@ class _Site(NamedTuple):
     np_head: list[int]
     verb: int
     end: int  # clause end, exclusive
+    n_eff: int  # sentence length without the trailing period
 
     def at(self, offset: int, code: int) -> bool:
         """The token ``offset`` after the verb is in the clause and has this code."""
@@ -204,8 +183,7 @@ def get_agent_side(template: str) -> Optional[str]:
 DECISIONS: dict[int, Callable[[_Site], Optional[int]]] = {
     **dict.fromkeys((lx.V_UNERG, lx.V_TRANS_NOT_OMISSIBLE), lambda s: 0),
     lx.V_INF: lambda s: None,  # an infinitive heads no clause of its own
-    lx.V_CP_TAKING: lambda s: (0 if s.verb + 1 < len(s.emb.pos) and CLAUSE_BOUNDARY.values[
-        s.emb.vmap3[s.verb], s.emb.pos[s.verb + 1]] else None),
+    lx.V_CP_TAKING: lambda s: 0 if s.verb + 1 == s.end < s.n_eff else None,  # "that" cut here
     lx.V_INF_TAKING: lambda s: 0 if s.at(1, lx.TO) and s.infinitive() is not None else None,
     lx.V_TRANS_OMISSIBLE: lambda s: int(s.verb + 1 < s.end),  # the clause goes on: an object
     lx.V_UNACC: lambda s: int(s.verb + 1 == s.end),  # the clause ends: inchoative
@@ -219,7 +197,7 @@ DECISIONS: dict[int, Callable[[_Site], Optional[int]]] = {
 }
 
 
-def match_template(emb: lx.Embedded, span: tuple[int, int],
+def match_template(emb: lx.Embedded, span: tuple[int, int], n_eff: int,
                    np_start: list[int], np_head: list[int]) -> ClauseInfo:
     """The clause with its verb, the first token carrying a verb code, and
     its frame.  After "was" the verb's slot-2 licence decides; otherwise its
@@ -232,7 +210,7 @@ def match_template(emb: lx.Embedded, span: tuple[int, int],
     else:
         return ClauseInfo(start, end, -1, None)
     was = V > start and emb.pos[V - 1] == lx.WAS
-    site = _Site(emb, np_start, np_head, V, end)
+    site = _Site(emb, np_start, np_head, V, end, n_eff)
     for code in (emb.vmap2[V],) if was else (emb.vmap3[V], emb.vmap4[V], emb.vmap1[V]):
         variant = DECISIONS[code](site) if code else None
         if variant is not None:
@@ -326,12 +304,11 @@ def _analyze_batch(embs: list[lx.Embedded]) -> list[InputAnalysis]:
     fields = np.array(masks, dtype=np.int64).reshape(
         len(masks), len(embs), pos.shape[-1]).swapaxes(0, 1).tolist()
     spans = clause_spans(_stack([emb.vmap3 for emb in embs]), nxt, n_eff)
-    pps = pp_attachments(pos, nxt, len(embs))
 
     analyses = []
-    for emb, end, row, row_spans, row_pps in zip(embs, n_eff, fields, spans, pps):
-        analysis = InputAnalysis(emb.tokens, emb, end, *row, row_pps)
-        analysis.clauses = [match_template(emb, span, analysis.np_start, analysis.np_head)
+    for emb, end, row, row_spans in zip(embs, n_eff, fields, spans):
+        analysis = InputAnalysis(emb.tokens, emb, end, *row)
+        analysis.clauses = [match_template(emb, span, end, analysis.np_start, analysis.np_head)
                             for span in row_spans if span[0] < span[1]]
         analyses.append(analysis)
     return analyses

@@ -1,13 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
 from flatsem import decoder as dec
+from flatsem import grammar as gr
 from flatsem import seq
 from flatsem.encoder import analyze, analyze_all
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.grammar import parse_sentence
 from flatsem.lexicon import LexiconError
-from flatsem.logical_form import parse_lf
+from flatsem.logical_form import Intro, Rel, parse_lf
 from flatsem.oracle import lf_oracle, sentence_facts
 
 from corpora import ATTRACTION_CASES, GOLDEN
@@ -32,7 +35,8 @@ def test_empty_input_gives_the_empty_form(sentence, lexicon):
 
 def test_empty_input_analyzes_to_empty_sequences(lexicon):
     a = analyze([], lexicon)
-    assert a.n_eff == 0 and a.tokens == [] and a.clauses == [] and a.pps == []
+    assert a.n_eff == 0 and a.tokens == [] and a.clauses == []
+    assert dec.build_plan(a, lexicon).rels == dec.build_plan(a, lexicon, ablate=True).rels == []
     for field in (a.noun_mask, a.np_head, a.np_start, a.no_pp_np, a.emb.pos, a.emb.vmap1,
                   a.emb.vmap4):
         assert field == []
@@ -108,6 +112,62 @@ def test_flat_facts_equal_tree_facts(lexicon):
         flat = dec.build_plan(analyze(tokens, lexicon), lexicon)
         tree = sentence_facts(parse_sentence(tokens, lexicon), lexicon)
         assert by_position(flat) == by_position(tree), tokens
+
+
+def _pp_insertions(lexicon):
+    """(old tokens, new tokens, h, P, D, N): in fuzzed sentences of both modes
+    at pp/cp depths 0-3, one seeded ``<np>`` whose child is ``<np_det>``, with
+    its head noun at h, gets the pp "P D N" right after that noun."""
+    rng = random.Random("pp insertion")
+    words = {leaf: [w for w in sorted(lexicon.entries) if gr.leaf_classes(w, lexicon) == {leaf}]
+             for leaf in ("<pp>", "<det>", "<common_noun>")}
+    for mode in ("uniform", "coverage"):
+        for depth in range(4):
+            for tokens, tree in fuzz_generate(150, lexicon, seed=depth, pp_depth=depth,
+                                              cp_depth=depth, mode=mode):
+                heads = [node.children[0].children[1].pos for node in tree.find_all("<np>")
+                         if node.children[0].symbol == "<np_det>"]
+                if heads:
+                    h = rng.choice(heads)
+                    pp = [rng.choice(words[leaf]) for leaf in words]
+                    yield tokens, [*tokens[:h + 1], *pp, *tokens[h + 1:]], h, *pp
+
+
+def _conjuncts(form):
+    lf = parse_lf(form)
+    return sorted(lf.unary), sorted(lf.binary)
+
+
+def _inserted(form, h, prep, det, noun):
+    """The form with every index above h moved 3 right, and the pp's noun
+    and nmod link added."""
+    def move(i):
+        return i + 3 if i > h else i
+
+    unary, binary = _conjuncts(form)
+    return (sorted([*(u._replace(idx=move(u.idx)) for u in unary),
+                    Intro(noun, h + 3, det == "the")]),
+            sorted([*(Rel(r.name, move(r.left), move(r.right)) for r in binary),
+                    Rel(f"nmod . {prep}", h, h + 3)]))
+
+
+def test_a_pp_inserted_after_a_noun_adds_only_its_noun_and_nmod_link(lexicon):
+    """Metamorphic, with no gold: inserting "P D N" after a determined noun
+    phrase's head h shifts every index above h by 3 and adds only the
+    conjuncts ``[*] N ( h+3 )`` and ``nmod . P ( h , h+3 )``, for the decoder
+    and the oracle alike; without the pp filter the inserted noun can take a
+    role, and the relation breaks."""
+    cases = list(_pp_insertions(lexicon))
+    olds, news = [c[0] for c in cases], [c[1] for c in cases]
+    broken = dict.fromkeys((False, True), 0)
+    for ablate in broken:
+        pairs = zip(dec.decode_all(olds, lexicon, ablate), dec.decode_all(news, lexicon, ablate))
+        for (_, _, *insertion), forms in zip(cases, pairs):
+            broken[ablate] += _conjuncts(forms[1]) != _inserted(forms[0], *insertion)
+    for old, new, *insertion in cases:  # the oracle parses each new sentence
+        assert _conjuncts(lf_oracle(new, lexicon)) == _inserted(lf_oracle(old, lexicon),
+                                                                 *insertion), new
+    assert len(cases) == 764 and broken[False] == 0 and broken[True] > 0, broken
 
 
 # Chains up to MAX_SEQ_LEN tokens (pp depth 168, clause depth 169), sampled.

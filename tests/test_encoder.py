@@ -10,7 +10,7 @@ from flatsem import encoder as enc
 from flatsem import grammar as gr
 from flatsem import lexicon as lx
 from flatsem import oracle as orc
-from flatsem.decoder import decode, decode_all
+from flatsem.decoder import build_plan, decode, decode_all
 from flatsem.fuzz import cp_chain_sentence, fuzz_generate, pp_chain_sentence
 from flatsem.seq import SequenceTooLongError
 
@@ -26,15 +26,21 @@ def test_mask_golden_vectors(lexicon):
     assert a.noun_positions == [1, 4]
 
 
+def _nmods(a, lexicon, ablate=False):
+    """The nmod links of an analysis's plan, as (preposition, head, object)."""
+    return [(r.name.removeprefix("nmod . "), r.left, r.right)
+            for r in build_plan(a, lexicon, ablate).rels if r.name.startswith("nmod . ")]
+
+
 def test_proper_noun_directly_after_preposition(lexicon):
     a = enc.analyze("a boy beside emma smiled .", lexicon)
     assert a.no_pp_np == [1, 1, 1, 0, 1, 1]
-    assert a.pps == [(2, 1, 3)]
+    assert _nmods(a, lexicon) == [("beside", 1, 3)]
 
 
 def test_pp_attachment_with_determiner(lexicon):
     a = enc.analyze("a boy beside the tree painted the cake", lexicon)
-    assert a.pps == [(2, 1, 4)]
+    assert _nmods(a, lexicon) == [("beside", 1, 4)]
 
 
 def test_clause_spans_exclude_that_and_period(lexicon):
@@ -490,3 +496,23 @@ def test_decisions_pick_the_frames_of_the_first_fit_table(lexicon):
         templates += sum(c.template is not None for c in a.clauses)
     assert count == 31 + 31 ** 2 + 31 ** 3 + 2 * 300 * 6 + 25 + 26
     assert templates > 0 and clauses > templates
+
+
+def test_nmod_links_are_the_nouns_the_pp_filter_removes(lexicon):
+    """On the reference inputs, in and out of the grammar (fuzzed sentences
+    and their mutants, the chains up to 511 tokens among them), the right
+    ends of a plan's nmod conjuncts are exactly the nouns ``no_pp_np``
+    removes, each conjunct is named after the token right of its left end,
+    and the ablation changes none of them."""
+    inputs = list(_reference_inputs(lexicon))
+    linked = 0
+    for tokens, a in zip(inputs, enc.analyze_all(inputs, lexicon)):
+        if isinstance(a, enc.Failure):
+            continue
+        nmods = _nmods(a, lexicon)
+        assert [obj for _, _, obj in nmods] == [i for i in a.noun_positions
+                                                if not a.no_pp_np[i]], tokens
+        assert all(prep == a.tokens[head + 1] for prep, head, _ in nmods), tokens
+        assert _nmods(a, lexicon, ablate=True) == nmods, tokens
+        linked += bool(nmods)
+    assert linked == 1731
